@@ -37,7 +37,6 @@ from .sparse_linalg import (
     ConvergenceError,
     SolveOptions,
     SpdSystem,
-    apply,
     poisson_preconditioner,
     solve_spd,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "TCCSurvey",
     "add_noise",
     "adjoint_check",
-    "apply",
     "apply_subderivative",
     "assemble",
     "assemble_full",

@@ -8,8 +8,10 @@ Subcommands:
   verify      empirical verification suites (oracle | tcc | adjoint | all)
 
 Options may also be supplied through a JSON file via --config; explicit
-flags override file entries, which override the built-in defaults
-(mu=0.1, tau=1.4, rho=5, lbar=0.05, max-iter=5000).
+flags override file entries, which override the built-in defaults.  The
+Landweber defaults (mu, tau, rho, lbar, max_iter) are those of
+LandweberConfig.  A config key that the subcommand does not know is an
+error.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .experiments import (
     NoiseSpec,
+    _start_iterate,
     add_noise,
     exact_fields,
     run_noise_free,
@@ -32,36 +34,37 @@ from .experiments import (
 )
 from .forward import ForwardProblem, solve_forward
 from .landweber import LandweberConfig, run
-from .mesh_fem import GridFunction, build_mesh, read_grid_function, write_grid_function
+from .mesh_fem import build_mesh, read_grid_function, write_grid_function
 from .verification import adjoint_check, oracle_sweep, tcc_survey
 
 logger = logging.getLogger("bouligand_landweber")
 
+# The LandweberConfig fields a user may set; delta is measured from the data.
+LANDWEBER_DEFAULTS = {f.name: f.default for f in fields(LandweberConfig) if f.name != "delta"}
+
 DEFAULTS = {
     "forward": {"n": 129, "source": "builtin-exact"},
-    "noise-free": {"n": 129, "start": "source", "iters": 100},
+    # --iters takes the place of max_iter
+    "noise-free": {
+        "n": 129,
+        "start": "source",
+        "iters": 100,
+        **{k: v for k, v in LANDWEBER_DEFAULTS.items() if k != "max_iter"},
+    },
     "invert": {
         "n": 129,
         "start": "source",
         "delta_target": None,
         "sigma": None,
         "seed": 0,
-        "mu": 0.1,
-        "tau": 1.4,
-        "rho": 5.0,
-        "lbar": 0.05,
-        "max_iter": 5000,
+        **LANDWEBER_DEFAULTS,
     },
     "table": {
         "n": 129,
         "start": "source",
         "deltas": "1e-2,1e-3,1e-4",
         "seeds": "0",
-        "mu": 0.1,
-        "tau": 1.4,
-        "rho": 5.0,
-        "lbar": 0.05,
-        "max_iter": 5000,
+        **LANDWEBER_DEFAULTS,
     },
     "verify": {
         "suite": "all",
@@ -124,12 +127,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags."""
+    """Defaults < config file < explicit flags; unknown config keys are rejected."""
     merged = dict(DEFAULTS.get(args.command, {}))
+    known = (merged.keys() | vars(args).keys()) - {"command", "config"}
     if args.config:
         with open(args.config) as fh:
             for key, value in json.load(fh).items():
-                merged[key.replace("-", "_")] = value
+                key = key.replace("-", "_")
+                if key not in known:
+                    raise SystemExit(
+                        f"unknown option {key!r} in {args.config} for {args.command}"
+                    )
+                merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -138,14 +147,10 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _landweber_config(opt: dict, delta: float = 0.0) -> LandweberConfig:
+def _landweber_config(opt: dict) -> LandweberConfig:
+    """Config from the merged options, each cast to the type of its default."""
     return LandweberConfig(
-        mu=float(opt.get("mu", 0.1)),
-        tau=float(opt.get("tau", 1.4)),
-        rho=float(opt.get("rho", 5.0)),
-        lbar=float(opt.get("lbar", 0.05)),
-        max_iter=int(opt.get("max_iter", 5000)),
-        delta=delta,
+        **{k: type(v)(opt[k]) for k, v in LANDWEBER_DEFAULTS.items() if k in opt}
     )
 
 
@@ -191,18 +196,15 @@ def _cmd_invert(opt: dict) -> int:
         raise SystemExit("invert needs exactly one of --delta-target or --sigma")
     n_h = int(opt["n"])
     problem = ForwardProblem.build(build_mesh(n_h))
-    cfg0 = _landweber_config(opt)
-    u_exact, y_exact, u_bar = exact_fields(problem.mesh, rho=cfg0.rho)
+    cfg = _landweber_config(opt)
+    u_exact, y_exact, u_bar = exact_fields(problem.mesh, rho=cfg.rho)
     if opt.get("delta_target") is not None:
         spec = NoiseSpec(seed=int(opt["seed"]), mode="rescale", value=float(opt["delta_target"]))
     else:
         spec = NoiseSpec(seed=int(opt["seed"]), mode="raw", value=float(opt["sigma"]))
     y_noisy, delta = add_noise(y_exact, spec, problem.M)
-    cfg = _landweber_config(opt, delta=delta)
-    u0 = u_bar if opt["start"] == "source" else GridFunction(
-        problem.mesh, np.zeros(problem.mesh.n_interior), "source"
-    )
-    record = run(problem, y_noisy, cfg, u0, u_exact)
+    u0 = _start_iterate(opt["start"], u_exact, u_bar)
+    record = run(problem, y_noisy, replace(cfg, delta=delta), u0, u_exact)
     csv_path, json_path = record.save(Path(opt["out"]).with_suffix(""))
     err = record.rel_errors[-1] if record.rel_errors is not None else float("nan")
     print(

@@ -27,7 +27,7 @@ outputs are reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,24 +131,8 @@ def run_noise_free(
     if problem is None:
         problem = ForwardProblem.build(build_mesh(n_h))
     u_exact, y_exact, u_bar = exact_fields(problem.mesh, beta, base.rho)
-    cfg_run = LandweberConfig(
-        mu=base.mu,
-        tau=base.tau,
-        rho=base.rho,
-        lbar=base.lbar,
-        steps=base.steps,
-        max_iter=iters if iters >= 1 else 1,
-        delta=0.0,
-        warm_start=base.warm_start,
-    )
-    record = run(problem, y_exact, cfg_run, _start_iterate(start, u_exact, u_bar), u_exact)
-    if iters == 0:  # keep only the starting entry
-        record.residual_norms = record.residual_norms[:1]
-        record.ssn_counts = record.ssn_counts[:1]
-        if record.rel_errors is not None:
-            record.rel_errors = record.rel_errors[:1]
-        record.stopping_index = 0
-    return record
+    cfg_run = replace(base, max_iter=iters, delta=0.0)
+    return run(problem, y_exact, cfg_run, _start_iterate(start, u_exact, u_bar), u_exact)
 
 
 TABLE_COLUMNS = ("delta", "seed", "N", "rel_error", "rate", "ssn_total", "reason")
@@ -183,17 +167,7 @@ def run_table(
             y_noisy, delta = add_noise(
                 y_exact, NoiseSpec(seed=int(seed), mode="rescale", value=delta_target), problem.M
             )
-            cfg_cell = LandweberConfig(
-                mu=base.mu,
-                tau=base.tau,
-                rho=base.rho,
-                lbar=base.lbar,
-                steps=base.steps,
-                max_iter=base.max_iter,
-                delta=delta,
-                warm_start=base.warm_start,
-            )
-            record = run(problem, y_noisy, cfg_cell, u0, u_exact)
+            record = run(problem, y_noisy, replace(base, delta=delta), u0, u_exact)
             err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
             rows.append(
                 {

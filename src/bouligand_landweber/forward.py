@@ -144,10 +144,10 @@ class ForwardProblem:
     M: sp.csr_matrix
     D: np.ndarray
     nonlinearity: PC1Nonlinearity
-    options: SolveOptions = field(default_factory=lambda: SolveOptions(tol=1e-12))
+    precond: Callable[[np.ndarray], np.ndarray]
+    options: SolveOptions = field(default_factory=SolveOptions)
     forward_tol: float = 1e-11
     ssn_max_iter: int = 100
-    precond: Callable | None = None
 
     def __post_init__(self):
         n = self.mesh.n_interior
@@ -159,8 +159,6 @@ class ForwardProblem:
         cls,
         mesh: Mesh,
         nonlinearity: PC1Nonlinearity | None = None,
-        tol: float = 1e-12,
-        forward_tol: float = 1e-11,
         ssn_max_iter: int = 100,
     ) -> "ForwardProblem":
         """Assemble matrices and set up the fast-Poisson preconditioner."""
@@ -171,10 +169,8 @@ class ForwardProblem:
             M=M,
             D=D,
             nonlinearity=nonlinearity if nonlinearity is not None else positive_part(),
-            options=SolveOptions(tol=tol),
-            forward_tol=forward_tol,
-            ssn_max_iter=ssn_max_iter,
             precond=poisson_preconditioner(mesh.m),
+            ssn_max_iter=ssn_max_iter,
         )
 
 

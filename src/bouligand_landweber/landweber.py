@@ -12,8 +12,9 @@ principle) or after max_iter steps.  All residual and error norms use the
 M-weighted norm.
 
 Two scalar parameter conditions from the convergence theory are evaluated
-by :func:`check_parameters` and logged, never enforced: with the default
-experiment parameters both are violated, yet the iteration behaves well.
+by :func:`check_parameters` and stored in the run record, never enforced:
+with the default experiment parameters both are violated, yet the iteration
+behaves well.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,23 +44,18 @@ REASON_FORWARD_FAILURE = "forward-failure"
 class LandweberConfig:
     """Parameters of one Landweber run.
 
-    The default step size is the constant w = (2 - 2 mu) / lbar^2; an
-    explicit per-step schedule may be given instead, in which case the step
-    bounds lam/Lam default to its min/max.  rho is the ball radius of the
-    theory and is informational only.
+    The step size is the constant w = (2 - 2 mu) / lbar^2.  rho is the ball
+    radius of the theory; the campaigns and the CLI build the starting point
+    u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2) from it.  max_iter = 0
+    evaluates the starting point only.
     """
 
     mu: float = 0.1
     tau: float = 1.4
     rho: float = 5.0
     lbar: float = 5e-2
-    steps: tuple[float, ...] | None = None
-    lam: float | None = None
-    Lam: float | None = None
     max_iter: int = 5000
     delta: float = 0.0
-    store_iterates: bool = False
-    warm_start: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.mu < 1.0:
@@ -68,52 +64,14 @@ class LandweberConfig:
             raise ValueError(f"tau must exceed 1, got {self.tau}")
         if self.rho <= 0.0 or self.lbar <= 0.0:
             raise ValueError("rho and lbar must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.delta < 0.0:
             raise ValueError(f"noise level must be >= 0, got {self.delta}")
-        if self.steps is not None:
-            object.__setattr__(self, "steps", tuple(float(w) for w in self.steps))
-            if any(w <= 0.0 for w in self.steps):
-                raise ValueError("step sizes must be positive")
-        lam, Lam = self.effective_bounds()
-        if not 0.0 < lam <= Lam:
-            raise ValueError(f"need 0 < lam <= Lam, got lam={lam}, Lam={Lam}")
 
     @property
     def constant_step(self) -> float:
         return (2.0 - 2.0 * self.mu) / self.lbar**2
-
-    def step_size(self, n: int) -> float:
-        if self.steps is None:
-            return self.constant_step
-        if n >= len(self.steps):
-            raise ValueError(f"step schedule exhausted at iteration {n}")
-        return self.steps[n]
-
-    def effective_bounds(self) -> tuple[float, float]:
-        """Step-size bounds (lam, Lam), inferred from the schedule when not set."""
-        if self.steps is not None:
-            lam = self.lam if self.lam is not None else min(self.steps)
-            Lam = self.Lam if self.Lam is not None else max(self.steps)
-        else:
-            lam = self.lam if self.lam is not None else self.constant_step
-            Lam = self.Lam if self.Lam is not None else self.constant_step
-        return lam, Lam
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "tau": self.tau,
-            "rho": self.rho,
-            "lbar": self.lbar,
-            "steps": list(self.steps) if self.steps is not None else None,
-            "lam": self.effective_bounds()[0],
-            "Lam": self.effective_bounds()[1],
-            "max_iter": self.max_iter,
-            "delta": self.delta,
-            "warm_start": self.warm_start,
-        }
 
 
 @dataclass(frozen=True)
@@ -131,12 +89,12 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     choice     = 2 (mu + 1) / tau - (2 - 2 mu - Lam L^2)
     choice_aux = -1 + mu + 5 Lam L^2
 
-    Both must be negative for the convergence theory; the result is reported,
-    never enforced.
+    with Lam the constant step size.  Both must be negative for the
+    convergence theory; the result is reported, never enforced.
     """
     if L <= 0.0:
         raise ValueError(f"norm bound L must be positive, got {L}")
-    _, Lam = cfg.effective_bounds()
+    Lam = cfg.constant_step
     choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - Lam * L * L)
     choice_aux = -1.0 + cfg.mu + 5.0 * Lam * L * L
     return ParameterCheck(choice, choice_aux, (choice < 0.0, choice_aux < 0.0))
@@ -170,7 +128,7 @@ class RunRecord:
     tau: float
     config: dict
     final: GridFunction | None = None
-    iterates: list | None = None
+    parameter_check: ParameterCheck | None = None
 
     @property
     def threshold(self) -> float:
@@ -201,6 +159,7 @@ class RunRecord:
             for n, res in enumerate(self.residual_norms):
                 err = "" if self.rel_errors is None else f"{self.rel_errors[n]:.17g}"
                 writer.writerow([n, f"{res:.17g}", err, int(self.ssn_counts[n])])
+        check = self.parameter_check
         summary = {
             "config": self.config,
             "delta": self.delta,
@@ -208,6 +167,7 @@ class RunRecord:
             "stopping_index": int(self.stopping_index),
             "reason": self.reason,
             "ssn_total": self.total_ssn,
+            "parameter_check": None if check is None else asdict(check),
         }
         with open(json_path, "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -216,7 +176,7 @@ class RunRecord:
 
     @classmethod
     def load(cls, base) -> "RunRecord":
-        """Rebuild a record from its CSV/JSON pair (iterates are not serialized)."""
+        """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized)."""
         base = Path(base)
         with open(base.with_name(base.name + ".json")) as fh:
             summary = json.load(fh)
@@ -227,6 +187,7 @@ class RunRecord:
                 errors.append(float(row["rel_error"]) if row["rel_error"] else np.nan)
                 ssn.append(int(row["ssn_iters"]))
         errors_arr = np.array(errors)
+        check = summary.get("parameter_check")  # absent in older files
         return cls(
             residual_norms=np.array(residuals),
             rel_errors=None if np.all(np.isnan(errors_arr)) else errors_arr,
@@ -236,6 +197,9 @@ class RunRecord:
             delta=summary["delta"],
             tau=summary["tau"],
             config=summary["config"],
+            parameter_check=None
+            if check is None
+            else ParameterCheck(check["choice"], check["choice_aux"], tuple(check["satisfied"])),
         )
 
 
@@ -250,19 +214,11 @@ def run(
 
     Residual and (when u_exact is given) relative error are recorded for every
     iterate including the final one; the discrepancy principle uses the
-    threshold tau*delta from cfg.  A forward solve failure truncates the
-    record with reason 'forward-failure'.
+    threshold tau*delta from cfg.  Each semi-smooth Newton solve starts from
+    the previous state.  A forward solve failure truncates the record with
+    reason 'forward-failure'.
     """
     M = problem.M
-    check = check_parameters(cfg, cfg.lbar)
-    if not all(check.satisfied):
-        logger.warning(
-            "step-size conditions violated for L=lbar: choice=%.6g, choice_aux=%.6g "
-            "(negative required); continuing anyway",
-            check.choice,
-            check.choice_aux,
-        )
-
     data = values_of(y_data)
     u = values_of(u0).copy()
     exact = None if u_exact is None else values_of(u_exact)
@@ -276,18 +232,13 @@ def run(
     residuals: list[float] = []
     errors: list[float] = []
     ssn_counts: list[int] = []
-    iterates: list[np.ndarray] | None = [] if cfg.store_iterates else None
 
     reason = REASON_MAX_ITERATIONS
     y_prev = None
     n = 0
     while True:
         try:
-            sol = solve_forward(
-                problem,
-                u,
-                y0=y_prev if (cfg.warm_start and y_prev is not None) else None,
-            )
+            sol = solve_forward(problem, u, y0=y_prev)
         except (ForwardSolveError, ConvergenceError) as exc:
             logger.error("forward solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
@@ -298,8 +249,6 @@ def run(
         ssn_counts.append(sol.ssn_iterations)
         if exact is not None:
             errors.append(m_norm(M, exact - u) / norm_exact)
-        if iterates is not None:
-            iterates.append(u.copy())
         if residuals[-1] <= threshold:
             reason = REASON_DISCREPANCY
             break
@@ -313,7 +262,7 @@ def run(
             logger.error("subderivative solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
             break
-        u = u + cfg.step_size(n) * update.values
+        u = u + cfg.constant_step * update.values
         n += 1
 
     return RunRecord(
@@ -324,7 +273,7 @@ def run(
         reason=reason,
         delta=cfg.delta,
         tau=cfg.tau,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         final=GridFunction(problem.mesh, u, "source"),
-        iterates=iterates,
+        parameter_check=check_parameters(cfg, cfg.lbar),
     )

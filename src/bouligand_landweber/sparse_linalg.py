@@ -6,11 +6,10 @@ tolerance covers all needs.  Reductions are plain numpy operations on
 contiguous float64 arrays, so repeated solves with identical inputs return
 bit-identical iterates.
 
-Besides the generic `none` and `diagonal` (Jacobi) preconditioners there is
-a `poisson` choice that inverts the interior five-point stiffness matrix
-exactly via discrete sine transforms.  Since the diagonal part of our
-systems is at most of size h^2, this preconditioner clusters the spectrum
-in [1, 1 + 1/(2 pi^2)] and CG converges in a handful of iterations
+The preconditioner is the exact inverse of the interior five-point
+stiffness matrix, applied via discrete sine transforms.  Since the diagonal
+part of our systems is at most of size h^2, it clusters the spectrum in
+[1, 1 + 1/(2 pi^2)] and CG converges in a handful of iterations
 independently of the mesh.
 """
 
@@ -24,8 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn
 
-PRECONDITIONERS = ("none", "diagonal", "poisson")
-
 
 class ConvergenceError(RuntimeError):
     """CG failed to reach the requested tolerance; carries the achieved residual."""
@@ -37,21 +34,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and preconditioner choice for :func:`solve_spd`."""
+    """Tolerance and iteration cap for :func:`solve_spd`."""
 
     tol: float = 1e-12
     max_iter: int | None = None  # default 10 * dimension
-    preconditioner: str = "diagonal"
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.preconditioner not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner {self.preconditioner!r}, expected one of {PRECONDITIONERS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -70,39 +62,6 @@ class SpdSystem:
         if self.shift is not None:
             out += self.shift * v
         return out
-
-    def diagonal(self) -> np.ndarray:
-        d = self.sparse.diagonal()
-        if self.shift is not None:
-            d = d + self.shift
-        return d
-
-
-def as_system(K) -> SpdSystem:
-    if isinstance(K, SpdSystem):
-        return K
-    if sp.issparse(K):
-        return SpdSystem(K.tocsr())
-    raise TypeError(f"expected a sparse matrix or SpdSystem, got {type(K)}")
-
-
-def apply(K, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; K may be an SpdSystem, a sparse matrix or a diagonal array."""
-    v = np.asarray(v, dtype=float)
-    if isinstance(K, SpdSystem):
-        if K.dim != v.size:
-            raise ValueError(f"dimension mismatch: {K.dim} vs {v.size}")
-        return K.matvec(v)
-    if sp.issparse(K):
-        if K.shape[1] != v.size:
-            raise ValueError(f"dimension mismatch: {K.shape} vs {v.size}")
-        return K @ v
-    d = np.asarray(K, dtype=float)
-    if d.ndim == 1:
-        if d.size != v.size:
-            raise ValueError(f"dimension mismatch: {d.size} vs {v.size}")
-        return d * v
-    return d @ v
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,27 +88,11 @@ def poisson_preconditioner(m_side: int) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def _builtin_preconditioner(system: SpdSystem, opts: SolveOptions):
-    if opts.preconditioner == "none":
-        return None
-    if opts.preconditioner == "diagonal":
-        d = system.diagonal()
-        if np.any(d <= 0.0):
-            raise ValueError("diagonal preconditioner needs a strictly positive diagonal")
-        return lambda r: r / d
-    m_side = round(np.sqrt(system.dim))
-    if m_side * m_side != system.dim:
-        raise ValueError(
-            f"poisson preconditioner needs a square interior grid, dim={system.dim}"
-        )
-    return poisson_preconditioner(m_side)
-
-
 def _pcg(system: SpdSystem, b: np.ndarray, x: np.ndarray, pre, tol_abs: float, max_iter: int):
     r = b - system.matvec(x)
     if np.linalg.norm(r) <= tol_abs:
         return x
-    z = r if pre is None else pre(r)
+    z = pre(r)
     p = z.copy()
     rz = float(r @ z)
     for _ in range(max_iter):
@@ -165,7 +108,7 @@ def _pcg(system: SpdSystem, b: np.ndarray, x: np.ndarray, pre, tol_abs: float, m
         r = r - alpha * Ap
         if np.linalg.norm(r) <= tol_abs:
             return x
-        z = r if pre is None else pre(r)
+        z = pre(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -176,16 +119,18 @@ def _pcg(system: SpdSystem, b: np.ndarray, x: np.ndarray, pre, tol_abs: float, m
     )
 
 
-def solve_spd(K, b: np.ndarray, opts: SolveOptions | None = None, preconditioner=None) -> np.ndarray:
-    """Solve K x = b for SPD K to a relative Euclidean residual of opts.tol.
+def solve_spd(
+    system: SpdSystem,
+    b: np.ndarray,
+    opts: SolveOptions,
+    preconditioner: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Solve K x = b for the SPD system K to a relative Euclidean residual of opts.tol.
 
-    K may be a csr matrix or an :class:`SpdSystem`; `preconditioner` is an
-    optional callable overriding the choice named in `opts`.  The returned x
+    `preconditioner` applies an SPD approximation of K^{-1}.  The returned x
     satisfies ||K x - b||_2 <= tol * ||b||_2 (verified on the true residual,
     restarting the recurrence if necessary).
     """
-    opts = opts or SolveOptions()
-    system = as_system(K)
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
         raise ValueError(f"dimension mismatch: system dim {system.dim}, b shape {b.shape}")
@@ -196,12 +141,11 @@ def solve_spd(K, b: np.ndarray, opts: SolveOptions | None = None, preconditioner
         return np.zeros_like(b)
     tol_abs = opts.tol * norm_b
     max_iter = opts.max_iter if opts.max_iter is not None else 10 * system.dim
-    pre = preconditioner if preconditioner is not None else _builtin_preconditioner(system, opts)
 
     x = np.zeros_like(b)
     achieved = np.inf
     for _ in range(3):  # restart on stale recurrence residual
-        x = _pcg(system, b, x, pre, tol_abs, max_iter)
+        x = _pcg(system, b, x, preconditioner, tol_abs, max_iter)
         achieved = float(np.linalg.norm(b - system.matvec(x)))
         if achieved <= tol_abs:
             return x

@@ -179,3 +179,20 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     out2 = tmp_path / "b.csv"
     main(["--config", str(cfg), "noise-free", "--n", "9", "--iters", "1", "--out", str(out2)])
     assert len(RunRecord.load(tmp_path / "b").residual_norms) == 2  # flag wins
+
+
+def test_unknown_config_key_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"taau": 9}))
+    out = tmp_path / "rec.csv"
+    with pytest.raises(SystemExit, match="taau"):
+        main(
+            [
+                "--config", str(cfg),
+                "invert",
+                "--n", "9",
+                "--delta-target", "1e-2",
+                "--out", str(out),
+            ]
+        )
+    assert not out.exists()

@@ -118,10 +118,15 @@ def test_run_noise_free_zero_start_initial_error():
 
 
 def test_run_noise_free_zero_iters():
+    # only the start is evaluated: one forward solve, no step taken
     record = run_noise_free(17, start="source", iters=0)
     assert len(record.rel_errors) == 1
     assert len(record.residual_norms) == 1
+    assert len(record.ssn_counts) == 1
     assert record.stopping_index == 0
+    assert record.reason == "max-iterations"
+    _, _, u_bar = exact_fields(build_mesh(17))
+    assert np.array_equal(record.final.values, u_bar.values)
 
 
 def test_run_noise_free_source_start_converges_fast(problem65):

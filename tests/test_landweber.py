@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from bouligand_landweber import (
     NoiseSpec,
     RunRecord,
     add_noise,
+    apply_subderivative,
+    build_linearized,
     build_mesh,
     check_parameters,
     empirical_rate,
@@ -25,7 +29,7 @@ def test_check_parameters_default_experiment_values():
     # exact arithmetic oracle: with mu=1/10, tau=7/5, Lam=720, L=1/20 the two
     # left-hand sides are 11/7 and 81/10, both positive (conditions violated)
     cfg = LandweberConfig(mu=0.1, tau=1.4, lbar=0.05)
-    assert cfg.effective_bounds()[1] == pytest.approx(720.0, rel=1e-12)
+    assert cfg.constant_step == pytest.approx(720.0, rel=1e-12)
     res = check_parameters(cfg, L=0.05)
     choice_exact = 2 * (Fraction(1, 10) + 1) / Fraction(7, 5) - (
         2 - Fraction(2, 10) - 720 * Fraction(1, 400)
@@ -39,7 +43,8 @@ def test_check_parameters_default_experiment_values():
 
 
 def test_check_parameters_satisfiable_regime():
-    cfg = LandweberConfig(mu=0.0, tau=2.0, lbar=1.0, Lam=0.1, lam=0.1, steps=(0.1,) * 10)
+    # Lam = (2 - 2 mu) / lbar^2 = 0.1
+    cfg = LandweberConfig(mu=0.0, tau=2.0, lbar=np.sqrt(20.0))
     res = check_parameters(cfg, L=1.0)
     assert res.choice == pytest.approx(-0.9, abs=1e-12)
     assert res.choice_aux == pytest.approx(-0.5, abs=1e-12)
@@ -47,7 +52,8 @@ def test_check_parameters_satisfiable_regime():
 
 
 def test_check_parameters_limiting_case():
-    cfg = LandweberConfig(mu=0.0, tau=1e12, lbar=1.0, steps=(1e-12,) * 4)
+    # Lam = (2 - 2 mu) / lbar^2 = 1e-12
+    cfg = LandweberConfig(mu=0.0, tau=1e12, lbar=np.sqrt(2e12))
     res = check_parameters(cfg, L=1.0)
     assert res.choice == pytest.approx(-2.0, abs=1e-10)
     assert res.choice_aux == pytest.approx(-1.0, abs=1e-10)
@@ -64,22 +70,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LandweberConfig(tau=1.0)
     with pytest.raises(ValueError):
-        LandweberConfig(max_iter=0)
+        LandweberConfig(max_iter=-1)
     with pytest.raises(ValueError):
         LandweberConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        LandweberConfig(steps=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        LandweberConfig(lam=2.0, Lam=1.0)
-
-
-def test_step_schedule():
-    cfg = LandweberConfig(steps=(1.0, 2.0, 3.0))
-    assert cfg.step_size(0) == 1.0
-    assert cfg.step_size(2) == 3.0
-    assert cfg.effective_bounds() == (1.0, 3.0)
-    with pytest.raises(ValueError, match="exhausted"):
-        cfg.step_size(3)
 
 
 def test_constant_step_default_value():
@@ -114,10 +107,10 @@ def test_discrepancy_satisfied_at_start(problem17):
     assert np.array_equal(record.final.values, u0.values)
 
 
-def _noisy_run(problem, seed=5, target=1e-3, **cfg_kwargs):
+def _noisy_run(problem, seed=5, target=1e-3):
     u_exact, y_exact, u_bar = exact_fields(problem.mesh)
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=seed, mode="rescale", value=target), problem.M)
-    cfg = LandweberConfig(delta=delta, **cfg_kwargs)
+    cfg = LandweberConfig(delta=delta)
     return run(problem, y_noisy, cfg, u_bar, u_exact), cfg
 
 
@@ -158,20 +151,38 @@ def test_run_deterministic(problem33):
     assert np.array_equal(rec1.final.values, rec2.final.values)
 
 
+def _cold_start_reference(problem, y_data, cfg, u0):
+    """Landweber loop with every forward solve started from zero.
+
+    Returns the residual history, the total Newton count and the last iterate.
+    """
+    u = u0.values.copy()
+    residuals, total_ssn = [], 0
+    for n in range(cfg.max_iter + 1):
+        sol = solve_forward(problem, u)
+        residual_vec = y_data.values - sol.y.values
+        residuals.append(m_norm(problem.M, residual_vec))
+        total_ssn += sol.ssn_iterations
+        if residuals[-1] <= cfg.tau * cfg.delta or n == cfg.max_iter:
+            break
+        op = build_linearized(problem, sol.y)
+        u = u + cfg.constant_step * apply_subderivative(op, problem.M, residual_vec).values
+    return np.array(residuals), total_ssn, u
+
+
 def test_warm_start_agrees(problem33):
-    cold, _ = _noisy_run(problem33, seed=4)
-    warm, _ = _noisy_run(problem33, seed=4, warm_start=True)
-    assert warm.stopping_index == cold.stopping_index
-    assert warm.total_ssn <= cold.total_ssn
-    assert warm.rel_errors[-1] == pytest.approx(cold.rel_errors[-1], abs=1e-8)
-
-
-def test_store_iterates(problem17):
-    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
-    cfg = LandweberConfig(delta=0.0, max_iter=3, store_iterates=True)
-    record = run(problem17, y_exact, cfg, u_bar, u_exact)
-    assert len(record.iterates) == len(record.residual_norms)
-    assert np.array_equal(record.iterates[0], u_bar.values)
+    # run() warm-starts each Newton solve from the previous state; the state
+    # it converges to, and so the whole iteration, must not depend on that
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=4, mode="rescale", value=1e-3), problem33.M)
+    cfg = LandweberConfig(delta=delta)
+    record = run(problem33, y_noisy, cfg, u_bar, u_exact)
+    residuals, total_ssn, u_ref = _cold_start_reference(problem33, y_noisy, cfg, u_bar)
+    assert record.reason == "discrepancy"
+    assert record.stopping_index == len(residuals) - 1
+    np.testing.assert_allclose(record.residual_norms, residuals, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(record.final.values - u_ref)) <= 1e-10
+    assert record.total_ssn <= total_ssn
 
 
 def test_forward_failure_truncates(problem17):
@@ -212,6 +223,7 @@ def test_record_roundtrip(tmp_path, problem33):
     assert back.delta == record.delta
     assert back.tau == record.tau
     assert back.config == record.config
+    assert back.parameter_check == record.parameter_check == check_parameters(cfg, cfg.lbar)
     # the stopping rule is re-checkable from the serialized record alone
     assert back.check_discrepancy()
 
@@ -225,4 +237,21 @@ def test_record_roundtrip_without_exact(tmp_path, problem17):
     record.save(base)
     back = RunRecord.load(base)
     assert back.rel_errors is None
+    assert np.array_equal(back.residual_norms, record.residual_norms)
+
+
+def test_record_load_reads_older_summaries(tmp_path, problem17):
+    # files written before the parameter check was stored carry the removed
+    # config keys steps/lam/Lam/warm_start and no "parameter_check"
+    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
+    record = run(problem17, y_exact, LandweberConfig(max_iter=2), u_bar, u_exact)
+    base = tmp_path / "run"
+    _, json_path = record.save(base)
+    summary = json.loads(json_path.read_text())
+    del summary["parameter_check"]
+    summary["config"].update(steps=None, lam=720.0, Lam=720.0, warm_start=False)
+    json_path.write_text(json.dumps(summary))
+    back = RunRecord.load(base)
+    assert back.parameter_check is None
+    assert back.config["warm_start"] is False
     assert np.array_equal(back.residual_norms, record.residual_norms)
