@@ -1,20 +1,17 @@
 """The nonsmooth forward problem and its semi-smooth Newton solver.
 
 Solves A y + D max(y, 0) = M u for several sources, shows the active-set
-iteration terminating after a handful of steps, cross-checks against the
-brute-force pattern enumeration on a tiny mesh, and runs a general
-piecewise-C^1 nonlinearity through the same solver.
+iteration terminating after a handful of steps, and cross-checks against the
+brute-force pattern enumeration on a tiny mesh.
 """
 
 import numpy as np
 
 from bouligand_landweber import (
     ForwardProblem,
-    PC1Nonlinearity,
     brute_force_forward,
     build_mesh,
     exact_fields,
-    forward_residual,
     m_norm,
     solve_forward,
 )
@@ -45,15 +42,3 @@ print(f"n_h=257 benchmark: {sol.ssn_iterations} Newton steps, "
 print(f"distance to the interpolated exact state: "
       f"{m_norm(problem.M, sol.y.values - y_exact.values):.2e} (discretization error)")
 
-# a kinked nonlinearity with a genuinely nonlinear branch goes through the
-# same Newton loop; only the termination needs the residual check
-kinked = PC1Nonlinearity(
-    breakpoints=(0.0, 1.0),
-    values=(lambda t: np.zeros_like(t), lambda t: t * t, lambda t: 2.0 * t - 1.0),
-    slopes=(lambda t: np.zeros_like(t), lambda t: 2.0 * t, lambda t: np.full_like(t, 2.0)),
-)
-problem_pc1 = ForwardProblem.build(build_mesh(65), nonlinearity=kinked)
-u = 30.0 * np.ones(problem_pc1.mesh.n_interior)
-sol = solve_forward(problem_pc1, u)
-print(f"piecewise-quadratic nonlinearity at n_h=65: {sol.ssn_iterations} Newton steps, "
-      f"residual {forward_residual(problem_pc1, sol.y, u):.2e}")

@@ -13,7 +13,7 @@ discrepancy principle.
 Layout:
   mesh_fem      P1 finite elements on the uniform Friedrichs-Keller mesh
   sparse_linalg preconditioned CG for the SPD systems
-  forward       semi-smooth Newton forward solver, PC1 nonlinearities
+  forward       semi-smooth Newton forward solver for max(y, 0)
   bouligand     assembly/application of the subderivative systems
   landweber     outer iteration, discrepancy stopping, run records
   verification  tangential-cone surveys, oracle and adjoint checks
@@ -44,10 +44,9 @@ from .forward import (
     ForwardProblem,
     ForwardSolution,
     ForwardSolveError,
-    PC1Nonlinearity,
+    PositivePart,
     brute_force_forward,
     forward_residual,
-    positive_part,
     solve_forward,
 )
 from .bouligand import LinearizedOperator, apply_subderivative, build_linearized
@@ -101,8 +100,8 @@ __all__ = [
     "Mesh",
     "NoiseSpec",
     "OracleReport",
-    "PC1Nonlinearity",
     "ParameterCheck",
+    "PositivePart",
     "RunRecord",
     "SolveOptions",
     "SpdSystem",
@@ -129,7 +128,6 @@ __all__ = [
     "mismatch_measure",
     "oracle_sweep",
     "poisson_preconditioner",
-    "positive_part",
     "read_grid_function",
     "read_table_csv",
     "relative_error",

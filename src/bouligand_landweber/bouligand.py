@@ -1,10 +1,9 @@
 """Application of the Bouligand subderivative of the forward map.
 
 At a state y the subderivative maps w to the solution eta of the linear
-system (A + K_y) eta = M w, where K_y = D diag(a) and a is the nodewise
-subderivative coefficient of the nonlinearity at y.  For the default max
-nonlinearity a is the strict indicator of y_i > 0, so K_y has entries
-h^2 at strictly positive interior nodes and 0 elsewhere.
+system (A + K_y) eta = M w, where K_y = D diag(a) and a is the strict
+indicator of y_i > 0, so K_y has entries h^2 at strictly positive interior
+nodes and 0 elsewhere.
 
 The operator (A + K_y)^{-1} M is self-adjoint in the M-weighted inner
 product, so the Landweber step uses it directly in place of a separately
@@ -28,13 +27,12 @@ class LinearizedOperator:
     """The matrix A + K_y frozen at a base state y."""
 
     problem: ForwardProblem
-    base_state: np.ndarray
     coeff: np.ndarray
     system: SpdSystem
 
 
 def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
-    """Assemble A + K_y with the subderivative coefficient of the nonlinearity at y."""
+    """Assemble A + K_y with the subderivative coefficient ind_{y > 0}."""
     yv = values_of(y)
     if yv.size != problem.mesh.n_interior:
         raise ValueError(
@@ -43,7 +41,6 @@ def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
     coeff = problem.nonlinearity.bouligand_coeff(yv)
     return LinearizedOperator(
         problem=problem,
-        base_state=yv,
         coeff=coeff,
         system=SpdSystem(problem.A, problem.D * coeff),
     )

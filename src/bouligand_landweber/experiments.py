@@ -37,7 +37,7 @@ from .landweber import LandweberConfig, RunRecord, empirical_rate, run
 from .mesh_fem import GridFunction, Mesh, build_mesh, interpolate, m_norm
 
 DEFAULT_BETA = 0.005
-DEFAULT_RHO = 5.0
+DEFAULT_RHO = LandweberConfig.rho
 
 
 def exact_state(x1, x2, beta: float = DEFAULT_BETA):

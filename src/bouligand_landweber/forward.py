@@ -1,14 +1,12 @@
-"""Semi-smooth Newton solver for the discrete problem A y + D f(y) = M u.
+"""Semi-smooth Newton solver for the discrete problem A y + D max(y, 0) = M u.
 
-The nonlinearity f is a continuous, nondecreasing, piecewise-C^1 scalar
-function applied nodewise; the default is f(t) = max(t, 0).  Each Newton
-step solves (A + D diag(sigma)) dy = -(A y + D f(y) - M u) where sigma is
-the branch derivative at the current iterate, taking the right branch at
-breakpoints.  For the max nonlinearity this is the active-set iteration
-with the set {y_i >= 0}, which terminates finitely: once the selection
-pattern repeats, the iterate solves the nonlinear system up to inner-solver
-error.  Termination therefore requires an unchanged pattern and a residual
-below the forward tolerance, which also covers branches that are not affine.
+Each Newton step solves (A + D diag(s)) dy = -(A y + D max(y, 0) - M u)
+with s the indicator of the active set {y_i >= 0} at the current iterate.
+This is the active-set iteration, which terminates finitely: once the set
+repeats, the iterate solves the nonlinear system up to the error of the
+inner CG solves.  Termination therefore requires an unchanged set and a
+residual below the forward tolerance, so an inexact CG solve cannot end
+the iteration early.
 
 A brute-force oracle enumerating all 2^m sign patterns is provided for
 meshes with at most 16 interior unknowns.
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,104 +33,28 @@ class ForwardSolveError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class PC1Nonlinearity:
-    """Continuous nondecreasing piecewise-C^1 function with finitely many kinks.
+class PositivePart:
+    """The nonlinearity f(t) = max(t, 0) and its derivative conventions at the kink."""
 
-    Branch i covers the half-open interval (t_{i-1}, t_i]; there is one more
-    branch than breakpoints.  `values` and `slopes` hold the branch functions
-    and their derivatives as numpy-vectorized callables.  Continuity at each
-    breakpoint and nondecreasing branches are checked at construction.
-    """
+    @staticmethod
+    def value(t) -> np.ndarray:
+        """f(t) = max(t, 0)."""
+        return np.maximum(t, 0.0)
 
-    breakpoints: tuple[float, ...]
-    values: tuple[Callable, ...]
-    slopes: tuple[Callable, ...]
+    @staticmethod
+    def bouligand_coeff(t) -> np.ndarray:
+        """Subderivative coefficient: the strict indicator of t > 0."""
+        return np.greater(t, 0.0).astype(float)
 
-    def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bp)
-        if len(self.values) != len(bp) + 1 or len(self.slopes) != len(bp) + 1:
-            raise ValueError(
-                f"{len(bp)} breakpoints need {len(bp) + 1} branches, "
-                f"got {len(self.values)} values / {len(self.slopes)} slopes"
-            )
-        if any(b >= c for b, c in zip(bp, bp[1:])):
-            raise ValueError(f"breakpoints must be strictly increasing, got {bp}")
-        for i, t in enumerate(bp):
-            left = float(np.asarray(self.values[i](np.array([t]))).ravel()[0])
-            right = float(np.asarray(self.values[i + 1](np.array([t]))).ravel()[0])
-            if not math.isclose(left, right, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValueError(
-                    f"branches {i} and {i + 1} disagree at breakpoint {t}: {left} vs {right}"
-                )
-        self._check_monotone()
+    @staticmethod
+    def newton_coeff(t) -> np.ndarray:
+        """Newton derivative coefficient: the indicator of t >= 0."""
+        return np.greater_equal(t, 0.0).astype(float)
 
-    def _check_monotone(self):
-        lo = min(self.breakpoints, default=0.0) - 1.0
-        hi = max(self.breakpoints, default=0.0) + 1.0
-        edges = [lo, *self.breakpoints, hi]
-        for i, slope in enumerate(self.slopes):
-            a, b = edges[i], edges[i + 1]
-            t = np.linspace(a, b, 33)
-            s = np.asarray(slope(t), dtype=float)
-            if np.any(s < -1e-12):
-                raise ValueError(f"branch {i} is decreasing on ({a}, {b}]")
-
-    @property
-    def _bp(self) -> np.ndarray:
-        return np.asarray(self.breakpoints)
-
-    def _branch(self, t: np.ndarray, side: str) -> np.ndarray:
-        return np.searchsorted(self._bp, t, side=side)
-
-    def _eval(self, funcs: Sequence[Callable], t, side: str) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        branch = self._branch(t, side)
-        out = np.empty_like(t)
-        for i, fn in enumerate(funcs):
-            mask = branch == i
-            if mask.any():
-                out[mask] = np.asarray(fn(t[mask]), dtype=float)
-        return out
-
-    def value(self, t) -> np.ndarray:
-        """f(t), selecting branch i on (t_{i-1}, t_i]."""
-        return self._eval(self.values, t, "left")
-
-    def bouligand_coeff(self, t) -> np.ndarray:
-        """Subderivative coefficient: branch derivative with the left branch at kinks.
-
-        For the max nonlinearity this is the strict indicator of t > 0.
-        """
-        return self._eval(self.slopes, t, "left")
-
-    def newton_coeff(self, t) -> np.ndarray:
-        """Newton derivative coefficient: right branch derivative at kinks.
-
-        For the max nonlinearity this is the indicator of t >= 0.
-        """
-        return self._eval(self.slopes, t, "right")
-
-    def selection_pattern(self, t) -> np.ndarray:
-        """Per-node branch index with the >= convention at kinks."""
-        return self._branch(np.asarray(t, dtype=float), "right")
-
-
-def positive_part() -> PC1Nonlinearity:
-    """The default nonlinearity max(t, 0)."""
-    return PC1Nonlinearity(
-        breakpoints=(0.0,),
-        values=(lambda t: np.zeros_like(t), lambda t: t),
-        slopes=(lambda t: np.zeros_like(t), lambda t: np.ones_like(t)),
-    )
-
-
-def _is_positive_part(f: PC1Nonlinearity) -> bool:
-    if f.breakpoints != (0.0,):
-        return False
-    probe = np.linspace(-1e3, 1e3, 41)
-    return bool(np.max(np.abs(f.value(probe) - np.maximum(probe, 0.0))) <= 1e-14)
+    @staticmethod
+    def selection_pattern(t) -> np.ndarray:
+        """Active set {t >= 0} as 0/1 integers."""
+        return np.greater_equal(t, 0.0).astype(int)
 
 
 @dataclass
@@ -143,7 +65,7 @@ class ForwardProblem:
     A: sp.csr_matrix
     M: sp.csr_matrix
     D: np.ndarray
-    nonlinearity: PC1Nonlinearity
+    nonlinearity: PositivePart
     precond: Callable[[np.ndarray], np.ndarray]
     options: SolveOptions = field(default_factory=SolveOptions)
     forward_tol: float = 1e-11
@@ -155,12 +77,7 @@ class ForwardProblem:
             raise ValueError("matrix dimensions do not match the mesh")
 
     @classmethod
-    def build(
-        cls,
-        mesh: Mesh,
-        nonlinearity: PC1Nonlinearity | None = None,
-        ssn_max_iter: int = 100,
-    ) -> "ForwardProblem":
+    def build(cls, mesh: Mesh) -> "ForwardProblem":
         """Assemble matrices and set up the fast-Poisson preconditioner."""
         A, M, D = assemble(mesh)
         return cls(
@@ -168,9 +85,8 @@ class ForwardProblem:
             A=A,
             M=M,
             D=D,
-            nonlinearity=nonlinearity if nonlinearity is not None else positive_part(),
+            nonlinearity=PositivePart(),
             precond=poisson_preconditioner(mesh.m),
-            ssn_max_iter=ssn_max_iter,
         )
 
 
@@ -223,7 +139,7 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
 
 
 def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
-    """Oracle solve by enumerating all sign patterns; max nonlinearity, <= 16 unknowns.
+    """Oracle solve by enumerating all sign patterns; at most 16 unknowns.
 
     For each pattern s the linear system (A + D diag(s)) y = M u is solved;
     the unique y consistent with its own signs (y_i >= 0 where s_i = 1,
@@ -232,8 +148,6 @@ def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
     m = problem.mesh.n_interior
     if m > 16:
         raise ValueError(f"brute-force enumeration refused for {m} > 16 unknowns")
-    if not _is_positive_part(problem.nonlinearity):
-        raise ValueError("brute-force oracle only covers the max nonlinearity")
     A = problem.A.toarray()
     b = problem.M @ values_of(u)
     bits = np.arange(m)

@@ -115,6 +115,10 @@ def empirical_rate(err_abs: float, delta: float) -> float:
     return err_abs / np.sqrt(delta)
 
 
+_CSV_COLUMNS = ("n", "residual_M", "rel_error", "ssn_iters")
+_SUMMARY_KEYS = ("config", "delta", "tau", "stopping_index", "reason")
+
+
 @dataclass
 class RunRecord:
     """Complete history of one Landweber run."""
@@ -155,7 +159,7 @@ class RunRecord:
         json_path = base.with_name(base.name + ".json")
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "residual_M", "rel_error", "ssn_iters"])
+            writer.writerow(_CSV_COLUMNS)
             for n, res in enumerate(self.residual_norms):
                 err = "" if self.rel_errors is None else f"{self.rel_errors[n]:.17g}"
                 writer.writerow([n, f"{res:.17g}", err, int(self.ssn_counts[n])])
@@ -176,16 +180,43 @@ class RunRecord:
 
     @classmethod
     def load(cls, base) -> "RunRecord":
-        """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized)."""
+        """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized).
+
+        A damaged pair raises ValueError naming the file and the defect.
+        """
         base = Path(base)
-        with open(base.with_name(base.name + ".json")) as fh:
-            summary = json.load(fh)
+        json_path = base.with_name(base.name + ".json")
+        csv_path = base.with_name(base.name + ".csv")
+        with open(json_path) as fh:
+            try:
+                summary = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
+        missing = [k for k in _SUMMARY_KEYS if k not in summary]
+        if missing:
+            raise ValueError(f"{json_path}: missing keys {missing}")
         residuals, errors, ssn = [], [], []
-        with open(base.with_name(base.name + ".csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                residuals.append(float(row["residual_M"]))
-                errors.append(float(row["rel_error"]) if row["rel_error"] else np.nan)
-                ssn.append(int(row["ssn_iters"]))
+        with open(csv_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{csv_path}: missing columns {missing}")
+            for row in reader:
+                # rel_error stays empty when the run had no exact source
+                required = (c for c in _CSV_COLUMNS if c != "rel_error")
+                if row["rel_error"] is None or not all(row[c] for c in required):
+                    raise ValueError(f"{csv_path}, line {reader.line_num}: empty cell")
+                try:
+                    residuals.append(float(row["residual_M"]))
+                    errors.append(float(row["rel_error"]) if row["rel_error"] else np.nan)
+                    ssn.append(int(row["ssn_iters"]))
+                except ValueError as exc:
+                    raise ValueError(f"{csv_path}, line {reader.line_num}: {exc}") from exc
+        if len(residuals) != summary["stopping_index"] + 1:
+            raise ValueError(
+                f"{csv_path}: {len(residuals)} rows, but stopping_index "
+                f"{summary['stopping_index']} needs {summary['stopping_index'] + 1}"
+            )
         errors_arr = np.array(errors)
         check = summary.get("parameter_check")  # absent in older files
         return cls(
@@ -201,6 +232,13 @@ class RunRecord:
             if check is None
             else ParameterCheck(check["choice"], check["choice_aux"], tuple(check["satisfied"])),
         )
+
+
+def _finite_values(name: str, v) -> np.ndarray:
+    values = values_of(v)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite values")
+    return values
 
 
 def run(
@@ -219,9 +257,9 @@ def run(
     reason 'forward-failure'.
     """
     M = problem.M
-    data = values_of(y_data)
-    u = values_of(u0).copy()
-    exact = None if u_exact is None else values_of(u_exact)
+    data = _finite_values("y_data", y_data)
+    u = _finite_values("u0", u0).copy()
+    exact = None if u_exact is None else _finite_values("u_exact", u_exact)
     norm_exact = None
     if exact is not None:
         norm_exact = m_norm(M, exact)

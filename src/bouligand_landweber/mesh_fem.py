@@ -86,6 +86,10 @@ class GridFunction:
             )
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
+        bad = ~np.isfinite(self.values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"non-finite value {self.values[k]} at interior node {k}")
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.mesh, self.values.copy(), self.role)
@@ -170,12 +174,6 @@ def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:
             raise TypeError
     except (TypeError, ValueError):
         vals = np.array([float(f(a, b)) for a, b in zip(x1, x2)])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite value {vals[k]} at interior node {k} = ({x1[k]:.6g}, {x2[k]:.6g})"
-        )
     return GridFunction(mesh, vals, role)
 
 

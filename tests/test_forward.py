@@ -1,15 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bouligand_landweber import (
     ForwardProblem,
     ForwardSolveError,
-    PC1Nonlinearity,
+    PositivePart,
     brute_force_forward,
     build_mesh,
     forward_residual,
     m_norm,
-    positive_part,
     solve_forward,
 )
 
@@ -70,17 +71,6 @@ def test_brute_force_refuses_large_mesh():
         brute_force_forward(problem, np.zeros(25))
 
 
-def test_brute_force_requires_max_nonlinearity(problem3):
-    doubled = PC1Nonlinearity(
-        breakpoints=(0.0,),
-        values=(lambda t: np.zeros_like(t), lambda t: 2.0 * t),
-        slopes=(lambda t: np.zeros_like(t), lambda t: np.full_like(t, 2.0)),
-    )
-    problem = ForwardProblem.build(build_mesh(3), nonlinearity=doubled)
-    with pytest.raises(ValueError, match="max nonlinearity"):
-        brute_force_forward(problem, np.zeros(1))
-
-
 def test_oracle_equivalence_sweep():
     # 2^9 pattern enumeration against semi-smooth Newton
     problem = ForwardProblem.build(build_mesh(5))
@@ -138,80 +128,19 @@ def test_warm_start_reaches_same_solution(problem17):
 
 
 def test_nonconvergence_raises_with_residual():
-    problem = ForwardProblem.build(build_mesh(5), ssn_max_iter=0)
+    problem = replace(ForwardProblem.build(build_mesh(5)), ssn_max_iter=0)
     with pytest.raises(ForwardSolveError):
         solve_forward(problem, np.ones(9))
 
 
 def test_positive_part_conventions():
-    f = positive_part()
+    f = PositivePart()
     t = np.array([-2.0, -1e-15, 0.0, 1e-15, 3.0])
     assert np.array_equal(f.value(t), np.maximum(t, 0.0))
     # subderivative: strict indicator of t > 0; Newton derivative: t >= 0
     assert f.bouligand_coeff(t).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
     assert f.newton_coeff(t).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
     assert f.selection_pattern(t).tolist() == [0, 0, 1, 1, 1]
-
-
-def _kinked_quadratic():
-    # 0 for t <= 0, t^2 on (0, 1], affine continuation beyond 1
-    return PC1Nonlinearity(
-        breakpoints=(0.0, 1.0),
-        values=(lambda t: np.zeros_like(t), lambda t: t * t, lambda t: 2.0 * t - 1.0),
-        slopes=(lambda t: np.zeros_like(t), lambda t: 2.0 * t, lambda t: np.full_like(t, 2.0)),
-    )
-
-
-def test_pc1_branch_selection():
-    f = _kinked_quadratic()
-    t = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
-    assert f.value(t) == pytest.approx([0.0, 0.0, 0.25, 1.0, 3.0])
-    # value/Bouligand use the left branch at kinks, Newton the right branch
-    assert f.bouligand_coeff(np.array([1.0]))[0] == pytest.approx(2.0)
-    assert f.newton_coeff(np.array([1.0]))[0] == pytest.approx(2.0)
-    assert f.bouligand_coeff(np.array([0.0]))[0] == 0.0
-    assert f.newton_coeff(np.array([0.0]))[0] == 0.0
-
-
-def test_general_pc1_forward_solve(problem17):
-    problem = ForwardProblem.build(build_mesh(17), nonlinearity=_kinked_quadratic())
-    rng = np.random.default_rng(6)
-    for scale in (0.5, 5.0, 50.0):
-        u = scale * (1.0 + 0.3 * rng.standard_normal(problem.mesh.n_interior))
-        sol = solve_forward(problem, u)
-        assert forward_residual(problem, sol.y, u) <= problem.forward_tol
-    # monotone in the source, like the max case
-    u = np.ones(problem.mesh.n_interior) * 20.0
-    y_lo = solve_forward(problem, u).y.values
-    y_hi = solve_forward(problem, u + 5.0).y.values
-    assert np.all(y_lo <= y_hi + 1e-10)
-
-
-def test_pc1_validation_errors():
-    with pytest.raises(ValueError, match="disagree at breakpoint"):
-        PC1Nonlinearity(
-            breakpoints=(0.0,),
-            values=(lambda t: np.zeros_like(t), lambda t: t + 1.0),
-            slopes=(lambda t: np.zeros_like(t), lambda t: np.ones_like(t)),
-        )
-    with pytest.raises(ValueError, match="decreasing"):
-        PC1Nonlinearity(
-            breakpoints=(0.0,),
-            values=(lambda t: -t, lambda t: -t),
-            slopes=(lambda t: np.full_like(t, -1.0), lambda t: np.full_like(t, -1.0)),
-        )
-    with pytest.raises(ValueError, match="branches"):
-        PC1Nonlinearity(
-            breakpoints=(0.0,),
-            values=(lambda t: t,),
-            slopes=(lambda t: np.ones_like(t),),
-        )
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PC1Nonlinearity(
-            breakpoints=(1.0, 0.0),
-            values=(lambda t: t, lambda t: t, lambda t: t),
-            slopes=tuple(lambda t: np.ones_like(t) for _ in range(3)),
-        )
 
 
 def test_solve_forward_deterministic(problem17):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_warm_start_agrees(problem33):
 
 
 def test_forward_failure_truncates(problem17):
-    broken = ForwardProblem.build(build_mesh(17), ssn_max_iter=0)
+    broken = replace(ForwardProblem.build(build_mesh(17)), ssn_max_iter=0)
     u_exact, y_exact, u_bar = exact_fields(broken.mesh)
     record = run(broken, y_exact, LandweberConfig(), u_bar, u_exact)
     assert record.reason == "forward-failure"
@@ -255,3 +256,73 @@ def test_record_load_reads_older_summaries(tmp_path, problem17):
     assert back.parameter_check is None
     assert back.config["warm_start"] is False
     assert np.array_equal(back.residual_norms, record.residual_norms)
+
+
+@pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])
+def test_run_rejects_non_finite_input(problem17, argument):
+    # rejected before the first forward solve, with the argument named
+    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
+    fields = {"y_data": y_exact, "u0": u_bar, "u_exact": u_exact}
+    fields = {name: gf.values.copy() for name, gf in fields.items()}
+    fields[argument][7] = np.nan
+    with pytest.raises(ValueError, match=f"{argument} contains non-finite values"):
+        run(problem17, fields["y_data"], LandweberConfig(), fields["u0"], fields["u_exact"])
+
+
+def _damage_last_csv_row(base):
+    path = base.with_name(base.name + ".csv")
+    text = path.read_text()
+    path.write_text(text[: text.rstrip("\n").rindex(",")] + "\n")
+
+
+def _drop_last_csv_row(base):
+    path = base.with_name(base.name + ".csv")
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _empty_residual_cell(base):
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines(keepends=True)
+    n, _, err, ssn = lines[2].split(",")
+    lines[2] = ",".join([n, "", err, ssn])
+    path.write_text("".join(lines))
+
+
+def _drop_csv_column(base):
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+
+
+def _truncate_json(base):
+    path = base.with_name(base.name + ".json")
+    path.write_text(path.read_text()[:40])
+
+
+def _drop_json_key(base):
+    path = base.with_name(base.name + ".json")
+    summary = json.loads(path.read_text())
+    del summary["stopping_index"]
+    path.write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_damage_last_csv_row, r"run\.csv, line \d+: empty cell"),
+        (_drop_last_csv_row, r"run\.csv: 2 rows, but stopping_index 2 needs 3"),
+        (_empty_residual_cell, r"run\.csv, line 3: empty cell"),
+        (_drop_csv_column, r"run\.csv: missing columns \['ssn_iters'\]"),
+        (_truncate_json, r"run\.json: not valid JSON"),
+        (_drop_json_key, r"run\.json: missing keys \['stopping_index'\]"),
+    ],
+    ids=["cut-row", "missing-row", "empty-cell", "missing-column", "bad-json", "missing-key"],
+)
+def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):
+    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
+    record = run(problem17, y_exact, LandweberConfig(max_iter=2), u_bar, u_exact)
+    base = tmp_path / "run"
+    record.save(base)
+    damage(base)
+    with pytest.raises(ValueError, match=message):
+        RunRecord.load(base)

@@ -199,6 +199,21 @@ def test_grid_function_validation():
         GridFunction(mesh, np.zeros(9), role="whatever")
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_function_rejects_non_finite(bad):
+    values = np.zeros(9)
+    values[4] = bad
+    with pytest.raises(ValueError, match="non-finite value .* at interior node 4"):
+        GridFunction(build_mesh(5), values)
+
+
+def test_read_grid_function_rejects_nan_line(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("n_h=3,role=state\nnan\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_grid_function(path)
+
+
 def test_grid_function_csv_roundtrip(tmp_path):
     mesh = build_mesh(7)
     rng = np.random.default_rng(5)

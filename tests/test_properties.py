@@ -1,0 +1,89 @@
+"""Property tests over drawn inputs that the seeded tests do not reach.
+
+The examples are derandomized, so every run checks the same inputs.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bouligand_landweber import (
+    ForwardProblem,
+    GridFunction,
+    PositivePart,
+    brute_force_forward,
+    build_mesh,
+    read_grid_function,
+    solve_forward,
+    write_grid_function,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+# every finite float, with the kink and its neighbours drawn often
+kink_heavy = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]), finite
+)
+
+PROBLEMS = {n_h: ForwardProblem.build(build_mesh(n_h)) for n_h in (3, 4, 5)}
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(0, 40), elements=kink_heavy))
+def test_positive_part_matches_scalar_definitions(t):
+    f = PositivePart()
+    value = f.value(t)
+    assert value.dtype == np.float64 and value.shape == t.shape
+    assert [float(v) for v in value] == [max(x, 0.0) for x in t]
+    assert f.bouligand_coeff(t).tolist() == [float(x > 0.0) for x in t]
+    assert f.newton_coeff(t).tolist() == [float(x >= 0.0) for x in t]
+    pattern = f.selection_pattern(t)
+    assert pattern.dtype.kind == "i"
+    assert pattern.tolist() == [int(x >= 0.0) for x in t]
+
+
+def _sources(n: int):
+    """Sources with exact zeros, small-integer lattices and general floats."""
+    lattice = st.integers(-3, 3).map(float)
+    general = st.floats(-100.0, 100.0, allow_subnormal=True)
+    entries = st.one_of(st.just(0.0), lattice, general)
+    scale = st.sampled_from([1.0, 1e-3, 1e3])
+    return st.tuples(arrays(np.float64, n, elements=entries), scale).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+@st.composite
+def _problem_and_source(draw):
+    n_h = draw(st.sampled_from(sorted(PROBLEMS)))
+    problem = PROBLEMS[n_h]
+    return problem, draw(_sources(problem.mesh.n_interior))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_problem_and_source())
+def test_ssn_agrees_with_enumeration(case):
+    problem, u = case
+    y_ssn = solve_forward(problem, u).y.values
+    y_enum = brute_force_forward(problem, u).values
+    assert np.max(np.abs(y_ssn - y_enum)) <= 1e-10
+
+
+@PROPERTY
+@given(st.sampled_from([3, 4, 6]).flatmap(
+    lambda n_h: arrays(np.float64, (n_h - 2) ** 2, elements=finite).map(
+        lambda v: GridFunction(build_mesh(n_h), v, "data")
+    )
+))
+def test_grid_function_csv_roundtrip_is_bit_exact(gf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        write_grid_function(path, gf)
+        back = read_grid_function(path)
+    assert back.mesh == gf.mesh and back.role == gf.role
+    assert back.values.tobytes() == gf.values.tobytes()
