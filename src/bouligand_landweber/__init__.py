@@ -35,7 +35,6 @@ from .mesh_fem import (
 )
 from .sparse_linalg import (
     ConvergenceError,
-    SolveOptions,
     SpdSystem,
     poisson_preconditioner,
     solve_spd,
@@ -103,7 +102,6 @@ __all__ = [
     "ParameterCheck",
     "PositivePart",
     "RunRecord",
-    "SolveOptions",
     "SpdSystem",
     "TCCEstimate",
     "TCCSurvey",

@@ -51,5 +51,5 @@ def apply_subderivative(op: LinearizedOperator, M: sp.spmatrix, w) -> GridFuncti
     wv = values_of(w)
     if M.shape[1] != wv.size or op.system.dim != wv.size:
         raise ValueError(f"dimension mismatch: operator {op.system.dim}, w {wv.size}")
-    eta = solve_spd(op.system, M @ wv, op.problem.options, op.problem.precond)
+    eta = solve_spd(op.system, M @ wv, op.problem.precond)
     return GridFunction(op.problem.mesh, eta, "source")

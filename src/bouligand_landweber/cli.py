@@ -105,11 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-target", type=float, dest="delta_target")
     p.add_argument("--sigma", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lbar", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("table", help="campaign over noise levels and seeds")
@@ -123,6 +118,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["oracle", "tcc", "adjoint", "all"])
     p.add_argument("--out", type=str, required=True)
 
+    # one flag per Landweber option a subcommand reads, typed like its default
+    for command, command_parser in sub.choices.items():
+        for name, default in LANDWEBER_DEFAULTS.items():
+            if name in DEFAULTS[command]:
+                command_parser.add_argument(f"--{name.replace('_', '-')}", type=type(default))
     return parser
 
 

@@ -5,8 +5,9 @@ with s the indicator of the active set {y_i >= 0} at the current iterate.
 This is the active-set iteration, which terminates finitely: once the set
 repeats, the iterate solves the nonlinear system up to the error of the
 inner CG solves.  Termination therefore requires an unchanged set and a
-residual below the forward tolerance, so an inexact CG solve cannot end
-the iteration early.
+residual of at most FORWARD_RTOL * ||M u||_2, so an inexact CG solve cannot
+end the iteration early.  For M u = 0 the solution is y = 0, which is also
+where the iteration starts then.
 
 A brute-force oracle enumerating all 2^m sign patterns is provided for
 meshes with at most 16 interior unknowns.
@@ -15,14 +16,17 @@ meshes with at most 16 interior unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import GridFunction, Mesh, assemble, values_of
-from .sparse_linalg import SolveOptions, SpdSystem, poisson_preconditioner, solve_spd
+from .sparse_linalg import SpdSystem, poisson_preconditioner, solve_spd
+
+FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
+SSN_MAX_ITER = 100
 
 
 class ForwardSolveError(RuntimeError):
@@ -67,9 +71,6 @@ class ForwardProblem:
     D: np.ndarray
     nonlinearity: PositivePart
     precond: Callable[[np.ndarray], np.ndarray]
-    options: SolveOptions = field(default_factory=SolveOptions)
-    forward_tol: float = 1e-11
-    ssn_max_iter: int = 100
 
     def __post_init__(self):
         n = self.mesh.n_interior
@@ -113,17 +114,21 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
     """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0)."""
     f = problem.nonlinearity
     b = problem.M @ values_of(u)
-    y = np.zeros(problem.mesh.n_interior) if y0 is None else values_of(y0).copy()
+    norm_b = float(np.linalg.norm(b))
+    if y0 is None or norm_b == 0.0:
+        y = np.zeros(problem.mesh.n_interior)
+    else:
+        y = values_of(y0).copy()
     pattern = f.selection_pattern(y)
+    H = problem.A @ y + problem.D * f.value(y) - b
     residual = math.inf
-    for iters in range(1, problem.ssn_max_iter + 1):
-        H = problem.A @ y + problem.D * f.value(y) - b
+    for iters in range(1, SSN_MAX_ITER + 1):
         system = SpdSystem(problem.A, problem.D * f.newton_coeff(y))
-        dy = solve_spd(system, -H, problem.options, problem.precond)
-        y = y + dy
+        y = y + solve_spd(system, -H, problem.precond)
         new_pattern = f.selection_pattern(y)
-        residual = float(np.linalg.norm(problem.A @ y + problem.D * f.value(y) - b))
-        if residual <= problem.forward_tol and np.array_equal(new_pattern, pattern):
+        H = problem.A @ y + problem.D * f.value(y) - b
+        residual = float(np.linalg.norm(H))
+        if residual <= FORWARD_RTOL * norm_b and np.array_equal(new_pattern, pattern):
             return ForwardSolution(
                 y=GridFunction(problem.mesh, y, "state"),
                 active_pattern=new_pattern,
@@ -132,8 +137,8 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
             )
         pattern = new_pattern
     raise ForwardSolveError(
-        f"semi-smooth Newton did not converge within {problem.ssn_max_iter} iterations "
-        f"(last residual {residual:.3e})",
+        f"semi-smooth Newton did not converge within {SSN_MAX_ITER} iterations "
+        f"(last residual {residual:.3e}, target {FORWARD_RTOL * norm_b:.3e})",
         residual=residual,
     )
 

@@ -8,8 +8,9 @@ where F is the discrete forward map, G_{u_n} applies (A + K_{y_n})^{-1} M
 (self-adjoint in the M inner product, so no separate adjoint solve), and
 w_n is the step size.  With noisy data of level delta the loop stops at the
 first index whose M-norm residual drops to tau*delta (discrepancy
-principle) or after max_iter steps.  All residual and error norms use the
-M-weighted norm.
+principle), at the first index whose residual exceeds the starting one
+(divergence), or after max_iter steps.  All residual and error norms use
+the M-weighted norm.
 
 Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters` and stored in the run record, never enforced:
@@ -38,6 +39,7 @@ logger = logging.getLogger(__name__)
 REASON_DISCREPANCY = "discrepancy"
 REASON_MAX_ITERATIONS = "max-iterations"
 REASON_FORWARD_FAILURE = "forward-failure"
+REASON_DIVERGENCE = "divergence"
 
 
 @dataclass(frozen=True)
@@ -252,9 +254,10 @@ def run(
 
     Residual and (when u_exact is given) relative error are recorded for every
     iterate including the final one; the discrepancy principle uses the
-    threshold tau*delta from cfg.  Each semi-smooth Newton solve starts from
-    the previous state.  A forward solve failure truncates the record with
-    reason 'forward-failure'.
+    threshold tau*delta from cfg.  A residual above the starting residual
+    ends the run with reason 'divergence'.  Each semi-smooth Newton solve
+    starts from the previous state.  A forward solve failure truncates the
+    record with reason 'forward-failure'.
     """
     M = problem.M
     data = _finite_values("y_data", y_data)
@@ -289,6 +292,9 @@ def run(
             errors.append(m_norm(M, exact - u) / norm_exact)
         if residuals[-1] <= threshold:
             reason = REASON_DISCREPANCY
+            break
+        if residuals[-1] > residuals[0]:
+            reason = REASON_DIVERGENCE
             break
         if n >= cfg.max_iter:
             reason = REASON_MAX_ITERATIONS

@@ -166,14 +166,11 @@ def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
 
 
 def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:
-    """Nodal interpolant of the scalar field f(x1, x2) at the interior nodes."""
+    """Nodal interpolant of f(x1, x2), evaluated once on the arrays of interior coordinates."""
     x1, x2 = mesh.interior_coords()
-    try:
-        vals = np.asarray(f(x1, x2), dtype=float)
-        if vals.shape != x1.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(a, b)) for a, b in zip(x1, x2)])
+    vals = np.asarray(f(x1, x2), dtype=float)
+    if vals.shape != x1.shape:
+        raise ValueError(f"f returned shape {vals.shape}, expected {x1.shape}")
     return GridFunction(mesh, vals, role)
 
 

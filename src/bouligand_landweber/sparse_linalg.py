@@ -23,6 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn
 
+CG_TOL = 1e-12  # relative Euclidean residual every CG solve reaches
+
 
 class ConvergenceError(RuntimeError):
     """CG failed to reach the requested tolerance; carries the achieved residual."""
@@ -33,25 +35,11 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    """Tolerance and iteration cap for :func:`solve_spd`."""
-
-    tol: float = 1e-12
-    max_iter: int | None = None  # default 10 * dimension
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class SpdSystem:
-    """Sparse SPD matrix plus an optional nonnegative diagonal shift."""
+    """Sparse SPD matrix plus a nonnegative diagonal shift."""
 
     sparse: sp.csr_matrix
-    shift: np.ndarray | None = None
+    shift: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -59,8 +47,7 @@ class SpdSystem:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.sparse @ v
-        if self.shift is not None:
-            out += self.shift * v
+        out += self.shift * v
         return out
 
 
@@ -88,10 +75,8 @@ def poisson_preconditioner(m_side: int) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
-def _pcg(system: SpdSystem, b: np.ndarray, x: np.ndarray, pre, tol_abs: float, max_iter: int):
-    r = b - system.matvec(x)
-    if np.linalg.norm(r) <= tol_abs:
-        return x
+def _pcg(system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, max_iter: int):
+    """Continue CG from the iterate x whose residual b - K x is r."""
     z = pre(r)
     p = z.copy()
     rz = float(r @ z)
@@ -122,14 +107,14 @@ def _pcg(system: SpdSystem, b: np.ndarray, x: np.ndarray, pre, tol_abs: float, m
 def solve_spd(
     system: SpdSystem,
     b: np.ndarray,
-    opts: SolveOptions,
     preconditioner: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Solve K x = b for the SPD system K to a relative Euclidean residual of opts.tol.
+    """Solve K x = b for the SPD system K to a relative Euclidean residual of CG_TOL.
 
     `preconditioner` applies an SPD approximation of K^{-1}.  The returned x
-    satisfies ||K x - b||_2 <= tol * ||b||_2 (verified on the true residual,
-    restarting the recurrence if necessary).
+    satisfies ||K x - b||_2 <= CG_TOL * ||b||_2 (verified on the true residual,
+    restarting the recurrence if necessary); each CG run is capped at
+    10 * dim iterations.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
@@ -139,14 +124,14 @@ def solve_spd(
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
-    tol_abs = opts.tol * norm_b
-    max_iter = opts.max_iter if opts.max_iter is not None else 10 * system.dim
+    tol_abs = CG_TOL * norm_b
 
-    x = np.zeros_like(b)
+    x, r = np.zeros_like(b), b
     achieved = np.inf
     for _ in range(3):  # restart on stale recurrence residual
-        x = _pcg(system, b, x, preconditioner, tol_abs, max_iter)
-        achieved = float(np.linalg.norm(b - system.matvec(x)))
+        x = _pcg(system, x, r, preconditioner, tol_abs, 10 * system.dim)
+        r = b - system.matvec(x)
+        achieved = float(np.linalg.norm(r))
         if achieved <= tol_abs:
             return x
     raise ConvergenceError(

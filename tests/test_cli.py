@@ -5,10 +5,12 @@ import pytest
 
 from bouligand_landweber import (
     GridFunction,
+    LandweberConfig,
     RunRecord,
     build_mesh,
     read_grid_function,
     read_table_csv,
+    run_table,
     write_grid_function,
 )
 from bouligand_landweber.cli import main
@@ -120,6 +122,25 @@ def test_table_command(tmp_path):
     rows = read_table_csv(out)
     assert len(rows) == 4
     assert {row["seed"] for row in rows} == {0, 1}
+
+
+def test_table_landweber_flags_reach_config(tmp_path, monkeypatch):
+    from bouligand_landweber import cli
+
+    configs = []
+
+    def spy(*args, cfg, **kwargs):
+        configs.append(cfg)
+        return run_table(*args, cfg=cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_table", spy)
+    out = tmp_path / "table.csv"
+    rc = main(
+        ["table", "--n", "9", "--deltas", "1e-2", "--lbar", "0.04", "--max-iter", "7",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    assert configs == [LandweberConfig(lbar=0.04, max_iter=7)]
 
 
 def test_verify_oracle_suite(tmp_path):

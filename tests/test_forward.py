@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,8 @@ from bouligand_landweber import (
     m_norm,
     solve_forward,
 )
+from bouligand_landweber import forward
+from bouligand_landweber.forward import FORWARD_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,9 @@ def test_forward_residual_of_converged_solves(problem17):
     for _ in range(5):
         u = rng.standard_normal(problem17.mesh.n_interior)
         sol = solve_forward(problem17, u)
-        assert forward_residual(problem17, sol.y, u) <= problem17.forward_tol
-        assert sol.final_residual <= problem17.forward_tol
+        tol = FORWARD_RTOL * np.linalg.norm(problem17.M @ u)
+        assert forward_residual(problem17, sol.y, u) <= tol
+        assert sol.final_residual <= tol
 
 
 def test_brute_force_scalar(problem3):
@@ -127,10 +128,23 @@ def test_warm_start_reaches_same_solution(problem17):
     assert np.max(np.abs(warm.y.values - cold.y.values)) <= 1e-10
 
 
-def test_nonconvergence_raises_with_residual():
-    problem = replace(ForwardProblem.build(build_mesh(5)), ssn_max_iter=0)
-    with pytest.raises(ForwardSolveError):
-        solve_forward(problem, np.ones(9))
+def test_zero_source_from_nonzero_start(problem17):
+    # ||M u||_2 = 0 leaves no room for round-off; the solution y = 0 is exact
+    rng = np.random.default_rng(5)
+    n = problem17.mesh.n_interior
+    sol = solve_forward(problem17, np.zeros(n), y0=rng.standard_normal(n))
+    assert np.array_equal(sol.y.values, np.zeros(n))
+    assert sol.ssn_iterations == 1
+    assert sol.final_residual == 0.0
+
+
+def test_nonconvergence_raises_with_residual(monkeypatch):
+    # one step from y = 0 (all nodes active) cannot settle a negative state
+    monkeypatch.setattr(forward, "SSN_MAX_ITER", 1)
+    problem = ForwardProblem.build(build_mesh(5))
+    with pytest.raises(ForwardSolveError, match="within 1 iterations") as err:
+        solve_forward(problem, -np.ones(9))
+    assert 0.0 < err.value.residual < np.inf
 
 
 def test_positive_part_conventions():

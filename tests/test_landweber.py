@@ -1,13 +1,11 @@
 from fractions import Fraction
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bouligand_landweber import (
-    ForwardProblem,
     GridFunction,
     LandweberConfig,
     NoiseSpec,
@@ -15,7 +13,6 @@ from bouligand_landweber import (
     add_noise,
     apply_subderivative,
     build_linearized,
-    build_mesh,
     check_parameters,
     empirical_rate,
     exact_fields,
@@ -186,13 +183,25 @@ def test_warm_start_agrees(problem33):
     assert record.total_ssn <= total_ssn
 
 
-def test_forward_failure_truncates(problem17):
-    broken = replace(ForwardProblem.build(build_mesh(17)), ssn_max_iter=0)
-    u_exact, y_exact, u_bar = exact_fields(broken.mesh)
-    record = run(broken, y_exact, LandweberConfig(), u_bar, u_exact)
+def test_forward_failure_truncates(problem17, monkeypatch):
+    from bouligand_landweber import forward
+
+    monkeypatch.setattr(forward, "SSN_MAX_ITER", 0)
+    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
+    record = run(problem17, y_exact, LandweberConfig(), u_bar, u_exact)
     assert record.reason == "forward-failure"
     assert len(record.residual_norms) == 0
     assert record.stopping_index == -1
+
+
+def test_divergence_ends_run(problem65):
+    # step 1.8e6: the first update overshoots and the residual grows
+    u_exact, y_exact, u_bar = exact_fields(problem65.mesh)
+    record = run(problem65, y_exact, LandweberConfig(lbar=1e-3, max_iter=20), u_bar, u_exact)
+    assert record.reason == "divergence"
+    assert record.stopping_index == 1
+    assert record.residual_norms[1] > record.residual_norms[0]
+    assert record.check_discrepancy()
 
 
 def test_update_failure_truncates_after_residual(problem17, monkeypatch):

@@ -154,6 +154,13 @@ def test_interpolate_scalar_callable():
     assert gf.values == pytest.approx(x1 + 10 * x2)
 
 
+def test_interpolate_rejects_wrong_shape():
+    # f is evaluated once on the coordinate arrays, never node by node
+    mesh = build_mesh(4)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(4,\)"):
+        interpolate(mesh, lambda x1, x2: 1.0)
+
+
 def test_interpolate_nonfinite_rejected():
     mesh = build_mesh(3)
     with pytest.raises(ValueError, match="node 0"):

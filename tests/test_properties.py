@@ -4,6 +4,7 @@ The examples are derandomized, so every run checks the same inputs.
 """
 
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,10 @@ from hypothesis.extra.numpy import arrays
 from bouligand_landweber import (
     ForwardProblem,
     GridFunction,
+    LandweberConfig,
+    ParameterCheck,
     PositivePart,
+    RunRecord,
     brute_force_forward,
     build_mesh,
     read_grid_function,
@@ -87,3 +91,61 @@ def test_grid_function_csv_roundtrip_is_bit_exact(gf):
         back = read_grid_function(path)
     assert back.mesh == gf.mesh and back.role == gf.role
     assert back.values.tobytes() == gf.values.tobytes()
+
+
+@st.composite
+def _ordered_sources(draw):
+    """A problem and sources u1 <= u2 nodewise, equal at some nodes."""
+    problem, u1 = draw(_problem_and_source())
+    n = problem.mesh.n_interior
+    gap = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0))))
+    return problem, u1, u1 + gap
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_ordered_sources())
+def test_forward_map_preserves_order(case):
+    # A is an M-matrix, M >= 0 and max(., 0) is monotone, so F is order preserving
+    problem, u1, u2 = case
+    y1 = solve_forward(problem, u1).y.values
+    y2 = solve_forward(problem, u2).y.values
+    scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
+    assert np.all(y1 <= y2 + 1e-12 * scale)
+
+
+@st.composite
+def _run_records(draw):
+    rows = draw(st.integers(1, 12))
+    column = arrays(np.float64, rows, elements=finite)
+    check = ParameterCheck(draw(finite), draw(finite), (draw(st.booleans()), draw(st.booleans())))
+    return RunRecord(
+        residual_norms=draw(column),
+        rel_errors=draw(st.one_of(st.none(), column)),
+        ssn_counts=draw(arrays(np.int64, rows, elements=st.integers(0, 100))),
+        stopping_index=rows - 1,
+        reason=draw(st.sampled_from(["discrepancy", "max-iterations", "divergence"])),
+        delta=draw(finite),
+        tau=draw(finite),
+        config=asdict(LandweberConfig()),
+        parameter_check=draw(st.one_of(st.none(), st.just(check))),
+    )
+
+
+@PROPERTY
+@given(_run_records())
+def test_run_record_roundtrip_is_bit_exact(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        record.save(Path(tmp) / "run")
+        back = RunRecord.load(Path(tmp) / "run")
+    assert back.residual_norms.tobytes() == record.residual_norms.tobytes()
+    if record.rel_errors is None:
+        assert back.rel_errors is None
+    else:
+        assert back.rel_errors.tobytes() == record.rel_errors.tobytes()
+    assert back.ssn_counts.tolist() == record.ssn_counts.tolist()
+    assert (back.stopping_index, back.reason, back.config) == (
+        record.stopping_index, record.reason, record.config
+    )
+    assert np.float64(back.delta).tobytes() == np.float64(record.delta).tobytes()
+    assert np.float64(back.tau).tobytes() == np.float64(record.tau).tobytes()
+    assert back.parameter_check == record.parameter_check
