@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import GridFunction, Mesh, assemble, values_of
-from .sparse_linalg import SpdSystem, poisson_preconditioner, solve_spd
+from .sparse_linalg import SpdSystem, norm, poisson_preconditioner, solve_spd
 
 FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
 SSN_MAX_ITER = 100
@@ -107,14 +107,14 @@ def forward_residual(problem: ForwardProblem, y, u) -> float:
     if yv.size != problem.mesh.n_interior or uv.size != problem.mesh.n_interior:
         raise ValueError("dimension mismatch between fields and problem")
     r = problem.A @ yv + problem.D * problem.nonlinearity.value(yv) - problem.M @ uv
-    return float(np.linalg.norm(r))
+    return norm(r)
 
 
 def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
     """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0)."""
     f = problem.nonlinearity
     b = problem.M @ values_of(u)
-    norm_b = float(np.linalg.norm(b))
+    norm_b = norm(b)
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
     else:
@@ -127,7 +127,7 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
         y = y + solve_spd(system, -H, problem.precond)
         new_pattern = f.selection_pattern(y)
         H = problem.A @ y + problem.D * f.value(y) - b
-        residual = float(np.linalg.norm(H))
+        residual = norm(H)
         if residual <= FORWARD_RTOL * norm_b and np.array_equal(new_pattern, pattern):
             return ForwardSolution(
                 y=GridFunction(problem.mesh, y, "state"),

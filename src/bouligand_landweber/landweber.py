@@ -9,8 +9,8 @@ where F is the discrete forward map, G_{u_n} applies (A + K_{y_n})^{-1} M
 w_n is the step size.  With noisy data of level delta the loop stops at the
 first index whose M-norm residual drops to tau*delta (discrepancy
 principle), at the first index whose residual exceeds the starting one
-(divergence), or after max_iter steps.  All residual and error norms use
-the M-weighted norm.
+or whose update overflows (divergence), or after max_iter steps.  All
+residual and error norms use the M-weighted norm.
 
 Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters` and stored in the run record, never enforced:
@@ -254,10 +254,11 @@ def run(
 
     Residual and (when u_exact is given) relative error are recorded for every
     iterate including the final one; the discrepancy principle uses the
-    threshold tau*delta from cfg.  A residual above the starting residual
-    ends the run with reason 'divergence'.  Each semi-smooth Newton solve
-    starts from the previous state.  A forward solve failure truncates the
-    record with reason 'forward-failure'.
+    threshold tau*delta from cfg.  A residual above the starting residual,
+    or an update that overflows, ends the run with reason 'divergence'; the
+    final iterate is then the last one whose residual was recorded.  Each
+    semi-smooth Newton solve starts from the previous state.  A forward
+    solve failure truncates the record with reason 'forward-failure'.
     """
     M = problem.M
     data = _finite_values("y_data", y_data)
@@ -306,7 +307,12 @@ def run(
             logger.error("subderivative solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
             break
-        u = u + cfg.constant_step * update.values
+        u_next = u + cfg.constant_step * update.values
+        if not np.all(np.isfinite(u_next)):
+            logger.error("update at iteration %d overflowed", n)
+            reason = REASON_DIVERGENCE
+            break
+        u = u_next
         n += 1
 
     return RunRecord(

@@ -26,6 +26,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .sparse_linalg import dot
+
 ROLES = ("state", "source", "data")
 
 
@@ -179,7 +181,7 @@ def m_inner(M: sp.spmatrix, v, w) -> float:
     a, b = values_of(v), values_of(w)
     if a.shape != b.shape or M.shape[1] != a.size:
         raise ValueError(f"dimension mismatch: M {M.shape}, v {a.shape}, w {b.shape}")
-    return float(a @ (M @ b))
+    return dot(a, M @ b)
 
 
 def m_norm(M: sp.spmatrix, v) -> float:

@@ -2,9 +2,12 @@
 
 Every system solved here has the form (stiffness + nonnegative diagonal),
 which is symmetric positive definite, so preconditioned CG with a tight
-tolerance covers all needs.  Reductions are plain numpy operations on
-contiguous float64 arrays, so repeated solves with identical inputs return
-bit-identical iterates.
+tolerance covers all needs.  The dense reductions (`dot`, `norm`) run in
+numpy's own einsum loop rather than BLAS: BLAS splits a dot product across
+its thread pool, whose summation order, and so the last bits, depend on the
+thread count, and whose idle worker spins between the many small calls CG
+makes.  Repeated solves with identical inputs therefore return bit-identical
+iterates on any machine with the same numpy.
 
 The preconditioner is the exact inverse of the interior five-point
 stiffness matrix, applied via discrete sine transforms.  Since the diagonal
@@ -16,6 +19,7 @@ independently of the mesh.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,32 +79,42 @@ def poisson_preconditioner(m_side: int) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product a^T b, summed by numpy without BLAS."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def norm(a: np.ndarray) -> float:
+    """Euclidean norm ||a||_2 = sqrt(a^T a), summed by numpy without BLAS."""
+    return math.sqrt(dot(a, a))
+
+
 def _pcg(system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, max_iter: int):
     """Continue CG from the iterate x whose residual b - K x is r."""
     z = pre(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = dot(r, z)
     for _ in range(max_iter):
         Ap = system.matvec(p)
-        pAp = float(p @ Ap)
+        pAp = dot(p, Ap)
         if pAp <= 0.0:
             raise ConvergenceError(
                 f"CG breakdown: curvature {pAp} is not positive (matrix not SPD?)",
-                residual=float(np.linalg.norm(r)),
+                residual=norm(r),
             )
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        if np.linalg.norm(r) <= tol_abs:
+        if norm(r) <= tol_abs:
             return x
         z = pre(r)
-        rz_new = float(r @ z)
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise ConvergenceError(
         f"CG did not converge within {max_iter} iterations "
-        f"(residual {np.linalg.norm(r):.3e}, target {tol_abs:.3e})",
-        residual=float(np.linalg.norm(r)),
+        f"(residual {norm(r):.3e}, target {tol_abs:.3e})",
+        residual=norm(r),
     )
 
 
@@ -121,7 +135,7 @@ def solve_spd(
         raise ValueError(f"dimension mismatch: system dim {system.dim}, b shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
-    norm_b = float(np.linalg.norm(b))
+    norm_b = norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b)
     tol_abs = CG_TOL * norm_b
@@ -131,7 +145,7 @@ def solve_spd(
     for _ in range(3):  # restart on stale recurrence residual
         x = _pcg(system, x, r, preconditioner, tol_abs, 10 * system.dim)
         r = b - system.matvec(x)
-        achieved = float(np.linalg.norm(r))
+        achieved = norm(r)
         if achieved <= tol_abs:
             return x
     raise ConvergenceError(

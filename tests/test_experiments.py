@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +181,30 @@ def test_table_csv_roundtrip(tmp_path, problem33):
         assert back[0][key] == rows[0][key]
     header = path.read_text().splitlines()[0]
     assert header == "delta,seed,N,rel_error,rate,ssn_total,reason"
+
+
+_RECORD_SCRIPT = """
+import sys
+import numpy as np
+from bouligand_landweber import run_noise_free
+record = run_noise_free(129, "zero", 10)
+np.savez(sys.argv[1], residuals=record.residual_norms, errors=record.rel_errors,
+         final=record.final.values)
+"""
+
+
+def test_records_independent_of_blas_threads(tmp_path):
+    # the solver's reductions must not depend on how BLAS splits its work
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    records = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run(
+            [sys.executable, "-c", _RECORD_SCRIPT, str(out)], env=env, check=True, timeout=300
+        )
+        records.append(np.load(out))
+    one, two = records
+    for key in ("residuals", "errors", "final"):
+        assert one[key].tobytes() == two[key].tobytes(), key

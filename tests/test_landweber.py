@@ -204,6 +204,17 @@ def test_divergence_ends_run(problem65):
     assert record.check_discrepancy()
 
 
+def test_overflowing_update_ends_run(problem17):
+    # lbar = 1e-160 makes the step infinite, so u_1 is not finite
+    u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
+    cfg = LandweberConfig(lbar=1e-160, max_iter=5)
+    record = run(problem17, y_exact, cfg, u_bar, u_exact)
+    assert record.reason == "divergence"
+    assert record.stopping_index == 0
+    assert len(record.residual_norms) == 1
+    assert np.array_equal(record.final.values, u_bar.values)
+
+
 def test_update_failure_truncates_after_residual(problem17, monkeypatch):
     from bouligand_landweber import ConvergenceError
     from bouligand_landweber import landweber as lw

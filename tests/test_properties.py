@@ -3,12 +3,13 @@
 The examples are derandomized, so every run checks the same inputs.
 """
 
+import math
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,14 +20,20 @@ from bouligand_landweber import (
     ParameterCheck,
     PositivePart,
     RunRecord,
+    apply_subderivative,
     brute_force_forward,
+    build_linearized,
     build_mesh,
     read_grid_function,
     solve_forward,
     write_grid_function,
 )
+from bouligand_landweber.forward import FORWARD_RTOL
+from bouligand_landweber.sparse_linalg import CG_TOL, dot, norm
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
+EPS = np.finfo(float).eps
+TINY = math.ulp(0.0)  # absolute rounding error of a product that underflows
 
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 # every finite float, with the kink and its neighbours drawn often
@@ -111,6 +118,87 @@ def test_forward_map_preserves_order(case):
     y2 = solve_forward(problem, u2).y.values
     scale = max(np.max(np.abs(y1)), np.max(np.abs(y2)))
     assert np.all(y1 <= y2 + 1e-12 * scale)
+
+
+@st.composite
+def _source_pair(draw):
+    """A problem and two sources (or a source and a direction), drawn independently."""
+    problem, u1 = draw(_problem_and_source())
+    return problem, u1, draw(_sources(problem.mesh.n_interior))
+
+
+def _true_residual_bound(problem, sol, u) -> float:
+    """Bound on the exact-arithmetic residual of a computed forward solution.
+
+    The recorded residual is evaluated in floating point; the evaluation
+    error is at most n*eps times the residual of the absolute values.
+    """
+    y, n = sol.y.values, problem.mesh.n_interior
+    magnitude = abs(problem.A) @ np.abs(y) + problem.D * np.abs(y) + problem.M @ np.abs(u)
+    return sol.final_residual + 4 * n * EPS * np.linalg.norm(magnitude)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_source_pair())
+def test_forward_map_energy_bound(case):
+    # subtracting the two equations, A dy + D (max(y1, 0) - max(y2, 0)) = M du,
+    # and the middle term pairs nonnegatively with dy because max is monotone
+    problem, u1, u2 = case
+    s1, s2 = solve_forward(problem, u1), solve_forward(problem, u2)
+    dy, du = s1.y.values - s2.y.values, u1 - u2
+    A, M, n = problem.A, problem.M, problem.mesh.n_interior
+    energy, work = dy @ (A @ dy), dy @ (M @ du)
+    # each computed state solves its equation up to its true residual, and
+    # each product rounds by at most n eps times its absolute-value product
+    residuals = _true_residual_bound(problem, s1, u1) + _true_residual_bound(problem, s2, u2)
+    rounding = n * EPS * (np.abs(dy) @ (abs(A) @ np.abs(dy)) + np.abs(dy) @ (M @ np.abs(du)))
+    assert energy <= work + np.linalg.norm(dy) * residuals + 4 * rounding
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_source_pair())
+def test_subderivative_is_directional_limit(case):
+    # while the active set of F(u + t h) stays that of F(u), both states solve
+    # the same linear system (A + K_y) y = M (.), so the difference quotient is G_u h
+    problem, u, h = case
+    sol = solve_forward(problem, u)
+    y = sol.y.values
+    assume(np.all(y != 0.0))
+    g = apply_subderivative(build_linearized(problem, sol.y), problem.M, h).values
+    # to first order F(u + t h) = F(u) + t g keeps every sign while t |g| < |y|
+    reach, g_max = 0.5 * np.min(np.abs(y)), np.max(np.abs(g))
+    t = 1.0 if g_max <= reach else reach / g_max
+    sol_t = solve_forward(problem, u + t * h)
+    for _ in range(60):
+        if np.array_equal(sol_t.active_pattern, sol.active_pattern):
+            break
+        t /= 2.0
+        sol_t = solve_forward(problem, u + t * h)
+    assert np.array_equal(sol_t.active_pattern, sol.active_pattern)
+    quotient = (sol_t.y.values - y) / t
+    # ||(A + K_y)^{-1}||_2 <= 1 / lambda_min(A); each Newton solve leaves a
+    # residual of at most FORWARD_RTOL ||M u||_2, the CG solve for g one of
+    # at most CG_TOL ||M h||_2, and the subtraction rounds each entry once
+    lam_min = np.linalg.eigvalsh(problem.A.toarray())[0]
+    M = problem.M
+    solve_error = FORWARD_RTOL * (norm(M @ u) + norm(M @ (u + t * h))) / t + CG_TOL * norm(M @ h)
+    tol = solve_error / lam_min + EPS * np.linalg.norm(quotient)
+    assert np.linalg.norm(quotient - g) <= tol
+
+
+@PROPERTY
+@given(st.integers(0, 60).flatmap(
+    lambda n: st.tuples(*[arrays(np.float64, n, elements=st.floats(-1e150, 1e150))] * 2)
+))
+def test_dot_and_norm_match_exact_sums(pair):
+    # recursive summation errs by at most (n - 1) eps/2 sum |a_i b_i|, plus
+    # one smallest subnormal per product where a product underflows
+    a, b = pair
+    n = a.size
+    products = a * b
+    assert abs(dot(a, b) - math.fsum(products)) <= n * EPS * math.fsum(np.abs(products)) + n * TINY
+    squares = math.fsum(a * a)
+    assert abs(norm(a) ** 2 - squares) <= (n + 3) * EPS * squares + (n + 1) * TINY
 
 
 @st.composite
