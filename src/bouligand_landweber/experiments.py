@@ -34,7 +34,7 @@ import numpy as np
 
 from .forward import ForwardProblem, solve_forward
 from .landweber import LandweberConfig, RunRecord, empirical_rate, run
-from .mesh_fem import GridFunction, Mesh, build_mesh, interpolate, m_norm
+from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
 
 DEFAULT_BETA = 0.005
 DEFAULT_RHO = LandweberConfig.rho
@@ -60,23 +60,34 @@ def exact_source(x1, x2, beta: float = DEFAULT_BETA):
     return np.maximum(y, 0.0) + curvature * strip
 
 
+def _guess_from(u_star, x1, x2, rho: float):
+    """u_bar from the values u* at (x1, x2)."""
+    return u_star - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
+
+
 def source_guess(x1, x2, beta: float = DEFAULT_BETA, rho: float = DEFAULT_RHO):
     """Starting point u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    return exact_source(x1, x2, beta) - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
+    return _guess_from(exact_source(x1, x2, beta), x1, x2, rho)
 
 
 def exact_fields(
     mesh: Mesh, beta: float = DEFAULT_BETA, rho: float = DEFAULT_RHO
 ) -> tuple[GridFunction, GridFunction, GridFunction]:
-    """Nodal interpolants (u*, y*, u_bar) on the given mesh."""
+    """Nodal interpolants (u*, y*, u_bar) on the given mesh.
+
+    The coordinates and u* are evaluated once; u_bar is built from u*.
+    """
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must lie in (0, 0.5), got {beta}")
-    u_exact = interpolate(mesh, lambda a, b: exact_source(a, b, beta), role="source")
-    y_exact = interpolate(mesh, lambda a, b: exact_state(a, b, beta), role="state")
-    u_start = interpolate(mesh, lambda a, b: source_guess(a, b, beta, rho), role="source")
-    return u_exact, y_exact, u_start
+    x1, x2 = mesh.interior_coords()
+    u_star = exact_source(x1, x2, beta)
+    return (
+        GridFunction(mesh, u_star, "source"),
+        GridFunction(mesh, exact_state(x1, x2, beta), "state"),
+        GridFunction(mesh, _guess_from(u_star, x1, x2, rho), "source"),
+    )
 
 
 @dataclass(frozen=True)

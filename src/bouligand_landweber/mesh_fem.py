@@ -13,6 +13,11 @@ For interior nodes the resulting stencils are
   neighbors (E, W, N, S, NE, SW),
 * lumped mass D: one third of the nodal support area, i.e. h^2.
 
+:func:`assemble` builds the interior matrices straight from these stencils.
+:func:`assemble_full` assembles the boundary-inclusive matrices element by
+element; it is the oracle the stencil matrices are tested against, bit for
+bit.
+
 Since all discrete fields of interest vanish on the boundary, inner products
 taken with the interior mass matrix coincide with boundary-inclusive ones.
 """
@@ -133,8 +138,9 @@ def _accumulate(tris: np.ndarray, local: np.ndarray, n: int) -> sp.coo_matrix:
 def assemble_full(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
     """Boundary-inclusive stiffness, mass and lumped-mass over all n_h^2 nodes.
 
-    Used for verification (partition of unity, row-sum lumping); production
-    systems use the interior-restricted matrices from :func:`assemble`.
+    Element by element over all cells.  This is the oracle for verification
+    (partition of unity, row-sum lumping, and :func:`assemble` against its
+    interior block); production systems use :func:`assemble`.
     """
     n2 = mesh.n_h * mesh.n_h
     area = 0.5 * mesh.h * mesh.h
@@ -152,19 +158,54 @@ def assemble_full(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]
     return A, M, D
 
 
+def _stencil_matrix(m: int, stencil) -> sp.csr_matrix:
+    """CSR matrix over the m x m interior grid from a constant stencil.
+
+    `stencil` lists (dx, dy, value) in increasing order of the column offset
+    dy*m + dx; neighbors outside the grid (Dirichlet nodes) are dropped, so
+    the result is canonical CSR with int32 indices and no explicit zeros.
+    """
+    n = m * m
+    iy, ix = np.divmod(np.arange(n, dtype=np.int32), m)
+    keep = np.empty((n, len(stencil)), dtype=bool)
+    for k, (dx, dy, _) in enumerate(stencil):
+        keep[:, k] = (ix + dx >= 0) & (ix + dx < m) & (iy + dy >= 0) & (iy + dy < m)
+    offsets = np.array([dy * m + dx for dx, dy, _ in stencil], dtype=np.int32)
+    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[keep]
+    data = np.broadcast_to(np.array([v for _, _, v in stencil]), keep.shape)[keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
     """Interior (A, M, D) with homogeneous Dirichlet conditions by elimination.
 
     A is the P1 stiffness matrix, M the consistent mass matrix (both CSR,
     symmetric with both triangles stored) and D the lumped mass diagonal.
+    They are built straight from the interior stencils; the values are
+    summed in the order element assembly sums them, so the result equals
+    :func:`assemble_full` restricted to the interior bit for bit.
     """
-    A_full, M_full, D_full = assemble_full(mesh)
-    idx = mesh.interior_to_full()
-    A = A_full[idx][:, idx].tocsr()
-    M = M_full[idx][:, idx].tocsr()
-    A.sort_indices()
-    M.sort_indices()
-    return A, M, D_full[idx]
+    area = 0.5 * mesh.h * mesh.h
+    # a and b are the entries of the element mass matrix area * _MASS_UNIT;
+    # every interior node lies in three lower and three upper triangles, and
+    # every interior edge in one triangle of each kind
+    a = area * (2.0 / 12.0)
+    b = area * (1.0 / 12.0)
+    diag, off = (a + a + a) + (a + a + a), b + b
+    A = _stencil_matrix(
+        mesh.m, [(0, -1, -1.0), (-1, 0, -1.0), (0, 0, 4.0), (1, 0, -1.0), (0, 1, -1.0)]
+    )
+    M = _stencil_matrix(
+        mesh.m,
+        [(-1, -1, off), (0, -1, off), (-1, 0, off), (0, 0, diag), (1, 0, off), (0, 1, off),
+         (1, 1, off)],
+    )
+    support = 0.0
+    for _ in range(6):  # summed one triangle at a time, as assemble_full does
+        support += area
+    return A, M, np.full(mesh.n_interior, support / 3.0)
 
 
 def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:

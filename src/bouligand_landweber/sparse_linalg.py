@@ -97,7 +97,7 @@ def _pcg(system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, m
     for _ in range(max_iter):
         Ap = system.matvec(p)
         pAp = dot(p, Ap)
-        if pAp <= 0.0:
+        if not pAp > 0.0:  # also NaN curvature
             raise ConvergenceError(
                 f"CG breakdown: curvature {pAp} is not positive (matrix not SPD?)",
                 residual=norm(r),
@@ -128,7 +128,9 @@ def solve_spd(
     `preconditioner` applies an SPD approximation of K^{-1}.  The returned x
     satisfies ||K x - b||_2 <= CG_TOL * ||b||_2 (verified on the true residual,
     restarting the recurrence if necessary); each CG run is capped at
-    10 * dim iterations.
+    10 * dim iterations.  A finite b whose norm overflows (||b||_2 above
+    about 1e154, where its square exceeds the float range) raises
+    ConvergenceError before any iteration.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
@@ -136,6 +138,11 @@ def solve_spd(
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side contains non-finite entries")
     norm_b = norm(b)
+    if not math.isfinite(norm_b):
+        raise ConvergenceError(
+            f"right-hand side too large: its norm overflows to {norm_b}",
+            residual=norm_b,
+        )
     if norm_b == 0.0:
         return np.zeros_like(b)
     tol_abs = CG_TOL * norm_b

@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the demos that run in seconds; 04-06 run campaigns and are checked by hand
+CHEAP_DEMOS = ("01_mesh_and_norms.py", "02_forward_solver.py", "03_subderivative.py")
+
+
+@pytest.mark.parametrize("demo", CHEAP_DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

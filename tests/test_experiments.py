@@ -14,6 +14,7 @@ from bouligand_landweber import (
     exact_fields,
     exact_source,
     exact_state,
+    interpolate,
     m_norm,
     read_table_csv,
     run_noise_free,
@@ -52,6 +53,20 @@ def test_exact_fields_roles(problem17):
     assert u_bar.role == "source"
     with pytest.raises(ValueError, match="beta"):
         exact_fields(problem17.mesh, beta=0.7)
+
+
+@pytest.mark.parametrize("n_h, beta, rho", [(17, 0.005, 5.0), (129, 0.005, 5.0), (64, 0.1, 0.3)])
+def test_exact_fields_match_interpolation(n_h, beta, rho):
+    # one evaluation of u* for u* and u_bar gives the same bits as
+    # interpolating each closed form on its own
+    mesh = build_mesh(n_h)
+    expected = (
+        interpolate(mesh, lambda a, b: exact_source(a, b, beta)),
+        interpolate(mesh, lambda a, b: exact_state(a, b, beta)),
+        interpolate(mesh, lambda a, b: source_guess(a, b, beta, rho)),
+    )
+    for got, want in zip(exact_fields(mesh, beta, rho), expected):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_discrete_source_norm_approaches_quadrature_oracle():

@@ -215,6 +215,16 @@ def test_overflowing_update_ends_run(problem17):
     assert np.array_equal(record.final.values, u_bar.values)
 
 
+def test_overflowing_source_ends_run(problem17):
+    # every entry is finite, but ||M u0||_2 overflows: the first forward solve
+    # fails at once and the run ends with a named reason
+    _, y_exact, _ = exact_fields(problem17.mesh)
+    u0 = 1e200 * np.sin(np.arange(problem17.mesh.n_interior, dtype=float))
+    record = run(problem17, y_exact, LandweberConfig(), u0)
+    assert record.reason == "forward-failure"
+    assert record.stopping_index == -1
+
+
 def test_update_failure_truncates_after_residual(problem17, monkeypatch):
     from bouligand_landweber import ConvergenceError
     from bouligand_landweber import landweber as lw

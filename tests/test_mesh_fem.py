@@ -123,6 +123,27 @@ def test_assembly_deterministic():
     assert np.array_equal(d1, d2)
 
 
+def _assert_same_csr(got, want):
+    assert got.indptr.dtype == want.indptr.dtype == np.int32
+    assert got.indices.dtype == want.indices.dtype == np.int32
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.indices.tobytes() == want.indices.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.has_canonical_format and want.has_canonical_format
+
+
+@pytest.mark.parametrize("n_h", [3, 4, 5, 17, 64, 129])
+def test_stencil_assembly_matches_element_assembly(n_h):
+    # the element-level assembly, restricted to the interior, is the oracle
+    mesh = build_mesh(n_h)
+    A, M, D = assemble(mesh)
+    A_full, M_full, D_full = assemble_full(mesh)
+    idx = mesh.interior_to_full()
+    _assert_same_csr(A, A_full[idx][:, idx])
+    _assert_same_csr(M, M_full[idx][:, idx])
+    assert D.tobytes() == D_full[idx].tobytes()
+
+
 def test_interpolate_zero_field():
     mesh = build_mesh(9)
     gf = interpolate(mesh, lambda x1, x2: np.zeros_like(x1))

@@ -97,6 +97,30 @@ def test_nonconvergence_error_carries_residual():
     assert err.value.residual == sparse_linalg.norm(b)
 
 
+@pytest.mark.parametrize(
+    "shift, scale",
+    [
+        pytest.param(0.0, 1e200, id="rhs-norm-overflows"),
+        pytest.param(np.nan, 1.0, id="nan-curvature"),
+    ],
+)
+def test_non_finite_arithmetic_fails_at_once(shift, scale):
+    # a NaN residual never meets the target; CG must stop instead of iterating
+    mesh = build_mesh(17)
+    A, _, D = assemble(mesh)
+    pre = poisson_preconditioner(mesh.m)
+    applications = []
+
+    def counted(r):
+        applications.append(1)
+        return pre(r)
+
+    system = SpdSystem(A, D + shift)
+    with pytest.raises(ConvergenceError):
+        solve_spd(system, scale * np.sin(np.arange(mesh.n_interior, dtype=float)), counted)
+    assert len(applications) <= 1
+
+
 def test_poisson_preconditioner_is_exact_inverse():
     mesh = build_mesh(17)
     A, _, _ = assemble(mesh)
