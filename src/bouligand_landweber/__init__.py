@@ -79,6 +79,7 @@ from .experiments import (
     exact_state,
     read_table_csv,
     run_noise_free,
+    run_noisy,
     run_table,
     source_guess,
     write_table_csv,
@@ -131,6 +132,7 @@ __all__ = [
     "relative_error",
     "run",
     "run_noise_free",
+    "run_noisy",
     "run_table",
     "solve_forward",
     "solve_spd",

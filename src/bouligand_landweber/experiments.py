@@ -27,6 +27,7 @@ outputs are reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -101,8 +102,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.value < 0.0:
-            raise ValueError(f"noise amplitude/target must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"noise amplitude/target must be finite and >= 0, got {self.value}")
 
 
 def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]:
@@ -121,29 +122,55 @@ def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]
     return noisy, m_norm(M, noisy.values - y.values)
 
 
-def _start_iterate(start: str, u_exact: GridFunction, u_bar: GridFunction) -> GridFunction:
+def _campaign(n_h: int, cfg: LandweberConfig | None, problem: ForwardProblem | None):
+    """(cfg, problem, (u*, y*, u_bar)) for a campaign at mesh size n_h."""
+    cfg = cfg or LandweberConfig()
+    if problem is None:
+        problem = ForwardProblem.build(build_mesh(n_h))
+    elif problem.mesh.n_h != n_h:
+        raise ValueError(f"problem is built for n_h={problem.mesh.n_h}, not the requested {n_h}")
+    return cfg, problem, exact_fields(problem.mesh, rho=cfg.rho)
+
+
+def _cell(problem, fields, start: str, cfg: LandweberConfig, noise: NoiseSpec | None):
+    """One run from 'zero' or 'source' (u_bar); noisy data with delta measured, or exact
+    data with delta 0 when noise is None."""
+    u_exact, y_exact, u_bar = fields
     if start == "zero":
-        return GridFunction(u_exact.mesh, np.zeros_like(u_exact.values), "source")
-    if start == "source":
-        return u_bar
-    raise ValueError(f"unknown starting point {start!r}, expected 'zero' or 'source'")
+        u0 = GridFunction(u_exact.mesh, np.zeros_like(u_exact.values), "source")
+    elif start == "source":
+        u0 = u_bar
+    else:
+        raise ValueError(f"unknown starting point {start!r}, expected 'zero' or 'source'")
+    if noise is None:
+        y_data, delta = y_exact, 0.0
+    else:
+        y_data, delta = add_noise(y_exact, noise, problem.M)
+    return run(problem, y_data, replace(cfg, delta=delta), u0, u_exact)
 
 
 def run_noise_free(
     n_h: int,
     start: str = "source",
     iters: int = 100,
-    beta: float = DEFAULT_BETA,
     cfg: LandweberConfig | None = None,
     problem: ForwardProblem | None = None,
 ) -> RunRecord:
     """Noise-free campaign: fixed iteration count, discrepancy disabled (delta = 0)."""
-    base = cfg or LandweberConfig()
-    if problem is None:
-        problem = ForwardProblem.build(build_mesh(n_h))
-    u_exact, y_exact, u_bar = exact_fields(problem.mesh, beta, base.rho)
-    cfg_run = replace(base, max_iter=iters, delta=0.0)
-    return run(problem, y_exact, cfg_run, _start_iterate(start, u_exact, u_bar), u_exact)
+    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    return _cell(problem, fields, start, replace(cfg, max_iter=iters), None)
+
+
+def run_noisy(
+    n_h: int,
+    noise: NoiseSpec,
+    start: str = "source",
+    cfg: LandweberConfig | None = None,
+    problem: ForwardProblem | None = None,
+) -> RunRecord:
+    """One noisy reconstruction, stopped by the discrepancy principle at the measured delta."""
+    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    return _cell(problem, fields, start, cfg, noise)
 
 
 TABLE_COLUMNS = ("delta", "seed", "N", "rel_error", "rate", "ssn_total", "reason")
@@ -154,7 +181,6 @@ def run_table(
     deltas,
     start: str = "source",
     seeds=(0,),
-    beta: float = DEFAULT_BETA,
     cfg: LandweberConfig | None = None,
     problem: ForwardProblem | None = None,
 ) -> list[dict]:
@@ -166,27 +192,22 @@ def run_table(
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("all noise targets must be positive")
-    base = cfg or LandweberConfig()
-    if problem is None:
-        problem = ForwardProblem.build(build_mesh(n_h))
-    u_exact, y_exact, u_bar = exact_fields(problem.mesh, beta, base.rho)
-    u0 = _start_iterate(start, u_exact, u_bar)
+    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    norm_exact = m_norm(problem.M, fields[0])
 
     rows = []
     for seed in seeds:
         for delta_target in deltas:
-            y_noisy, delta = add_noise(
-                y_exact, NoiseSpec(seed=int(seed), mode="rescale", value=delta_target), problem.M
-            )
-            record = run(problem, y_noisy, replace(base, delta=delta), u0, u_exact)
+            noise = NoiseSpec(seed=int(seed), mode="rescale", value=delta_target)
+            record = _cell(problem, fields, start, cfg, noise)
             err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
             rows.append(
                 {
-                    "delta": delta,
+                    "delta": record.delta,
                     "seed": int(seed),
                     "N": record.stopping_index,
                     "rel_error": err,
-                    "rate": empirical_rate(err * m_norm(problem.M, u_exact), delta),
+                    "rate": empirical_rate(err * norm_exact, record.delta),
                     "ssn_total": record.total_ssn,
                     "reason": record.reason,
                 }
@@ -234,7 +255,7 @@ def read_table_csv(path) -> list[dict]:
     return rows
 
 
-def consistency_residuals(n_h_list, beta: float = DEFAULT_BETA) -> dict[int, float]:
+def consistency_residuals(n_h_list) -> dict[int, float]:
     """Discrete consistency of the exact pair: r(n_h) = ||F_h(I_h u*) - I_h y*||_M.
 
     The residual decays under refinement since (u*, y*) solve the continuum
@@ -243,7 +264,7 @@ def consistency_residuals(n_h_list, beta: float = DEFAULT_BETA) -> dict[int, flo
     out = {}
     for n_h in n_h_list:
         problem = ForwardProblem.build(build_mesh(n_h))
-        u_exact, y_exact, _ = exact_fields(problem.mesh, beta)
+        u_exact, y_exact, _ = exact_fields(problem.mesh)
         y_h = solve_forward(problem, u_exact).y
         out[n_h] = m_norm(problem.M, y_h.values - y_exact.values)
     return out

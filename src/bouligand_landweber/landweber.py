@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -60,16 +61,17 @@ class LandweberConfig:
     delta: float = 0.0
 
     def __post_init__(self):
+        # written so that NaN fails every bound
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
-        if self.tau <= 1.0:
-            raise ValueError(f"tau must exceed 1, got {self.tau}")
-        if self.rho <= 0.0 or self.lbar <= 0.0:
-            raise ValueError("rho and lbar must be positive")
+        if not 1.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
+        if not (0.0 < self.rho < math.inf and 0.0 < self.lbar < math.inf):
+            raise ValueError(f"rho and lbar must be finite and positive, got {self.rho, self.lbar}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.delta < 0.0:
-            raise ValueError(f"noise level must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
 
     @property
     def constant_step(self) -> float:

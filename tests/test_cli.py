@@ -217,3 +217,50 @@ def test_unknown_config_key_rejected(tmp_path):
             ]
         )
     assert not out.exists()
+
+
+def _run_both(tmp_path, command, flags, config):
+    """Run `command` once with flags and once with a config file; the two output paths."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main([command, *flags, "--out", str(by_flag)]) == 0
+    assert main(["--config", str(cfg), command, "--out", str(by_config)]) == 0
+    return by_flag, by_config
+
+
+def test_config_strings_convert_like_flags(tmp_path):
+    flag, config = _run_both(
+        tmp_path,
+        "noise-free",
+        ["--n", "9", "--iters", "2", "--tau", "1.5"],
+        {"n": "9", "iters": "2", "tau": "1.5"},
+    )
+    record = RunRecord.load(config.with_suffix(""))
+    assert record.config["tau"] == 1.5 and isinstance(record.config["tau"], float)
+    assert len(record.residual_norms) == 3
+    for suffix in (".csv", ".json"):
+        assert flag.with_suffix(suffix).read_bytes() == config.with_suffix(suffix).read_bytes()
+
+
+def test_config_lists_for_deltas_and_seeds(tmp_path):
+    flag, config = _run_both(
+        tmp_path,
+        "table",
+        ["--n", "9", "--deltas", "1e-2,1e-3", "--seeds", "0,2"],
+        {"n": 9, "deltas": [1e-2, 1e-3], "seeds": [0, 2]},
+    )
+    assert len(read_table_csv(config)) == 4
+    assert flag.read_bytes() == config.read_bytes()
+
+
+def test_verify_keys_as_flags_and_config(tmp_path):
+    flag, config = _run_both(
+        tmp_path,
+        "verify",
+        ["--suite", "adjoint", "--adjoint-n", "9", "--adjoint-trials", "2", "--seed", "4"],
+        {"suite": "adjoint", "adjoint_n": 9, "adjoint-trials": "2", "seed": 4},
+    )
+    assert len(config.read_text().splitlines()) == 1 + 2
+    assert flag.read_bytes() == config.read_bytes()
+    assert flag.with_suffix(".json").read_bytes() == config.with_suffix(".json").read_bytes()

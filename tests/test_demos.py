@@ -7,11 +7,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the demos that run in seconds; 04-06 run campaigns and are checked by hand
-CHEAP_DEMOS = ("01_mesh_and_norms.py", "02_forward_solver.py", "03_subderivative.py")
+DEMOS = (
+    "01_mesh_and_norms.py",
+    "02_forward_solver.py",
+    "03_subderivative.py",
+    "04_noise_free_iteration.py",
+    "05_noisy_reconstruction.py",
+    "06_assumption_checks.py",
+)
 
 
-@pytest.mark.parametrize("demo", CHEAP_DEMOS)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

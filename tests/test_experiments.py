@@ -18,6 +18,7 @@ from bouligand_landweber import (
     m_norm,
     read_table_csv,
     run_noise_free,
+    run_noisy,
     run_table,
     source_guess,
     write_table_csv,
@@ -124,6 +125,12 @@ def test_noise_spec_validation():
         NoiseSpec(seed=0, mode="raw", value=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_noise_spec_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="noise amplitude/target must be finite"):
+        NoiseSpec(seed=0, mode="rescale", value=value)
+
+
 def test_consistency_residual_decays():
     # scaled-down refinement study; the campaign asserts the full ladder
     r = consistency_residuals([17, 33, 65])
@@ -178,6 +185,30 @@ def test_run_table_rows(problem33):
     for seed in (0, 1):
         ns = [row["N"] for row in rows if row["seed"] == seed]
         assert ns[0] <= ns[1]
+
+
+def test_run_noisy_is_one_table_cell(problem33):
+    [row] = run_table(33, deltas=[1e-2], seeds=[3], problem=problem33)
+    noise = NoiseSpec(seed=3, mode="rescale", value=1e-2)
+    record = run_noisy(33, noise, problem=problem33)
+    assert record.delta == row["delta"]
+    assert record.stopping_index == row["N"]
+    assert record.rel_errors[-1] == row["rel_error"]
+    assert record.total_ssn == row["ssn_total"]
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda problem: run_noise_free(33, iters=1, problem=problem),
+        lambda problem: run_noisy(33, NoiseSpec(seed=0, value=1e-2), problem=problem),
+        lambda problem: run_table(33, [1e-2], problem=problem),
+    ],
+    ids=["run_noise_free", "run_noisy", "run_table"],
+)
+def test_campaign_rejects_problem_of_other_size(campaign, problem17):
+    with pytest.raises(ValueError, match="n_h=17.*33"):
+        campaign(problem17)
 
 
 def test_run_table_rejects_nonpositive_delta(problem17):

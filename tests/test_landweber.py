@@ -73,6 +73,13 @@ def test_config_validation():
         LandweberConfig(delta=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["tau", "rho", "lbar", "delta"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field if field != "delta" else "noise level"):
+        LandweberConfig(**{field: value})
+
+
 def test_constant_step_default_value():
     assert LandweberConfig().constant_step == pytest.approx(720.0, rel=1e-12)
 
