@@ -12,7 +12,7 @@ Set n_h = 512 to reproduce the full-scale figures (a few minutes).
 
 from pathlib import Path
 
-from bouligand_landweber import ForwardProblem, build_mesh, run_noise_free
+from bouligand_landweber import run_noise_free
 
 n_h = 129
 iters = {"zero": 300, "source": 50}
@@ -20,9 +20,8 @@ iters = {"zero": 300, "source": 50}
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-problem = ForwardProblem.build(build_mesh(n_h))
 for start, n_steps in iters.items():
-    record = run_noise_free(n_h, start=start, iters=n_steps, problem=problem)
+    record = run_noise_free(n_h, start=start, iters=n_steps)
     E = record.rel_errors
     csv_path, _ = record.save(out_dir / f"noise_free_{start}")
     print(f"start={start:6s}: E_0 = {E[0]:.5f}")

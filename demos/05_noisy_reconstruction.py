@@ -13,7 +13,7 @@ start).
 
 from pathlib import Path
 
-from bouligand_landweber import ForwardProblem, build_mesh, run_table, write_table_csv
+from bouligand_landweber import run_table, write_table_csv
 
 n_h = 257
 deltas = [1e-2, 5e-3, 1e-3, 5e-4, 1e-4, 5e-5, 1e-5]
@@ -22,8 +22,7 @@ seed = 0
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-problem = ForwardProblem.build(build_mesh(n_h))
-rows = run_table(n_h, deltas, start="source", seeds=[seed], problem=problem)
+rows = run_table(n_h, deltas, start="source", seeds=[seed])
 write_table_csv(out_dir / "table.csv", rows)
 
 print(f"n_h={n_h}, start=u_bar, seed={seed}")

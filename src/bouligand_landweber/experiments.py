@@ -122,13 +122,10 @@ def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]
     return noisy, m_norm(M, noisy.values - y.values)
 
 
-def _campaign(n_h: int, cfg: LandweberConfig | None, problem: ForwardProblem | None):
+def _campaign(n_h: int, cfg: LandweberConfig | None):
     """(cfg, problem, (u*, y*, u_bar)) for a campaign at mesh size n_h."""
     cfg = cfg or LandweberConfig()
-    if problem is None:
-        problem = ForwardProblem.build(build_mesh(n_h))
-    elif problem.mesh.n_h != n_h:
-        raise ValueError(f"problem is built for n_h={problem.mesh.n_h}, not the requested {n_h}")
+    problem = ForwardProblem.build(build_mesh(n_h))
     return cfg, problem, exact_fields(problem.mesh, rho=cfg.rho)
 
 
@@ -154,10 +151,9 @@ def run_noise_free(
     start: str = "source",
     iters: int = 100,
     cfg: LandweberConfig | None = None,
-    problem: ForwardProblem | None = None,
 ) -> RunRecord:
     """Noise-free campaign: fixed iteration count, discrepancy disabled (delta = 0)."""
-    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    cfg, problem, fields = _campaign(n_h, cfg)
     return _cell(problem, fields, start, replace(cfg, max_iter=iters), None)
 
 
@@ -166,10 +162,9 @@ def run_noisy(
     noise: NoiseSpec,
     start: str = "source",
     cfg: LandweberConfig | None = None,
-    problem: ForwardProblem | None = None,
 ) -> RunRecord:
     """One noisy reconstruction, stopped by the discrepancy principle at the measured delta."""
-    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    cfg, problem, fields = _campaign(n_h, cfg)
     return _cell(problem, fields, start, cfg, noise)
 
 
@@ -182,7 +177,6 @@ def run_table(
     start: str = "source",
     seeds=(0,),
     cfg: LandweberConfig | None = None,
-    problem: ForwardProblem | None = None,
 ) -> list[dict]:
     """Noisy campaign over (delta_target, seed) cells; rescale-mode noise.
 
@@ -192,7 +186,7 @@ def run_table(
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("all noise targets must be positive")
-    cfg, problem, fields = _campaign(n_h, cfg, problem)
+    cfg, problem, fields = _campaign(n_h, cfg)
     norm_exact = m_norm(problem.M, fields[0])
 
     rows = []

@@ -23,18 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import GridFunction, Mesh, assemble, values_of
-from .sparse_linalg import SpdSystem, norm, poisson_preconditioner, solve_spd
+from .sparse_linalg import ConvergenceError, SpdSystem, norm, poisson_preconditioner, solve_spd
 
 FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
 SSN_MAX_ITER = 100
 
 
-class ForwardSolveError(RuntimeError):
+class ForwardSolveError(ConvergenceError):
     """Semi-smooth Newton did not converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 class PositivePart:

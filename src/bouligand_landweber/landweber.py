@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bouligand import apply_subderivative, build_linearized
-from .forward import ForwardProblem, ForwardSolveError, solve_forward
+from .forward import ForwardProblem, solve_forward
 from .mesh_fem import GridFunction, m_norm, values_of
 from .sparse_linalg import ConvergenceError
 
@@ -283,7 +283,7 @@ def run(
     while True:
         try:
             sol = solve_forward(problem, u, y0=y_prev)
-        except (ForwardSolveError, ConvergenceError) as exc:
+        except ConvergenceError as exc:
             logger.error("forward solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
             break

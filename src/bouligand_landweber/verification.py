@@ -26,6 +26,9 @@ from .forward import ForwardProblem, brute_force_forward, solve_forward
 from .mesh_fem import build_mesh, m_inner, m_norm, values_of
 
 
+ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
+
+
 class DegeneratePairError(ValueError):
     """The nonlinear residual of a pair is too small to form the ratio."""
 
@@ -104,8 +107,6 @@ class TCCSurvey:
 
     estimates: list[TCCEstimate]
     mode: str
-    seed: int
-    ball_radius: float
 
     @property
     def max_ratio(self) -> float:
@@ -150,18 +151,18 @@ def tcc_survey(
             estimates.append(tcc_ratio(problem, pair[0], pair[1]))
         except DegeneratePairError:
             continue
-    return TCCSurvey(estimates=estimates, mode=mode, seed=seed, ball_radius=ball_radius)
+    return TCCSurvey(estimates=estimates, mode=mode)
 
 
 @dataclass
 class OracleReport:
     """Result of a brute-force vs semi-smooth Newton comparison sweep."""
 
-    n_h: int
-    trials: int
-    seed: int
-    diffs: np.ndarray
-    tolerance: float = 1e-10
+    diffs: np.ndarray  # max-norm difference per trial
+
+    @property
+    def trials(self) -> int:
+        return self.diffs.size
 
     @property
     def max_diff(self) -> float:
@@ -169,7 +170,7 @@ class OracleReport:
 
     @property
     def failures(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.diffs > self.tolerance)[0]]
+        return [int(i) for i in np.nonzero(self.diffs > ORACLE_TOL)[0]]
 
     @property
     def passed(self) -> bool:
@@ -193,18 +194,19 @@ def oracle_sweep(n_h: int, trials: int = 100, seed: int = 0) -> OracleReport:
         y_newton = solve_forward(problem, u).y.values
         y_oracle = brute_force_forward(problem, u).values
         diffs[t] = np.max(np.abs(y_newton - y_oracle))
-    return OracleReport(n_h=n_h, trials=trials, seed=seed, diffs=diffs)
+    return OracleReport(diffs)
 
 
 @dataclass
 class AdjointReport:
     """Randomized self-adjointness and norm-bound probe of the subderivative."""
 
-    n_h: int
-    trials: int
-    seed: int
     asymmetries: np.ndarray  # relative, per trial
     rayleigh: np.ndarray  # ||G w||_M / ||w||_M per trial
+
+    @property
+    def trials(self) -> int:
+        return self.asymmetries.size
 
     @property
     def max_asymmetry(self) -> float:
@@ -231,6 +233,4 @@ def adjoint_check(problem: ForwardProblem, trials: int = 50, seed: int = 0) -> A
         Gh = apply_subderivative(op, M, h).values
         asym[t] = abs(m_inner(M, h, Gw) - m_inner(M, w, Gh)) / (m_norm(M, h) * m_norm(M, w))
         rayleigh[t] = m_norm(M, Gw) / m_norm(M, w)
-    return AdjointReport(
-        n_h=problem.mesh.n_h, trials=trials, seed=seed, asymmetries=asym, rayleigh=rayleigh
-    )
+    return AdjointReport(asym, rayleigh)

@@ -45,11 +45,6 @@ def _report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def problem129():
-    return ForwardProblem.build(build_mesh(129))
-
-
-@pytest.fixture(scope="module")
 def campaign_records():
     """Criterion 8 runs: n_h=257, start u_bar, rescale noise, 3 seeds x 4 deltas."""
     problem = ForwardProblem.build(build_mesh(257))
@@ -127,8 +122,8 @@ def test_criterion_5_exact_pair_consistency():
     )
 
 
-def test_criterion_6_noise_free_source_start(problem129):
-    record = run_noise_free(129, start="source", iters=50, problem=problem129)
+def test_criterion_6_noise_free_source_start():
+    record = run_noise_free(129, start="source", iters=50)
     errors = record.rel_errors
     hit = np.flatnonzero(errors < 1e-3)
     monotone = np.all(np.diff(errors) <= 1e-12)
@@ -142,8 +137,8 @@ def test_criterion_6_noise_free_source_start(problem129):
     )
 
 
-def test_criterion_7_noise_free_zero_start(problem129):
-    record = run_noise_free(129, start="zero", iters=500, problem=problem129)
+def test_criterion_7_noise_free_zero_start():
+    record = run_noise_free(129, start="zero", iters=500)
     res = record.residual_norms
     errors = record.rel_errors
     strictly_decreasing = np.all(np.diff(res) < 0.0)

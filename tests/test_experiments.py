@@ -156,23 +156,23 @@ def test_run_noise_free_zero_iters():
     assert np.array_equal(record.final.values, u_bar.values)
 
 
-def test_run_noise_free_source_start_converges_fast(problem65):
+def test_run_noise_free_source_start_converges_fast():
     # the coarse mesh bottoms out near its discretization floor around n=23,
     # after which the error rises again; stay in the decreasing phase here
     # (the campaign asserts the 1e-3 bar at n_h=129)
-    record = run_noise_free(65, start="source", iters=18, problem=problem65)
+    record = run_noise_free(65, start="source", iters=18)
     assert record.rel_errors[0] == pytest.approx(3.34, abs=0.05)
     assert record.rel_errors[-1] < 2e-2
     assert np.all(np.diff(record.rel_errors) <= 1e-12)
 
 
-def test_run_noise_free_rejects_unknown_start(problem17):
+def test_run_noise_free_rejects_unknown_start():
     with pytest.raises(ValueError, match="starting point"):
-        run_noise_free(17, start="warm", iters=1, problem=problem17)
+        run_noise_free(17, start="warm", iters=1)
 
 
-def test_run_table_rows(problem33):
-    rows = run_table(33, deltas=[1e-2, 1e-3], seeds=[0, 1], problem=problem33)
+def test_run_table_rows():
+    rows = run_table(33, deltas=[1e-2, 1e-3], seeds=[0, 1])
     assert len(rows) == 4
     for row in rows:
         assert row["reason"] == "discrepancy"
@@ -187,37 +187,23 @@ def test_run_table_rows(problem33):
         assert ns[0] <= ns[1]
 
 
-def test_run_noisy_is_one_table_cell(problem33):
-    [row] = run_table(33, deltas=[1e-2], seeds=[3], problem=problem33)
+def test_run_noisy_is_one_table_cell():
+    [row] = run_table(33, deltas=[1e-2], seeds=[3])
     noise = NoiseSpec(seed=3, mode="rescale", value=1e-2)
-    record = run_noisy(33, noise, problem=problem33)
+    record = run_noisy(33, noise)
     assert record.delta == row["delta"]
     assert record.stopping_index == row["N"]
     assert record.rel_errors[-1] == row["rel_error"]
     assert record.total_ssn == row["ssn_total"]
 
 
-@pytest.mark.parametrize(
-    "campaign",
-    [
-        lambda problem: run_noise_free(33, iters=1, problem=problem),
-        lambda problem: run_noisy(33, NoiseSpec(seed=0, value=1e-2), problem=problem),
-        lambda problem: run_table(33, [1e-2], problem=problem),
-    ],
-    ids=["run_noise_free", "run_noisy", "run_table"],
-)
-def test_campaign_rejects_problem_of_other_size(campaign, problem17):
-    with pytest.raises(ValueError, match="n_h=17.*33"):
-        campaign(problem17)
-
-
-def test_run_table_rejects_nonpositive_delta(problem17):
+def test_run_table_rejects_nonpositive_delta():
     with pytest.raises(ValueError, match="positive"):
-        run_table(17, deltas=[1e-2, 0.0], problem=problem17)
+        run_table(17, deltas=[1e-2, 0.0])
 
 
-def test_table_csv_roundtrip(tmp_path, problem33):
-    rows = run_table(33, deltas=[1e-2], seeds=[3], problem=problem33)
+def test_table_csv_roundtrip(tmp_path):
+    rows = run_table(33, deltas=[1e-2], seeds=[3])
     path = write_table_csv(tmp_path / "table.csv", rows)
     back = read_table_csv(path)
     assert len(back) == 1
