@@ -12,7 +12,9 @@ Each option is one flag with its type and default; the Landweber defaults
 given with --config becomes the subcommand's defaults: its numbers and
 strings are converted like the flags they name, JSON lists are accepted for
 --deltas, --seeds and --oracle-sizes, and explicit flags override the file.
-A config key that the subcommand does not know is an error.  The commands
+A config key that the subcommand does not know, or `out`, is an error.
+Every other bad value, from a flag or a config key, is argparse's usage
+error naming the option, raised before any problem is built.  The commands
 only parse; the runs themselves are built by `experiments`.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -40,6 +43,47 @@ from .verification import adjoint_check, oracle_sweep, tcc_survey
 
 # The LandweberConfig fields a user may set; delta is measured from the data.
 LANDWEBER_DEFAULTS = {f.name: f.default for f in fields(LandweberConfig) if f.name != "delta"}
+RUN_COMMANDS = ("noise-free", "invert", "table")
+
+
+def _checked(cast, ok, requirement: str):
+    """An argparse type: `cast` of the text, a usage error unless ok(value)."""
+
+    def convert(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return convert
+
+
+def _list_of(convert):
+    """An argparse type for a nonempty comma-separated list of `convert` values."""
+
+    def convert_list(text):
+        values = [convert(x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    return convert_list
+
+
+def _one_of(*options):
+    return _checked(str, lambda v: v in options, f"one of {', '.join(options)}")
+
+
+MESH_SIZE = _checked(int, lambda v: v >= 3, "an integer >= 3")
+ORACLE_SIZE = _checked(int, lambda v: 3 <= v <= 6, "between 3 and 6 (at most 16 unknowns)")
+COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
+NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+START = _one_of("zero", "source")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -52,45 +96,49 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="solve the forward problem and store the state")
-    p.add_argument("--n", type=int, default=129)
+    p.add_argument("--n", type=MESH_SIZE, default=129)
     p.add_argument("--source", default="builtin-exact", help="grid function CSV or 'builtin-exact'")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("noise-free", help="noise-free iteration with fixed step count")
-    p.add_argument("--n", type=int, default=129)
-    p.add_argument("--start", choices=["zero", "source"], default="source")
-    p.add_argument("--iters", type=int, default=100)  # takes the place of --max-iter
+    p.add_argument("--n", type=MESH_SIZE, default=129)
+    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--iters", type=NONNEGATIVE_INT, default=100)  # takes the place of --max-iter
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("invert", help="one noisy reconstruction with discrepancy stopping")
-    p.add_argument("--n", type=int, default=129)
-    p.add_argument("--start", choices=["zero", "source"], default="source")
-    p.add_argument("--delta-target", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=MESH_SIZE, default=129)
+    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--delta-target", type=NONNEGATIVE)
+    p.add_argument("--sigma", type=NONNEGATIVE)
+    p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("table", help="campaign over noise levels and seeds")
-    p.add_argument("--n", type=int, default=129)
-    p.add_argument("--start", choices=["zero", "source"], default="source")
-    p.add_argument("--deltas", default="1e-2,1e-3,1e-4", help="comma-separated noise targets")
-    p.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p.add_argument("--n", type=MESH_SIZE, default=129)
+    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--deltas", type=_list_of(POSITIVE), default="1e-2,1e-3,1e-4",
+                   help="comma-separated noise targets")
+    p.add_argument("--seeds", type=_list_of(NONNEGATIVE_INT), default="0",
+                   help="comma-separated seeds")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="empirical verification suites")
-    p.add_argument("--suite", choices=["oracle", "tcc", "adjoint", "all"], default="all")
-    p.add_argument("--oracle-sizes", default="3,4,5", help="comma-separated n_h")
-    p.add_argument("--oracle-trials", type=int, default=100)
-    p.add_argument("--tcc-n", type=int, default=33)
-    p.add_argument("--tcc-pairs", type=int, default=50)
-    p.add_argument("--tcc-radius", type=float, default=0.5)
-    p.add_argument("--adjoint-n", type=int, default=65)
-    p.add_argument("--adjoint-trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--suite", type=_one_of("oracle", "tcc", "adjoint", "all"), default="all",
+                   metavar="{oracle,tcc,adjoint,all}")
+    p.add_argument("--oracle-sizes", type=_list_of(ORACLE_SIZE), default="3,4,5",
+                   help="comma-separated n_h")
+    p.add_argument("--oracle-trials", type=COUNT, default=100)
+    p.add_argument("--tcc-n", type=MESH_SIZE, default=33)
+    p.add_argument("--tcc-pairs", type=COUNT, default=50)
+    p.add_argument("--tcc-radius", type=POSITIVE, default=0.5)
+    p.add_argument("--adjoint-n", type=MESH_SIZE, default=65)
+    p.add_argument("--adjoint-trials", type=COUNT, default=50)
+    p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
 
     # one flag per LandweberConfig field, typed like its default
-    for command in ("noise-free", "invert", "table"):
+    for command in RUN_COMMANDS:
         for name, default in LANDWEBER_DEFAULTS.items():
             if (command, name) != ("noise-free", "max_iter"):
                 flag = f"--{name.replace('_', '-')}"
@@ -98,32 +146,42 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _config_text(value) -> str:
+    """A config value as the text of its flag; a JSON list becomes a comma-separated one."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """Flags over --config entries over the built-in defaults."""
+    """Flags over --config entries over the built-in defaults.
+
+    Config values pass through their flag's type like flag text does, and
+    the Landweber parameters are checked by building the config here, so
+    every bad value is a usage error before any problem is built.
+    """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    with open(args.config) as fh:
-        # numbers stay text, so argparse converts them as it converts flags
-        values = json.load(fh, parse_int=str, parse_float=str)
-    values = {key.replace("-", "_"): value for key, value in values.items()}
-    known = vars(args).keys() - {"command", "config"}
-    for key in values:
-        if key not in known:
-            raise SystemExit(f"unknown option {key!r} in {args.config} for {args.command}")
-    commands[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
-
-
-def _landweber_config(args: argparse.Namespace) -> LandweberConfig:
-    return LandweberConfig(**{k: v for k, v in vars(args).items() if k in LANDWEBER_DEFAULTS})
-
-
-def _parse_list(text, cast):
-    if isinstance(text, (list, tuple)):
-        return [cast(x) for x in text]
-    return [cast(x) for x in str(text).split(",") if x.strip()]
+    command = commands[args.command]
+    if args.config is not None:
+        with open(args.config) as fh:
+            # numbers stay text, so argparse converts them as it converts flags
+            values = json.load(fh, parse_int=str, parse_float=str)
+        values = {key.replace("-", "_"): _config_text(value) for key, value in values.items()}
+        known = vars(args).keys() - {"command", "config", "out"}
+        for key in values:
+            if key not in known:
+                raise SystemExit(f"unknown option {key!r} in {args.config} for {args.command}")
+        command.set_defaults(**values)
+        args = parser.parse_args(argv)
+    if args.command == "invert" and (args.delta_target is None) == (args.sigma is None):
+        command.error("exactly one of --delta-target or --sigma is required")
+    if args.command in RUN_COMMANDS:
+        try:
+            args.cfg = LandweberConfig(
+                **{k: v for k, v in vars(args).items() if k in LANDWEBER_DEFAULTS}
+            )
+        except ValueError as exc:
+            command.error(str(exc))
+    return args
 
 
 def _cmd_forward(args) -> int:
@@ -144,7 +202,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_noise_free(args) -> int:
-    record = run_noise_free(args.n, args.start, args.iters, cfg=_landweber_config(args))
+    record = run_noise_free(args.n, args.start, args.iters, cfg=args.cfg)
     csv_path, json_path = record.save(Path(args.out).with_suffix(""))
     err = record.rel_errors[-1] if record.rel_errors is not None else float("nan")
     print(
@@ -155,13 +213,11 @@ def _cmd_noise_free(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    if (args.delta_target is None) == (args.sigma is None):
-        raise SystemExit("invert needs exactly one of --delta-target or --sigma")
     if args.delta_target is not None:
         noise = NoiseSpec(seed=args.seed, mode="rescale", value=args.delta_target)
     else:
         noise = NoiseSpec(seed=args.seed, mode="raw", value=args.sigma)
-    record = run_noisy(args.n, noise, args.start, cfg=_landweber_config(args))
+    record = run_noisy(args.n, noise, args.start, cfg=args.cfg)
     csv_path, json_path = record.save(Path(args.out).with_suffix(""))
     err = record.rel_errors[-1] if record.rel_errors is not None else float("nan")
     print(
@@ -172,13 +228,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = run_table(
-        args.n,
-        _parse_list(args.deltas, float),
-        start=args.start,
-        seeds=_parse_list(args.seeds, int),
-        cfg=_landweber_config(args),
-    )
+    rows = run_table(args.n, args.deltas, start=args.start, seeds=args.seeds, cfg=args.cfg)
     path = write_table_csv(args.out, rows)
     print(f"table: {len(rows)} cells -> {path}")
     for row in rows:
@@ -192,7 +242,7 @@ def _cmd_table(args) -> int:
 
 def _verify_oracle(args, out: Path) -> dict:
     rows, reports = [], []
-    for n_h in _parse_list(args.oracle_sizes, int):
+    for n_h in args.oracle_sizes:
         report = oracle_sweep(n_h, trials=args.oracle_trials, seed=args.seed)
         reports.append(report)
         rows.extend((n_h, t, d) for t, d in enumerate(report.diffs))

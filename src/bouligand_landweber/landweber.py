@@ -24,6 +24,7 @@ import csv
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -66,10 +67,15 @@ class LandweberConfig:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
         if not 1.0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
-        if not (0.0 < self.rho < math.inf and 0.0 < self.lbar < math.inf):
-            raise ValueError(f"rho and lbar must be finite and positive, got {self.rho, self.lbar}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        for name in ("rho", "lbar"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        try:
+            max_iter = operator.index(self.max_iter)
+        except TypeError:
+            max_iter = -1  # not an integer
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
 

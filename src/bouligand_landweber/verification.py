@@ -17,6 +17,7 @@ and a randomized self-adjointness check for the subderivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .mesh_fem import build_mesh, m_inner, m_norm, values_of
 
 
 ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
+MAX_DEGENERATE_DRAWS = 100  # degenerate pairs in a row before a survey gives up
 
 
 class DegeneratePairError(ValueError):
@@ -40,6 +42,11 @@ class TCCEstimate:
     ratio: float
     mismatch: float
     radius: float
+
+
+def _require_count(name: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def mismatch_measure(D: np.ndarray, y, y_hat) -> float:
@@ -134,13 +141,22 @@ def tcc_survey(
     seed: int = 0,
     mode: str = "nodal",
 ) -> TCCSurvey:
-    """Sample n_pairs random pairs in the M-ball around `center` and measure ratios."""
+    """Sample n_pairs random pairs in the M-ball around `center` and measure ratios.
+
+    A pair whose states nearly coincide (:class:`DegeneratePairError`) is
+    redrawn; MAX_DEGENERATE_DRAWS of them in a row end the survey with that
+    error, as a ball too small for the perturbation to survive rounding does.
+    """
+    _require_count("n_pairs", n_pairs)
+    if not 0.0 < ball_radius < math.inf:
+        raise ValueError(f"ball_radius must be finite and positive, got {ball_radius}")
     if mode not in ("nodal", "bump"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
     M = problem.M
     c = values_of(center)
     estimates = []
+    degenerate = 0
     while len(estimates) < n_pairs:
         pair = []
         for _ in range(2):
@@ -149,8 +165,13 @@ def tcc_survey(
             pair.append(c + g * (r / m_norm(M, g)))
         try:
             estimates.append(tcc_ratio(problem, pair[0], pair[1]))
-        except DegeneratePairError:
-            continue
+            degenerate = 0
+        except DegeneratePairError as exc:
+            degenerate += 1
+            if degenerate == MAX_DEGENERATE_DRAWS:
+                raise DegeneratePairError(
+                    f"{degenerate} degenerate pairs in a row at ball_radius {ball_radius:g}"
+                ) from exc
     return TCCSurvey(estimates=estimates, mode=mode)
 
 
@@ -183,6 +204,7 @@ def oracle_sweep(n_h: int, trials: int = 100, seed: int = 0) -> OracleReport:
     Sources are iid uniform on [-1, 1] per interior node; feasible only for
     meshes with at most 16 interior unknowns.
     """
+    _require_count("trials", trials)
     mesh = build_mesh(n_h)
     if mesh.n_interior > 16:
         raise ValueError(f"enumeration infeasible: {mesh.n_interior} > 16 unknowns")
@@ -219,6 +241,7 @@ class AdjointReport:
 
 def adjoint_check(problem: ForwardProblem, trials: int = 50, seed: int = 0) -> AdjointReport:
     """Probe |(h, G w)_M - (w, G h)_M| / (||h||_M ||w||_M) on random triples (u, h, w)."""
+    _require_count("trials", trials)
     rng = np.random.default_rng(seed)
     M = problem.M
     n = problem.mesh.n_interior

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bouligand_landweber import (
+    ForwardProblem,
     GridFunction,
     LandweberConfig,
     RunRecord,
@@ -264,3 +265,61 @@ def test_verify_keys_as_flags_and_config(tmp_path):
     assert len(config.read_text().splitlines()) == 1 + 2
     assert flag.read_bytes() == config.read_bytes()
     assert flag.with_suffix(".json").read_bytes() == config.with_suffix(".json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config,argv,named",
+    [
+        ({"start": "warm"}, ["table", "--n", "9"], "--start"),
+        ({}, ["table", "--n", "9", "--start", "warm"], "--start"),
+        ({}, ["invert", "--n", "9", "--delta-target", "1e-2", "--tau", "nan"], "tau"),
+        ({"tau": "nan"}, ["invert", "--n", "9", "--delta-target", "1e-2"], "tau"),
+        ({}, ["invert", "--n", "9", "--delta-target", "nan"], "--delta-target"),
+        ({"delta_target": "nan"}, ["invert", "--n", "9"], "--delta-target"),
+        ({}, ["table", "--n", "9", "--deltas", "1e-2,nan"], "--deltas"),
+        ({}, ["verify", "--oracle-trials", "0"], "--oracle-trials"),
+        ({"adjoint_trials": 0}, ["verify"], "--adjoint-trials"),
+        ({}, ["verify", "--tcc-pairs", "0"], "--tcc-pairs"),
+        ({}, ["verify", "--suite", "tcc", "--tcc-radius", "0"], "--tcc-radius"),
+        ({}, ["verify", "--oracle-sizes", "3,8"], "--oracle-sizes"),
+        ({}, ["noise-free", "--n", "2"], "--n"),
+    ],
+    ids=[
+        "config-start",
+        "flag-start",
+        "flag-tau",
+        "config-tau",
+        "flag-delta-target",
+        "config-delta-target",
+        "flag-deltas",
+        "flag-oracle-trials",
+        "config-adjoint-trials",
+        "flag-tcc-pairs",
+        "flag-tcc-radius",
+        "flag-oracle-sizes",
+        "flag-n",
+    ],
+)
+def test_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, config, argv, named):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built for a bad value")
+
+    monkeypatch.setattr(ForwardProblem, "build", no_build)
+    prefix = []
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        prefix = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*prefix, *argv, "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_key_out_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "elsewhere.csv")}))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="'out'"):
+        main(["--config", str(cfg), "noise-free", "--n", "9", "--iters", "1", "--out", str(out)])
+    assert not out.exists() and not (tmp_path / "elsewhere.csv").exists()

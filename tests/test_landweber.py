@@ -80,6 +80,13 @@ def test_config_rejects_non_finite(field, value):
         LandweberConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5])
+def test_config_max_iter_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+        LandweberConfig(max_iter=value)
+    assert LandweberConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_constant_step_default_value():
     assert LandweberConfig().constant_step == pytest.approx(720.0, rel=1e-12)
 

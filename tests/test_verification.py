@@ -1,3 +1,7 @@
+import math
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -145,3 +149,47 @@ def test_adjoint_check(problem17):
     report = adjoint_check(problem17, trials=10, seed=0)
     assert report.max_asymmetry <= 1e-10
     assert report.max_rayleigh <= 5e-2
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda problem: oracle_sweep(3, trials=0), "trials"),
+        (lambda problem: adjoint_check(problem, trials=0), "trials"),
+        (lambda problem: tcc_survey(problem, np.zeros(problem.mesh.n_interior), 0), "n_pairs"),
+    ],
+    ids=["oracle_sweep", "adjoint_check", "tcc_survey"],
+)
+def test_counts_below_one_rejected(call, name, problem9):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        call(problem9)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, math.nan, math.inf])
+def test_tcc_survey_rejects_bad_radius(problem9, radius):
+    u_exact, _, _ = exact_fields(problem9.mesh)
+    with _deadline(20), pytest.raises(ValueError, match="ball_radius must be finite and positive"):
+        tcc_survey(problem9, u_exact, n_pairs=2, ball_radius=radius)
+
+
+def test_tcc_survey_gives_up_on_degenerate_draws(problem9):
+    # a perturbation of 1e-300 vanishes when added to the center: every pair is degenerate
+    u_exact, _, _ = exact_fields(problem9.mesh)
+    with _deadline(20), pytest.raises(DegeneratePairError, match="100 degenerate pairs in a row"):
+        tcc_survey(problem9, u_exact, n_pairs=2, ball_radius=1e-300)
