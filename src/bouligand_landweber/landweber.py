@@ -76,6 +76,7 @@ class LandweberConfig:
             max_iter = -1  # not an integer
         if max_iter < 0:
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", max_iter)  # a plain int, as JSON records need
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
 
