@@ -12,7 +12,8 @@ Each option is one flag with its type and default; the Landweber defaults
 given with --config becomes the subcommand's defaults: its numbers and
 strings are converted like the flags they name, JSON lists are accepted for
 --deltas, --seeds and --oracle-sizes, and explicit flags override the file.
-A config key that the subcommand does not know, or `out`, is an error.
+A config key that the subcommand does not know, or `out`, is an error, and
+so is a config file that cannot be read or is not a JSON object.
 Every other bad value, from a flag or a config key, is argparse's usage
 error naming the option, raised before any problem is built.  The commands
 only parse; the runs themselves are built by `experiments`.
@@ -162,9 +163,14 @@ def _parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     command = commands[args.command]
     if args.config is not None:
-        with open(args.config) as fh:
-            # numbers stay text, so argparse converts them as it converts flags
-            values = json.load(fh, parse_int=str, parse_float=str)
+        try:
+            with open(args.config) as fh:
+                # numbers stay text, so argparse converts them as it converts flags
+                values = json.load(fh, parse_int=str, parse_float=str)
+        except (OSError, ValueError) as exc:  # unreadable file or invalid JSON
+            parser.error(f"--config {args.config}: {exc}")
+        if not isinstance(values, dict):
+            parser.error(f"--config {args.config}: expected a JSON object of option values")
         values = {key.replace("-", "_"): _config_text(value) for key, value in values.items()}
         known = vars(args).keys() - {"command", "config", "out"}
         for key in values:

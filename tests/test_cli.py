@@ -323,3 +323,16 @@ def test_config_key_out_rejected(tmp_path):
     with pytest.raises(SystemExit, match="'out'"):
         main(["--config", str(cfg), "noise-free", "--n", "9", "--iters", "1", "--out", str(out)])
     assert not out.exists() and not (tmp_path / "elsewhere.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content", [None, '{"n": 9,', "[9]"], ids=["missing", "invalid-json", "not-an-object"]
+)
+def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config", str(cfg), "table", "--n", "9", "--out", str(tmp_path / "t.csv")])
+    assert exit_info.value.code == 2
+    assert str(cfg) in capsys.readouterr().err
