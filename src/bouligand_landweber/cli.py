@@ -8,15 +8,13 @@ Subcommands:
   verify      empirical verification suites (oracle | tcc | adjoint | all)
 
 Each option is one flag with its type and default; the Landweber defaults
-(mu, tau, rho, lbar, max_iter) are those of LandweberConfig.  A JSON file
-given with --config becomes the subcommand's defaults: its numbers and
-strings are converted like the flags they name, JSON lists are accepted for
---deltas, --seeds and --oracle-sizes, and explicit flags override the file.
-A config key that the subcommand does not know, or `out`, is an error, and
-so is a config file that cannot be read or is not a JSON object.
-Every other bad value, from a flag or a config key, is argparse's usage
-error naming the option, raised before any problem is built.  The commands
-only parse; the runs themselves are built by `experiments`.
+(mu, tau, rho, lbar, max_iter) are those of LandweberConfig.  An argument
+`@file` is replaced by the lines of that file, one argument per line
+(argparse's `fromfile_prefix_chars`), so options read from a file are
+ordinary flags and a later flag overrides an earlier one.  Every bad value
+is argparse's usage error naming the option, raised before any problem is
+built.  The commands only parse; the runs themselves are built by
+`experiments`.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="bouligand-landweber",
         description="Iterative regularization of the nonsmooth inverse source problem",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="JSON file with option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="solve the forward problem and store the state")
@@ -110,8 +108,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("invert", help="one noisy reconstruction with discrepancy stopping")
     p.add_argument("--n", type=MESH_SIZE, default=129)
     p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
-    p.add_argument("--delta-target", type=NONNEGATIVE)
-    p.add_argument("--sigma", type=NONNEGATIVE)
+    noise = p.add_mutually_exclusive_group(required=True)
+    noise.add_argument("--delta-target", type=NONNEGATIVE)
+    noise.add_argument("--sigma", type=NONNEGATIVE)
     p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
 
@@ -147,46 +146,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _config_text(value) -> str:
-    """A config value as the text of its flag; a JSON list becomes a comma-separated one."""
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
 def _parse_args(argv) -> argparse.Namespace:
-    """Flags over --config entries over the built-in defaults.
-
-    Config values pass through their flag's type like flag text does, and
-    the Landweber parameters are checked by building the config here, so
-    every bad value is a usage error before any problem is built.
+    """The parsed flags; the Landweber parameters are checked by building the
+    config here, so every bad value is a usage error before any problem is built.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    command = commands[args.command]
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                # numbers stay text, so argparse converts them as it converts flags
-                values = json.load(fh, parse_int=str, parse_float=str)
-        except (OSError, ValueError) as exc:  # unreadable file or invalid JSON
-            parser.error(f"--config {args.config}: {exc}")
-        if not isinstance(values, dict):
-            parser.error(f"--config {args.config}: expected a JSON object of option values")
-        values = {key.replace("-", "_"): _config_text(value) for key, value in values.items()}
-        known = vars(args).keys() - {"command", "config", "out"}
-        for key in values:
-            if key not in known:
-                raise SystemExit(f"unknown option {key!r} in {args.config} for {args.command}")
-        command.set_defaults(**values)
-        args = parser.parse_args(argv)
-    if args.command == "invert" and (args.delta_target is None) == (args.sigma is None):
-        command.error("exactly one of --delta-target or --sigma is required")
     if args.command in RUN_COMMANDS:
         try:
             args.cfg = LandweberConfig(
                 **{k: v for k, v in vars(args).items() if k in LANDWEBER_DEFAULTS}
             )
         except ValueError as exc:
-            command.error(str(exc))
+            commands[args.command].error(str(exc))
     return args
 
 

@@ -93,9 +93,10 @@ def test_invert_sigma_mode(tmp_path):
 
 
 def test_invert_requires_one_noise_flag(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main(["invert", "--n", "9", "--out", str(tmp_path / "r.csv")])
-    with pytest.raises(SystemExit):
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit) as exit_info:
         main(
             [
                 "invert",
@@ -105,6 +106,7 @@ def test_invert_requires_one_noise_flag(tmp_path):
                 "--out", str(tmp_path / "r.csv"),
             ]
         )
+    assert exit_info.value.code == 2
 
 
 def test_table_command(tmp_path):
@@ -155,11 +157,17 @@ def test_verify_oracle_suite(tmp_path):
     assert summary["max_diff"] <= 1e-10
 
 
+def _options_file(tmp_path, lines):
+    """An @file argument for `lines`, one argument per line."""
+    path = tmp_path / "opts.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
 def test_verify_tcc_suite_with_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tcc_n": 17, "tcc_pairs": 3}))
+    opts = _options_file(tmp_path, ["--tcc-n=17", "--tcc-pairs", "3"])
     out = tmp_path / "tcc.csv"
-    rc = main(["--config", str(cfg), "verify", "--suite", "tcc", "--out", str(out)])
+    rc = main(["verify", opts, "--suite", "tcc", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "radius,mu_hat,mismatch"
@@ -169,74 +177,58 @@ def test_verify_tcc_suite_with_config(tmp_path):
 
 
 def test_verify_all_suites_with_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "oracle_sizes": "3,4",
-                "oracle_trials": 5,
-                "tcc_n": 17,
-                "tcc_pairs": 2,
-                "adjoint_n": 17,
-                "adjoint_trials": 2,
-            }
-        )
+    opts = _options_file(
+        tmp_path,
+        [
+            "--oracle-sizes=3,4",
+            "--oracle-trials=5",
+            "--tcc-n=17",
+            "--tcc-pairs=2",
+            "--adjoint-n=17",
+            "--adjoint-trials=2",
+        ],
     )
     out = tmp_path / "verify.csv"
-    rc = main(["--config", str(cfg), "verify", "--suite", "all", "--out", str(out)])
+    rc = main(["verify", opts, "--suite", "all", "--out", str(out)])
     assert rc == 0
     for suite in ("oracle", "tcc", "adjoint"):
         assert (tmp_path / f"verify.{suite}.csv").exists()
+    assert len((tmp_path / "verify.oracle.csv").read_text().splitlines()) == 1 + 2 * 5
     summaries = json.loads((tmp_path / "verify.json").read_text())
     assert [s["suite"] for s in summaries] == ["oracle", "tcc", "adjoint"]
     assert summaries[2]["max_asymmetry"] <= 1e-10
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"iters": 2, "start": "zero"}))
+    opts = _options_file(tmp_path, ["--iters=2", "--start=zero"])
     out = tmp_path / "a.csv"
-    main(["--config", str(cfg), "noise-free", "--n", "9", "--out", str(out)])
-    assert len(RunRecord.load(tmp_path / "a").residual_norms) == 3  # iters from config
+    main(["noise-free", opts, "--n", "9", "--out", str(out)])
+    assert len(RunRecord.load(tmp_path / "a").residual_norms) == 3  # iters from the file
     out2 = tmp_path / "b.csv"
-    main(["--config", str(cfg), "noise-free", "--n", "9", "--iters", "1", "--out", str(out2)])
-    assert len(RunRecord.load(tmp_path / "b").residual_norms) == 2  # flag wins
+    main(["noise-free", opts, "--n", "9", "--iters", "1", "--out", str(out2)])
+    assert len(RunRecord.load(tmp_path / "b").residual_norms) == 2  # the later flag wins
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"taau": 9}))
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    opts = _options_file(tmp_path, ["--taau=9"])
     out = tmp_path / "rec.csv"
-    with pytest.raises(SystemExit, match="taau"):
-        main(
-            [
-                "--config", str(cfg),
-                "invert",
-                "--n", "9",
-                "--delta-target", "1e-2",
-                "--out", str(out),
-            ]
-        )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invert", opts, "--n", "9", "--delta-target", "1e-2", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--taau" in capsys.readouterr().err
     assert not out.exists()
 
 
-def _run_both(tmp_path, command, flags, config):
-    """Run `command` once with flags and once with a config file; the two output paths."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+def _run_both(tmp_path, command, flags):
+    """Run `command` once with flags and once with the same flags from an @file."""
+    by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
     assert main([command, *flags, "--out", str(by_flag)]) == 0
-    assert main(["--config", str(cfg), command, "--out", str(by_config)]) == 0
-    return by_flag, by_config
+    assert main([command, _options_file(tmp_path, flags), "--out", str(by_file)]) == 0
+    return by_flag, by_file
 
 
 def test_config_strings_convert_like_flags(tmp_path):
-    flag, config = _run_both(
-        tmp_path,
-        "noise-free",
-        ["--n", "9", "--iters", "2", "--tau", "1.5"],
-        {"n": "9", "iters": "2", "tau": "1.5"},
-    )
+    flag, config = _run_both(tmp_path, "noise-free", ["--n", "9", "--iters", "2", "--tau", "1.5"])
     record = RunRecord.load(config.with_suffix(""))
     assert record.config["tau"] == 1.5 and isinstance(record.config["tau"], float)
     assert len(record.residual_norms) == 3
@@ -246,10 +238,7 @@ def test_config_strings_convert_like_flags(tmp_path):
 
 def test_config_lists_for_deltas_and_seeds(tmp_path):
     flag, config = _run_both(
-        tmp_path,
-        "table",
-        ["--n", "9", "--deltas", "1e-2,1e-3", "--seeds", "0,2"],
-        {"n": 9, "deltas": [1e-2, 1e-3], "seeds": [0, 2]},
+        tmp_path, "table", ["--n", "9", "--deltas", "1e-2,1e-3", "--seeds", "0,2"]
     )
     assert len(read_table_csv(config)) == 4
     assert flag.read_bytes() == config.read_bytes()
@@ -260,7 +249,6 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         tmp_path,
         "verify",
         ["--suite", "adjoint", "--adjoint-n", "9", "--adjoint-trials", "2", "--seed", "4"],
-        {"suite": "adjoint", "adjoint_n": 9, "adjoint-trials": "2", "seed": 4},
     )
     assert len(config.read_text().splitlines()) == 1 + 2
     assert flag.read_bytes() == config.read_bytes()
@@ -268,21 +256,21 @@ def test_verify_keys_as_flags_and_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config,argv,named",
+    "lines,argv,named",
     [
-        ({"start": "warm"}, ["table", "--n", "9"], "--start"),
-        ({}, ["table", "--n", "9", "--start", "warm"], "--start"),
-        ({}, ["invert", "--n", "9", "--delta-target", "1e-2", "--tau", "nan"], "tau"),
-        ({"tau": "nan"}, ["invert", "--n", "9", "--delta-target", "1e-2"], "tau"),
-        ({}, ["invert", "--n", "9", "--delta-target", "nan"], "--delta-target"),
-        ({"delta_target": "nan"}, ["invert", "--n", "9"], "--delta-target"),
-        ({}, ["table", "--n", "9", "--deltas", "1e-2,nan"], "--deltas"),
-        ({}, ["verify", "--oracle-trials", "0"], "--oracle-trials"),
-        ({"adjoint_trials": 0}, ["verify"], "--adjoint-trials"),
-        ({}, ["verify", "--tcc-pairs", "0"], "--tcc-pairs"),
-        ({}, ["verify", "--suite", "tcc", "--tcc-radius", "0"], "--tcc-radius"),
-        ({}, ["verify", "--oracle-sizes", "3,8"], "--oracle-sizes"),
-        ({}, ["noise-free", "--n", "2"], "--n"),
+        (["--start=warm"], ["table", "--n", "9"], "--start"),
+        ([], ["table", "--n", "9", "--start", "warm"], "--start"),
+        ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--tau", "nan"], "tau"),
+        (["--tau=nan"], ["invert", "--n", "9", "--delta-target", "1e-2"], "tau"),
+        ([], ["invert", "--n", "9", "--delta-target", "nan"], "--delta-target"),
+        (["--delta-target", "nan"], ["invert", "--n", "9"], "--delta-target"),
+        ([], ["table", "--n", "9", "--deltas", "1e-2,nan"], "--deltas"),
+        ([], ["verify", "--oracle-trials", "0"], "--oracle-trials"),
+        (["--adjoint-trials=0"], ["verify"], "--adjoint-trials"),
+        ([], ["verify", "--tcc-pairs", "0"], "--tcc-pairs"),
+        ([], ["verify", "--suite", "tcc", "--tcc-radius", "0"], "--tcc-radius"),
+        ([], ["verify", "--oracle-sizes", "3,8"], "--oracle-sizes"),
+        ([], ["noise-free", "--n", "2"], "--n"),
     ],
     ids=[
         "config-start",
@@ -300,39 +288,26 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         "flag-n",
     ],
 )
-def test_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, config, argv, named):
+def test_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, lines, argv, named):
+    # "config-*" cases read the bad value from an @file
     def no_build(*args, **kwargs):
         raise AssertionError("a problem was built for a bad value")
 
     monkeypatch.setattr(ForwardProblem, "build", no_build)
-    prefix = []
-    if config:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        prefix = ["--config", str(cfg)]
+    command, *flags = argv
+    opts = [_options_file(tmp_path, lines)] if lines else []
     with pytest.raises(SystemExit) as exit_info:
-        main([*prefix, *argv, "--out", str(tmp_path / "out.csv")])
+        main([command, *opts, *flags, "--out", str(tmp_path / "out.csv")])
     assert exit_info.value.code == 2
     assert named in capsys.readouterr().err
 
 
-def test_config_key_out_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"out": str(tmp_path / "elsewhere.csv")}))
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit, match="'out'"):
-        main(["--config", str(cfg), "noise-free", "--n", "9", "--iters", "1", "--out", str(out)])
-    assert not out.exists() and not (tmp_path / "elsewhere.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "content", [None, '{"n": 9,', "[9]"], ids=["missing", "invalid-json", "not-an-object"]
-)
-def test_bad_config_file_is_usage_error(tmp_path, capsys, content):
-    cfg = tmp_path / "cfg.json"
-    if content is not None:
-        cfg.write_text(content)
+@pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+def test_bad_config_file_is_usage_error(tmp_path, capsys, directory):
+    opts = tmp_path / "opts"
+    if directory:
+        opts.mkdir()
     with pytest.raises(SystemExit) as exit_info:
-        main(["--config", str(cfg), "table", "--n", "9", "--out", str(tmp_path / "t.csv")])
+        main(["table", f"@{opts}", "--n", "9", "--out", str(tmp_path / "t.csv")])
     assert exit_info.value.code == 2
-    assert str(cfg) in capsys.readouterr().err
+    assert str(opts) in capsys.readouterr().err
