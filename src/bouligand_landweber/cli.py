@@ -148,10 +148,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _parse_args(argv) -> argparse.Namespace:
     """The parsed flags; the Landweber parameters are checked by building the
-    config here, so every bad value is a usage error before any problem is built.
+    config here and a `forward --source` file is read here (`args.u`), so every
+    bad value is a usage error before any problem is built.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "forward" and args.source != "builtin-exact":
+        try:
+            args.u = read_grid_function(args.source)
+        except (OSError, ValueError) as exc:
+            commands["forward"].error(f"--source: {exc}")  # the message names the file
+        if args.u.mesh.n_h != args.n:
+            commands["forward"].error(
+                f"--source {args.source} has n_h={args.u.mesh.n_h}, but --n is {args.n}"
+            )
     if args.command in RUN_COMMANDS:
         try:
             args.cfg = LandweberConfig(
@@ -167,9 +177,7 @@ def _cmd_forward(args) -> int:
     if args.source == "builtin-exact":
         u, _, _ = exact_fields(problem.mesh)
     else:
-        u = read_grid_function(args.source)
-        if u.mesh.n_h != args.n:
-            raise SystemExit(f"source file has n_h={u.mesh.n_h}, requested n={args.n}")
+        u = args.u
     sol = solve_forward(problem, u)
     write_grid_function(args.out, sol.y)
     print(

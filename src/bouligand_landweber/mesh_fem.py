@@ -239,12 +239,19 @@ def write_grid_function(path, gf: GridFunction) -> None:
 
 
 def read_grid_function(path) -> GridFunction:
-    """Read a grid function written by :func:`write_grid_function`."""
+    """Read a grid function written by :func:`write_grid_function`.
+
+    A malformed file raises ValueError naming the path.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
-        fields = dict(item.split("=", 1) for item in header.split(","))
-        if "n_h" not in fields or "role" not in fields:
-            raise ValueError(f"malformed grid function header: {header!r}")
-        mesh = build_mesh(int(fields["n_h"]))
-        vals = np.array([float(line) for line in fh if line.strip()])
-    return GridFunction(mesh, vals, fields["role"])
+        items = [item.split("=", 1) for item in header.split(",")]
+        fields = dict(item for item in items if len(item) == 2)
+        if len(fields) != len(items) or "n_h" not in fields or "role" not in fields:
+            raise ValueError(f"{path}: malformed grid function header: {header!r}")
+        try:
+            mesh = build_mesh(int(fields["n_h"]))
+            vals = np.array([float(line) for line in fh if line.strip()])
+            return GridFunction(mesh, vals, fields["role"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -44,6 +44,32 @@ def test_forward_mesh_mismatch(tmp_path):
         main(["forward", "--n", "17", "--source", str(src), "--out", str(tmp_path / "o.csv")])
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "n_h 9\n",
+        "n_h=9,role=source\nabc\n",
+        "n_h=9,role=source\n0.0\n",
+        "n_h=9,role=source\n" + "nan\n" * 49,
+    ],
+    ids=["missing", "header-without-equals", "not-a-number", "too-few-values", "non-finite"],
+)
+def test_forward_bad_source_is_usage_error(tmp_path, capsys, monkeypatch, content):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built for a bad source file")
+
+    monkeypatch.setattr(ForwardProblem, "build", no_build)
+    src = tmp_path / "src.csv"
+    if content is not None:
+        src.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["forward", "--n", "9", "--source", str(src), "--out", str(tmp_path / "o.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--source" in err and str(src) in err
+
+
 def test_noise_free_command(tmp_path):
     out = tmp_path / "free.csv"
     rc = main(["noise-free", "--n", "17", "--start", "zero", "--iters", "3", "--out", str(out)])

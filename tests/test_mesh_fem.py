@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -238,7 +240,7 @@ def test_grid_function_rejects_non_finite(bad):
 def test_read_grid_function_rejects_nan_line(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("n_h=3,role=state\nnan\n")
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: non-finite"):
         read_grid_function(path)
 
 
