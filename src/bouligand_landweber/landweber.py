@@ -42,6 +42,7 @@ REASON_DISCREPANCY = "discrepancy"
 REASON_MAX_ITERATIONS = "max-iterations"
 REASON_FORWARD_FAILURE = "forward-failure"
 REASON_DIVERGENCE = "divergence"
+REASONS = (REASON_DISCREPANCY, REASON_MAX_ITERATIONS, REASON_FORWARD_FAILURE, REASON_DIVERGENCE)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,20 @@ def empirical_rate(err_abs: float, delta: float) -> float:
 
 
 _CSV_COLUMNS = ("n", "residual_M", "rel_error", "ssn_iters")
-_SUMMARY_KEYS = ("config", "delta", "tau", "stopping_index", "reason")
+
+
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# each summary key a record needs, with the test its JSON value must pass
+_SUMMARY_CHECKS = {
+    "config": (lambda v: isinstance(v, dict), "a JSON object"),
+    "delta": (_finite_number, "a finite number"),
+    "tau": (_finite_number, "a finite number"),
+    "stopping_index": (lambda v: type(v) is int and v >= -1, "an integer >= -1"),
+    "reason": (lambda v: v in REASONS, f"one of {', '.join(REASONS)}"),
+}
 
 
 @dataclass
@@ -193,7 +207,8 @@ class RunRecord:
     def load(cls, base) -> "RunRecord":
         """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized).
 
-        A damaged pair raises ValueError naming the file and the defect.
+        A damaged pair raises ValueError naming the file and the defect: for a
+        summary value of the wrong type or out of range, the key.
         """
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
@@ -203,9 +218,16 @@ class RunRecord:
                 summary = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
-        missing = [k for k in _SUMMARY_KEYS if k not in summary]
+        if not isinstance(summary, dict):
+            raise ValueError(f"{json_path}: expected a JSON object, got {type(summary).__name__}")
+        missing = [k for k in _SUMMARY_CHECKS if k not in summary]
         if missing:
             raise ValueError(f"{json_path}: missing keys {missing}")
+        for key, (ok, requirement) in _SUMMARY_CHECKS.items():
+            if not ok(summary[key]):
+                raise ValueError(
+                    f"{json_path}: {key!r} must be {requirement}, got {summary[key]!r}"
+                )
         residuals, errors, ssn = [], [], []
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(fh)

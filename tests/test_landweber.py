@@ -351,6 +351,18 @@ def _drop_json_key(base):
     path.write_text(json.dumps(summary))
 
 
+def _set_json(**changes):
+    """A damage that sets summary keys; a `summary` change replaces the whole summary."""
+
+    def damage(base):
+        path = base.with_name(base.name + ".json")
+        summary = json.loads(path.read_text())
+        summary = changes["summary"] if "summary" in changes else {**summary, **changes}
+        path.write_text(json.dumps(summary))
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -360,8 +372,35 @@ def _drop_json_key(base):
         (_drop_csv_column, r"run\.csv: missing columns \['ssn_iters'\]"),
         (_truncate_json, r"run\.json: not valid JSON"),
         (_drop_json_key, r"run\.json: missing keys \['stopping_index'\]"),
+        (_set_json(summary=5), r"run\.json: expected a JSON object"),
+        (_set_json(stopping_index="2"), r"run\.json: 'stopping_index' must be an integer"),
+        (_set_json(stopping_index=2.0), r"run\.json: 'stopping_index' must be an integer"),
+        (_set_json(stopping_index=-2), r"run\.json: 'stopping_index' must be an integer >= -1"),
+        (_set_json(delta="abc"), r"run\.json: 'delta' must be a finite number"),
+        (_set_json(delta=float("nan")), r"run\.json: 'delta' must be a finite number"),
+        (_set_json(tau=None), r"run\.json: 'tau' must be a finite number"),
+        (_set_json(tau=True), r"run\.json: 'tau' must be a finite number"),
+        (_set_json(reason="bogus"), r"run\.json: 'reason' must be one of"),
+        (_set_json(config=5), r"run\.json: 'config' must be a JSON object"),
     ],
-    ids=["cut-row", "missing-row", "empty-cell", "missing-column", "bad-json", "missing-key"],
+    ids=[
+        "cut-row",
+        "missing-row",
+        "empty-cell",
+        "missing-column",
+        "bad-json",
+        "missing-key",
+        "not-an-object",
+        "index-string",
+        "index-float",
+        "index-below-minus-one",
+        "delta-string",
+        "delta-nan",
+        "tau-null",
+        "tau-bool",
+        "reason-unknown",
+        "config-number",
+    ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):
     u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
