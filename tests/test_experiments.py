@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bouligand_landweber import (
+    ConvergenceError,
     NoiseSpec,
     add_noise,
     build_mesh,
@@ -213,6 +214,24 @@ def test_table_csv_roundtrip(tmp_path):
         assert back[0][key] == rows[0][key]
     header = path.read_text().splitlines()[0]
     assert header == "delta,seed,N,rel_error,rate,ssn_total,reason"
+
+
+def test_table_csv_keeps_forward_failure_row(tmp_path, monkeypatch):
+    from bouligand_landweber import landweber
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("forced failure", residual=1.0)
+
+    monkeypatch.setattr(landweber, "solve_forward", fail)
+    rows = run_table(9, deltas=[1e-2], seeds=[4])
+    row = rows[0]
+    assert (row["N"], row["ssn_total"], row["reason"]) == (-1, 0, "forward-failure")
+    assert np.isnan(row["rel_error"]) and np.isnan(row["rate"])
+    back = read_table_csv(write_table_csv(tmp_path / "table.csv", rows))
+    assert len(back) == 1
+    assert np.isnan(back[0]["rel_error"]) and np.isnan(back[0]["rate"])
+    for key in ("delta", "seed", "N", "ssn_total", "reason"):
+        assert back[0][key] == row[key]
 
 
 _RECORD_SCRIPT = """
