@@ -328,12 +328,16 @@ def test_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, lines, argv, na
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
-def test_bad_config_file_is_usage_error(tmp_path, capsys, directory):
+@pytest.mark.parametrize(
+    "directory,reason", [(False, "No such file"), (True, "Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_bad_config_file_is_usage_error(tmp_path, capsys, directory, reason):
     opts = tmp_path / "opts"
     if directory:
         opts.mkdir()
     with pytest.raises(SystemExit) as exit_info:
         main(["table", f"@{opts}", "--n", "9", "--out", str(tmp_path / "t.csv")])
     assert exit_info.value.code == 2
-    assert str(opts) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(opts) in err and reason in err
