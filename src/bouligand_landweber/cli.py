@@ -9,11 +9,11 @@ Subcommands:
 
 Each option is one flag with its type and default; the Landweber defaults
 (mu, tau, rho, lbar, max_iter) are those of LandweberConfig.  An argument
-`@file` is replaced by the lines of that file, one argument per line
-(argparse's `fromfile_prefix_chars`), so options read from a file are
-ordinary flags and a later flag overrides an earlier one.  Every bad value
-is argparse's usage error naming the option, raised before any problem is
-built.  The commands only parse; the runs themselves are built by
+`@file` is replaced by the lines of that file, one argument per line and
+blank lines skipped (argparse's `fromfile_prefix_chars`), so options read
+from a file are ordinary flags and a later flag overrides an earlier one.
+Every bad value is argparse's usage error naming the option, raised before
+any problem is built.  The commands only parse; the runs themselves are built by
 `experiments`.
 """
 
@@ -85,6 +85,11 @@ NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 START = _one_of("zero", "source")
 
 
+def _file_line_args(line: str) -> list[str]:
+    """The arguments of one `@file` line: the line itself, none if it is blank."""
+    return [line] if line.strip() else []
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
@@ -92,6 +97,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Iterative regularization of the nonsmooth inverse source problem",
         fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = _file_line_args
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("forward", help="solve the forward problem and store the state")
@@ -158,6 +164,10 @@ def _parse_args(argv) -> argparse.Namespace:
             args.u = read_grid_function(args.source)
         except (OSError, ValueError) as exc:
             commands["forward"].error(f"--source: {exc}")  # the message names the file
+        if args.u.role != "source":
+            commands["forward"].error(
+                f"--source {args.source} has role={args.u.role}, expected role=source"
+            )
         if args.u.mesh.n_h != args.n:
             commands["forward"].error(
                 f"--source {args.source} has n_h={args.u.mesh.n_h}, but --n is {args.n}"

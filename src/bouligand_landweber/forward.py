@@ -9,6 +9,11 @@ residual of at most FORWARD_RTOL * ||M u||_2, so an inexact CG solve cannot
 end the iteration early.  For M u = 0 the solution is y = 0, which is also
 where the iteration starts then.
 
+Since only that stop decides the final accuracy, each increment is solved
+inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
+1982): CG stops at max(CG_TOL * ||H||_2, FORCING * FORWARD_RTOL * ||M u||_2),
+so the increment's own error is a fraction FORCING of what the stop allows.
+
 A brute-force oracle enumerating all 2^m sign patterns is provided for
 meshes with at most 16 interior unknowns.
 """
@@ -26,6 +31,7 @@ from .mesh_fem import GridFunction, Mesh, assemble, values_of
 from .sparse_linalg import ConvergenceError, SpdSystem, norm, poisson_preconditioner, solve_spd
 
 FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
+FORCING = 1e-4  # each increment's CG floor as a fraction of the Newton stop
 SSN_MAX_ITER = 100
 
 
@@ -97,30 +103,54 @@ class ForwardSolution:
     final_residual: float
 
 
+def _field_values(problem: ForwardProblem, name: str, v) -> np.ndarray:
+    """The values of field `v`, checked to be finite and one per interior node."""
+    values = values_of(v)
+    n = problem.mesh.n_interior
+    if values.shape != (n,):
+        raise ValueError(
+            f"dimension mismatch: {name} has shape {values.shape}, "
+            f"the mesh has {n} interior nodes"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} contains non-finite values")
+    return values
+
+
 def forward_residual(problem: ForwardProblem, y, u) -> float:
     """Euclidean residual ||A y + D f(y) - M u||_2."""
-    yv, uv = values_of(y), values_of(u)
-    if yv.size != problem.mesh.n_interior or uv.size != problem.mesh.n_interior:
-        raise ValueError("dimension mismatch between fields and problem")
+    yv, uv = _field_values(problem, "y", y), _field_values(problem, "u", u)
     r = problem.A @ yv + problem.D * problem.nonlinearity.value(yv) - problem.M @ uv
     return norm(r)
 
 
 def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
-    """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0)."""
+    """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0).
+
+    A `u` or `y0` that is not one finite value per interior node raises
+    ValueError naming the argument; a `u` whose ||M u||_2 overflows raises
+    ForwardSolveError before any Newton step.
+    """
     f = problem.nonlinearity
-    b = problem.M @ values_of(u)
+    b = problem.M @ _field_values(problem, "u", u)
     norm_b = norm(b)
+    if not math.isfinite(norm_b):
+        raise ForwardSolveError(
+            f"source too large: ||M u||_2 overflows to {norm_b}", residual=norm_b
+        )
+    if y0 is not None:
+        y0 = _field_values(problem, "y0", y0)
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
     else:
-        y = values_of(y0).copy()
+        y = y0.copy()
     pattern = f.selection_pattern(y)
     H = problem.A @ y + problem.D * f.value(y) - b
+    atol = FORCING * FORWARD_RTOL * norm_b
     residual = math.inf
     for iters in range(1, SSN_MAX_ITER + 1):
         system = SpdSystem(problem.A, problem.D * f.newton_coeff(y))
-        y = y + solve_spd(system, -H, problem.precond)
+        y = y + solve_spd(system, -H, problem.precond, atol=atol)
         new_pattern = f.selection_pattern(y)
         H = problem.A @ y + problem.D * f.value(y) - b
         residual = norm(H)

@@ -2,12 +2,13 @@
 
 Every system solved here has the form (stiffness + nonnegative diagonal),
 which is symmetric positive definite, so preconditioned CG with a tight
-tolerance covers all needs.  The dense reductions (`dot`, `norm`) run in
-numpy's own einsum loop rather than BLAS: BLAS splits a dot product across
-its thread pool, whose summation order, and so the last bits, depend on the
-thread count, and whose idle worker spins between the many small calls CG
-makes.  Repeated solves with identical inputs therefore return bit-identical
-iterates on any machine with the same numpy.
+relative tolerance, or a caller's looser absolute floor, covers all needs.
+The dense reductions (`dot`, `norm`) run in numpy's own einsum loop rather
+than BLAS: BLAS splits a dot product across its thread pool, whose
+summation order, and so the last bits, depend on the thread count, and
+whose idle worker spins between the many small calls CG makes.  Repeated
+solves with identical inputs therefore return bit-identical iterates on
+any machine with the same numpy.
 
 The preconditioner is the exact inverse of the interior five-point
 stiffness matrix, applied via discrete sine transforms.  Since the diagonal
@@ -122,16 +123,21 @@ def solve_spd(
     system: SpdSystem,
     b: np.ndarray,
     preconditioner: Callable[[np.ndarray], np.ndarray],
+    atol: float = 0.0,
 ) -> np.ndarray:
-    """Solve K x = b for the SPD system K to a relative Euclidean residual of CG_TOL.
+    """Solve K x = b for the SPD system K to a residual of max(CG_TOL * ||b||_2, atol).
 
     `preconditioner` applies an SPD approximation of K^{-1}.  The returned x
-    satisfies ||K x - b||_2 <= CG_TOL * ||b||_2 (verified on the true residual,
-    restarting the recurrence if necessary); each CG run is capped at
-    10 * dim iterations.  A finite b whose norm overflows (||b||_2 above
-    about 1e154, where its square exceeds the float range) raises
-    ConvergenceError before any iteration.
+    satisfies ||K x - b||_2 <= max(CG_TOL * ||b||_2, atol) (verified on the
+    true residual, restarting the recurrence if necessary); each CG run is
+    capped at 10 * dim iterations.  The absolute floor `atol` (finite, >= 0)
+    lets a caller that needs less than the relative accuracy stop early, as
+    the Newton increments of `forward.solve_forward` do.  A finite b whose
+    norm overflows (||b||_2 above about 1e154, where its square exceeds the
+    float range) raises ConvergenceError before any iteration.
     """
+    if not 0.0 <= atol < math.inf:
+        raise ValueError(f"atol must be finite and >= 0, got {atol}")
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
         raise ValueError(f"dimension mismatch: system dim {system.dim}, b shape {b.shape}")
@@ -145,7 +151,7 @@ def solve_spd(
         )
     if norm_b == 0.0:
         return np.zeros_like(b)
-    tol_abs = CG_TOL * norm_b
+    tol_abs = max(CG_TOL * norm_b, atol)
 
     x, r = np.zeros_like(b), b
     achieved = np.inf

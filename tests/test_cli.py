@@ -341,3 +341,28 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys, directory, reason):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert str(opts) in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["--n=9\n\n--iters=1\n--start=zero\n", "--n=9\n--iters=1\n--start=zero\n\n"],
+    ids=["blank-line-inside", "two-trailing-newlines"],
+)
+def test_blank_lines_in_options_file_are_skipped(tmp_path, text):
+    opts = tmp_path / "opts.txt"
+    opts.write_text(text)
+    assert main(["noise-free", f"@{opts}", "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(RunRecord.load(tmp_path / "r").residual_norms) == 2
+
+
+@pytest.mark.parametrize("role", ["state", "data"])
+def test_forward_source_of_another_role_is_usage_error(tmp_path, capsys, role):
+    mesh = build_mesh(9)
+    src = tmp_path / f"{role}.csv"
+    write_grid_function(src, GridFunction(mesh, np.ones(mesh.n_interior), role))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["forward", "--n", "9", "--source", str(src), "--out", str(tmp_path / "o.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--source" in err and str(src) in err and f"role={role}" in err
+    assert not (tmp_path / "o.csv").exists()

@@ -11,7 +11,7 @@ from bouligand_landweber import (
     m_norm,
     solve_forward,
 )
-from bouligand_landweber import forward
+from bouligand_landweber import forward, sparse_linalg
 from bouligand_landweber.forward import FORWARD_RTOL
 
 
@@ -162,3 +162,63 @@ def test_solve_forward_deterministic(problem17):
     y1 = solve_forward(problem17, u).y.values
     y2 = solve_forward(problem17, u).y.values
     assert np.array_equal(y1, y2)
+
+
+def test_forcing_keeps_newton_steps_and_active_sets(problem33, monkeypatch):
+    # the forcing floor only cuts CG work: the Newton loop takes the same steps
+    # to the same active set as one that solves every increment to CG_TOL
+    rng = np.random.default_rng(30)
+    n = problem33.mesh.n_interior
+    sources = [rng.standard_normal(n) * scale for scale in (0.3, 1.0, 3.0, 10.0, 100.0)]
+    applications = {"forced": 0, "exact": 0}
+    floors = []
+
+    def counting_solve(kind):
+        def solve(system, b, pre, atol=0.0):
+            def counted(r):
+                applications[kind] += 1
+                return pre(r)
+
+            floors.append(atol)
+            floor = atol if kind == "forced" else 0.0
+            return sparse_linalg.solve_spd(system, b, counted, atol=floor)
+
+        return solve
+
+    for u in sources:
+        monkeypatch.setattr(forward, "solve_spd", counting_solve("forced"))
+        forced = solve_forward(problem33, u)
+        monkeypatch.setattr(forward, "solve_spd", counting_solve("exact"))
+        exact = solve_forward(problem33, u)
+        assert np.array_equal(forced.active_pattern, exact.active_pattern)
+        assert forced.ssn_iterations == exact.ssn_iterations
+        assert forced.final_residual <= FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
+    assert min(floors) > 0.0
+    assert applications["forced"] < applications["exact"]
+
+
+@pytest.mark.parametrize(
+    "name,u,y0",
+    [
+        ("u", np.zeros(48), None),
+        ("u", np.full(49, np.nan), None),
+        ("y0", np.ones(49), np.zeros(50)),
+        ("y0", np.ones(49), np.full(49, np.inf)),
+        ("y0", np.zeros(49), np.ones((7, 7))),
+    ],
+    ids=["u-size", "u-nan", "y0-size", "y0-inf", "y0-2d"],
+)
+def test_solve_forward_rejects_bad_fields(problem9, name, u, y0):
+    with pytest.raises(ValueError, match=rf"^(dimension mismatch: )?{name} "):
+        solve_forward(problem9, u, y0=y0)
+
+
+def test_overflowing_source_fails_before_newton(problem9, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a Newton increment was solved")
+
+    monkeypatch.setattr(forward, "solve_spd", no_solve)
+    u = 1e200 * np.ones(problem9.mesh.n_interior)
+    with pytest.raises(ForwardSolveError, match="overflows") as err:
+        solve_forward(problem9, u)
+    assert err.value.residual == np.inf

@@ -129,3 +129,32 @@ def test_poisson_preconditioner_is_exact_inverse():
     v = rng.standard_normal(mesh.n_interior)
     assert np.max(np.abs(A @ pre(v) - v)) <= 1e-12
 
+
+def _counting(pre, applications):
+    def counted(r):
+        applications.append(1)
+        return pre(r)
+
+    return counted
+
+
+def test_atol_floor_stops_early_with_true_residual_below_it():
+    mesh = build_mesh(65)
+    A, M, D = assemble(mesh)
+    rng = np.random.default_rng(4)
+    system = SpdSystem(A, D * (rng.uniform(0, 1, mesh.n_interior) > 0.5))
+    b = M @ rng.standard_normal(mesh.n_interior)
+    pre = poisson_preconditioner(mesh.m)
+    atol = 1e-6 * np.linalg.norm(b)  # far above CG_TOL * ||b||_2
+    tight, loose = [], []
+    solve_spd(system, b, _counting(pre, tight))
+    x = solve_spd(system, b, _counting(pre, loose), atol=atol)
+    assert len(loose) < len(tight)
+    assert np.linalg.norm(system.matvec(x) - b) <= atol
+
+
+@pytest.mark.parametrize("atol", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_bad_atol_rejected(atol):
+    A, M, _ = assemble(build_mesh(5))
+    with pytest.raises(ValueError, match="atol"):
+        solve_spd(_unshifted(A), M @ np.ones(9), poisson_preconditioner(3), atol=atol)
