@@ -8,10 +8,16 @@ nodes and 0 elsewhere.
 The operator (A + K_y)^{-1} M is self-adjoint in the M-weighted inner
 product, so the Landweber step uses it directly in place of a separately
 implemented adjoint; the tests verify this rather than assume it.
+
+By default the solve is exact up to CG_TOL, which the contract checks
+(self-adjointness, the linearization and tangential-cone checks) rely on.
+A caller that needs less may pass a relative floor `rtol`: CG then stops
+at max(CG_TOL, rtol) * ||M w||_2, as the Landweber step does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +25,7 @@ import scipy.sparse as sp
 
 from .forward import ForwardProblem
 from .mesh_fem import GridFunction, values_of
-from .sparse_linalg import SpdSystem, solve_spd
+from .sparse_linalg import SpdSystem, norm, solve_spd
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,22 @@ def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
     )
 
 
-def apply_subderivative(op: LinearizedOperator, M: sp.spmatrix, w) -> GridFunction:
-    """Solve (A + K_y) eta = M w and return eta."""
+def apply_subderivative(
+    op: LinearizedOperator, M: sp.spmatrix, w, rtol: float = 0.0
+) -> GridFunction:
+    """Solve (A + K_y) eta = M w to max(CG_TOL, rtol) * ||M w||_2 and return eta.
+
+    `rtol` (finite, >= 0) is a relative floor; the default 0 keeps the
+    solve at CG_TOL.
+    """
+    if not 0.0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
     wv = values_of(w)
     if M.shape[1] != wv.size or op.system.dim != wv.size:
         raise ValueError(f"dimension mismatch: operator {op.system.dim}, w {wv.size}")
-    eta = solve_spd(op.system, M @ wv, op.problem.precond)
+    rhs = M @ wv
+    atol = rtol * norm(rhs) if rtol > 0.0 else 0.0
+    if not math.isfinite(atol):  # ||M w||_2 overflowed or is NaN: solve_spd names that
+        atol = 0.0
+    eta = solve_spd(op.system, rhs, op.problem.precond, atol=atol)
     return GridFunction(op.problem.mesh, eta, "source")

@@ -12,6 +12,14 @@ principle), at the first index whose residual exceeds the starting one
 or whose update overflows (divergence), or after max_iter steps.  All
 residual and error norms use the M-weighted norm.
 
+The step's subderivative solve is inexact: its CG stops at
+SUBDERIVATIVE_RTOL * ||M r_n||_2.  A relative error eps in G_{u_n} r_n is a
+relative error eps in the step, far below the relative residual decrease
+of a step (at least 1.3e-3 over the 500 noise-free steps from zero at
+n_h=129): inexact Newton forcing (Dembo-Eisenstat-Steihaug 1982) applied
+to the outer step.  Every other caller of `apply_subderivative` keeps its
+exact default.
+
 Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters` and stored in the run record, never enforced:
 with the default experiment parameters both are violated, yet the iteration
@@ -43,6 +51,8 @@ REASON_MAX_ITERATIONS = "max-iterations"
 REASON_FORWARD_FAILURE = "forward-failure"
 REASON_DIVERGENCE = "divergence"
 REASONS = (REASON_DISCREPANCY, REASON_MAX_ITERATIONS, REASON_FORWARD_FAILURE, REASON_DIVERGENCE)
+
+SUBDERIVATIVE_RTOL = 1e-8  # the step's CG floor relative to ||M r_n||_2
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,8 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     with Lam the constant step size.  Both must be negative for the
     convergence theory; the result is reported, never enforced.
     """
-    if L <= 0.0:
-        raise ValueError(f"norm bound L must be positive, got {L}")
+    if not 0.0 < L < math.inf:  # written so that NaN fails
+        raise ValueError(f"norm bound L must be finite and positive, got {L}")
     Lam = cfg.constant_step
     choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - Lam * L * L)
     choice_aux = -1.0 + cfg.mu + 5.0 * Lam * L * L
@@ -142,6 +152,21 @@ _SUMMARY_CHECKS = {
     "stopping_index": (lambda v: type(v) is int and v >= -1, "an integer >= -1"),
     "reason": (lambda v: v in REASONS, f"one of {', '.join(REASONS)}"),
 }
+
+
+def _parameter_check_ok(value) -> bool:
+    """A stored parameter check: null, or exactly the fields of ParameterCheck."""
+    if value is None:
+        return True
+    return (
+        isinstance(value, dict)
+        and value.keys() == {"choice", "choice_aux", "satisfied"}
+        and _finite_number(value["choice"])
+        and _finite_number(value["choice_aux"])
+        and isinstance(value["satisfied"], list)
+        and len(value["satisfied"]) == 2
+        and all(type(b) is bool for b in value["satisfied"])
+    )
 
 
 @dataclass
@@ -228,6 +253,12 @@ class RunRecord:
                 raise ValueError(
                     f"{json_path}: {key!r} must be {requirement}, got {summary[key]!r}"
                 )
+        check = summary.get("parameter_check")  # absent in older files
+        if not _parameter_check_ok(check):
+            raise ValueError(
+                f"{json_path}: 'parameter_check' must be null or an object with finite "
+                f"numbers 'choice' and 'choice_aux' and a two-bool 'satisfied', got {check!r}"
+            )
         residuals, errors, ssn = [], [], []
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -251,7 +282,6 @@ class RunRecord:
                 f"{summary['stopping_index']} needs {summary['stopping_index'] + 1}"
             )
         errors_arr = np.array(errors)
-        check = summary.get("parameter_check")  # absent in older files
         return cls(
             residual_norms=np.array(residuals),
             rel_errors=None if np.all(np.isnan(errors_arr)) else errors_arr,
@@ -333,7 +363,7 @@ def run(
             break
         try:
             op = build_linearized(problem, sol.y)
-            update = apply_subderivative(op, M, residual_vec)
+            update = apply_subderivative(op, M, residual_vec, rtol=SUBDERIVATIVE_RTOL)
         except ConvergenceError as exc:
             logger.error("subderivative solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bouligand_landweber import (
+    ConvergenceError,
     ForwardProblem,
     apply_subderivative,
     build_linearized,
@@ -11,6 +14,7 @@ from bouligand_landweber import (
     solve_forward,
     tcc_ratio,
 )
+from bouligand_landweber.sparse_linalg import CG_TOL, norm
 from conftest import matched_pattern_pair
 
 
@@ -104,6 +108,62 @@ def test_matched_pattern_tcc_ratio(problem33):
     for _ in range(5):
         u, u_hat = matched_pattern_pair(problem33, rng)
         assert tcc_ratio(problem33, u, u_hat).ratio <= 1e-9
+
+
+def _counted_operator(problem):
+    """A linearized operator at a mixed-sign state whose preconditioner counts its calls."""
+    calls = []
+
+    def precond(r):
+        calls.append(1)
+        return problem.precond(r)
+
+    rng = np.random.default_rng(21)
+    n = problem.mesh.n_interior
+    y = solve_forward(problem, 3.0 * rng.standard_normal(n)).y
+    op = build_linearized(dataclasses.replace(problem, precond=precond), y)
+    assert 0.0 < np.mean(op.coeff) < 1.0
+    return op, rng.standard_normal(n), calls
+
+
+def _true_residual(op, M, w, eta) -> float:
+    return norm(op.system.matvec(eta.values) - M @ w)
+
+
+def test_default_solve_reaches_cg_tol(problem33):
+    op, w, _ = _counted_operator(problem33)
+    M = problem33.M
+    eta = apply_subderivative(op, M, w)
+    assert _true_residual(op, M, w, eta) <= CG_TOL * norm(M @ w)
+
+
+def test_relative_floor_stops_early(problem33):
+    # the Landweber step's floor: a true residual within 1e-8 ||M w||_2, for
+    # fewer preconditioner applications than the exact default
+    op, w, calls = _counted_operator(problem33)
+    M = problem33.M
+    apply_subderivative(op, M, w)
+    exact_calls = len(calls)
+    calls.clear()
+    eta = apply_subderivative(op, M, w, rtol=1e-8)
+    assert _true_residual(op, M, w, eta) <= 1e-8 * norm(M @ w)
+    assert 0 < len(calls) < exact_calls
+
+
+@pytest.mark.parametrize("rtol", [-1e-8, float("nan"), float("inf")])
+def test_relative_floor_must_be_finite_and_nonnegative(problem17, rtol):
+    op = build_linearized(problem17, np.zeros(problem17.mesh.n_interior))
+    with pytest.raises(ValueError, match="rtol"):
+        apply_subderivative(op, problem17.M, np.ones(problem17.mesh.n_interior), rtol=rtol)
+
+
+def test_relative_floor_keeps_the_overflow_error(problem17):
+    # ||M w||_2 overflows, so the floor is not finite: the solve still ends
+    # with the ConvergenceError that a Landweber run records
+    op = build_linearized(problem17, np.zeros(problem17.mesh.n_interior))
+    w = np.full(problem17.mesh.n_interior, 1e200)
+    with pytest.raises(ConvergenceError, match="norm overflows"):
+        apply_subderivative(op, problem17.M, w, rtol=1e-8)
 
 
 def test_dimension_mismatch(problem17):

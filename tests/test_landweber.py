@@ -21,6 +21,7 @@ from bouligand_landweber import (
     run,
     solve_forward,
 )
+from bouligand_landweber import landweber as lw
 
 
 def test_check_parameters_default_experiment_values():
@@ -58,8 +59,9 @@ def test_check_parameters_limiting_case():
 
 
 def test_check_parameters_requires_positive_norm_bound():
-    with pytest.raises(ValueError):
-        check_parameters(LandweberConfig(), L=0.0)
+    for L in (0.0, -0.05, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="norm bound L must be finite and positive"):
+            check_parameters(LandweberConfig(), L=L)
 
 
 def test_config_validation():
@@ -165,7 +167,7 @@ def test_run_deterministic(problem33):
 
 
 def _cold_start_reference(problem, y_data, cfg, u0):
-    """Landweber loop with every forward solve started from zero.
+    """Landweber loop with every forward solve started from zero, and run()'s step.
 
     Returns the residual history, the total Newton count and the last iterate.
     """
@@ -179,7 +181,8 @@ def _cold_start_reference(problem, y_data, cfg, u0):
         if residuals[-1] <= cfg.tau * cfg.delta or n == cfg.max_iter:
             break
         op = build_linearized(problem, sol.y)
-        u = u + cfg.constant_step * apply_subderivative(op, problem.M, residual_vec).values
+        step = apply_subderivative(op, problem.M, residual_vec, rtol=lw.SUBDERIVATIVE_RTOL)
+        u = u + cfg.constant_step * step.values
     return np.array(residuals), total_ssn, u
 
 
@@ -196,6 +199,26 @@ def test_warm_start_agrees(problem33):
     np.testing.assert_allclose(record.residual_norms, residuals, rtol=1e-12, atol=0.0)
     assert np.max(np.abs(record.final.values - u_ref)) <= 1e-10
     assert record.total_ssn <= total_ssn
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 19])
+def test_inexact_step_agrees_with_exact_step(problem33, monkeypatch, seed):
+    # the step's floor SUBDERIVATIVE_RTOL changes no stopping index, reason or
+    # Newton count.  At every noise level the final iterate moves by about 1e-10
+    # of ||u*||_M and the relative errors by about 1e-11; at target 1e-4 that is
+    # 2e-9 of the error itself (5e-3), so there the errors are compared on the
+    # scale of ||u*||_M, which they are relative to
+    targets = (1e-3, 1e-4)
+    inexact = [_noisy_run(problem33, seed=seed, target=t)[0] for t in targets]
+    monkeypatch.setattr(lw, "SUBDERIVATIVE_RTOL", 0.0)
+    exact = [_noisy_run(problem33, seed=seed, target=t)[0] for t in targets]
+    for record, reference in zip(inexact, exact):
+        assert (record.stopping_index, record.reason) == (
+            reference.stopping_index, reference.reason
+        )
+        assert record.ssn_counts.tolist() == reference.ssn_counts.tolist()
+    np.testing.assert_allclose(inexact[0].rel_errors, exact[0].rel_errors, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(inexact[1].rel_errors, exact[1].rel_errors, rtol=0.0, atol=1e-10)
 
 
 def test_forward_failure_truncates(problem17, monkeypatch):
@@ -242,9 +265,8 @@ def test_overflowing_source_ends_run(problem17):
 
 def test_update_failure_truncates_after_residual(problem17, monkeypatch):
     from bouligand_landweber import ConvergenceError
-    from bouligand_landweber import landweber as lw
 
-    def boom(op, M, w):
+    def boom(op, M, w, rtol=0.0):
         raise ConvergenceError("stalled", residual=1.0)
 
     monkeypatch.setattr(lw, "apply_subderivative", boom)
@@ -363,6 +385,10 @@ def _set_json(**changes):
     return damage
 
 
+_CHECK = {"choice": 1.0, "choice_aux": 2.0, "satisfied": [False, False]}
+_BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -382,6 +408,12 @@ def _set_json(**changes):
         (_set_json(tau=True), r"run\.json: 'tau' must be a finite number"),
         (_set_json(reason="bogus"), r"run\.json: 'reason' must be one of"),
         (_set_json(config=5), r"run\.json: 'config' must be a JSON object"),
+        (_set_json(parameter_check={"choice": 1.0}), _BAD_CHECK),
+        (_set_json(parameter_check="x"), _BAD_CHECK),
+        (_set_json(parameter_check={**_CHECK, "satisfied": 5}), _BAD_CHECK),
+        (_set_json(parameter_check={**_CHECK, "satisfied": [True]}), _BAD_CHECK),
+        (_set_json(parameter_check={**_CHECK, "choice": "a"}), _BAD_CHECK),
+        (_set_json(parameter_check={**_CHECK, "choice_aux": float("inf")}), _BAD_CHECK),
     ],
     ids=[
         "cut-row",
@@ -400,6 +432,12 @@ def _set_json(**changes):
         "tau-bool",
         "reason-unknown",
         "config-number",
+        "check-missing-fields",
+        "check-string",
+        "check-satisfied-number",
+        "check-satisfied-one-bool",
+        "check-choice-string",
+        "check-choice-aux-inf",
     ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):
