@@ -21,6 +21,8 @@ Layout:
   cli           command-line front end
 """
 
+import types
+
 from .mesh_fem import (
     GridFunction,
     Mesh,
@@ -87,58 +89,9 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointReport",
-    "ConvergenceError",
-    "DegeneratePairError",
-    "ForwardProblem",
-    "ForwardSolution",
-    "ForwardSolveError",
-    "GridFunction",
-    "LandweberConfig",
-    "LinearizedOperator",
-    "Mesh",
-    "NoiseSpec",
-    "OracleReport",
-    "ParameterCheck",
-    "PositivePart",
-    "RunRecord",
-    "SpdSystem",
-    "TCCEstimate",
-    "TCCSurvey",
-    "add_noise",
-    "adjoint_check",
-    "apply_subderivative",
-    "assemble",
-    "assemble_full",
-    "brute_force_forward",
-    "build_linearized",
-    "build_mesh",
-    "check_parameters",
-    "consistency_residuals",
-    "empirical_rate",
-    "exact_fields",
-    "exact_source",
-    "exact_state",
-    "forward_residual",
-    "interpolate",
-    "m_inner",
-    "m_norm",
-    "mismatch_measure",
-    "oracle_sweep",
-    "poisson_preconditioner",
-    "read_grid_function",
-    "read_table_csv",
-    "relative_error",
-    "run",
-    "run_noise_free",
-    "run_noisy",
-    "run_table",
-    "solve_forward",
-    "solve_spd",
-    "source_guess",
-    "tcc_ratio",
-    "tcc_survey",
-    "write_grid_function",
-    "write_table_csv",
-]
+# the import blocks above are the one list of exported names
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

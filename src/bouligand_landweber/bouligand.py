@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forward import ForwardProblem
-from .mesh_fem import GridFunction, values_of
+from .mesh_fem import GridFunction, field_values
 from .sparse_linalg import SpdSystem, norm, solve_spd
 
 
@@ -39,12 +39,7 @@ class LinearizedOperator:
 
 def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
     """Assemble A + K_y with the subderivative coefficient ind_{y > 0}."""
-    yv = values_of(y)
-    if yv.size != problem.mesh.n_interior:
-        raise ValueError(
-            f"state has {yv.size} values, mesh has {problem.mesh.n_interior} interior nodes"
-        )
-    coeff = problem.nonlinearity.bouligand_coeff(yv)
+    coeff = problem.nonlinearity.bouligand_coeff(field_values(problem.mesh, "y", y))
     return LinearizedOperator(
         problem=problem,
         coeff=coeff,
@@ -62,10 +57,7 @@ def apply_subderivative(
     """
     if not 0.0 <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
-    wv = values_of(w)
-    if M.shape[1] != wv.size or op.system.dim != wv.size:
-        raise ValueError(f"dimension mismatch: operator {op.system.dim}, w {wv.size}")
-    rhs = M @ wv
+    rhs = M @ field_values(op.problem.mesh, "w", w)
     atol = rtol * norm(rhs) if rtol > 0.0 else 0.0
     if not math.isfinite(atol):  # ||M w||_2 overflowed or is NaN: solve_spd names that
         atol = 0.0

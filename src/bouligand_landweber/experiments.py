@@ -26,7 +26,6 @@ outputs are reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,7 +33,17 @@ from pathlib import Path
 import numpy as np
 
 from .forward import ForwardProblem, solve_forward
-from .landweber import LandweberConfig, RunRecord, empirical_rate, run
+from .landweber import (
+    FLOAT_CELL,
+    INT_CELL,
+    LandweberConfig,
+    RunRecord,
+    empirical_rate,
+    parse_reason,
+    read_rows,
+    run,
+    write_rows,
+)
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
 
 DEFAULT_BETA = 0.005
@@ -168,7 +177,15 @@ def run_noisy(
     return _cell(problem, fields, start, cfg, noise)
 
 
-TABLE_COLUMNS = ("delta", "seed", "N", "rel_error", "rate", "ssn_total", "reason")
+TABLE_COLUMNS = (
+    ("delta", FLOAT_CELL, float),
+    ("seed", INT_CELL, int),
+    ("N", INT_CELL, int),
+    ("rel_error", FLOAT_CELL, float),  # nan, like rate, for a failed cell
+    ("rate", FLOAT_CELL, float),
+    ("ssn_total", INT_CELL, int),
+    ("reason", str, parse_reason),
+)
 
 
 def run_table(
@@ -180,8 +197,8 @@ def run_table(
 ) -> list[dict]:
     """Noisy campaign over (delta_target, seed) cells; rescale-mode noise.
 
-    Returns one row dict per cell with keys TABLE_COLUMNS.  Failures of a
-    single cell are recorded in its 'reason' and the campaign continues.
+    Returns one row dict per cell, keyed by the TABLE_COLUMNS names.  Failures
+    of a single cell are recorded in its 'reason' and the campaign continues.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -211,42 +228,15 @@ def run_table(
 
 def write_table_csv(path, rows) -> Path:
     """Write campaign rows with columns delta,seed,N,rel_error,rate,ssn_total,reason."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row['delta']:.17g}",
-                    row["seed"],
-                    row["N"],
-                    f"{row['rel_error']:.17g}",
-                    f"{row['rate']:.17g}",
-                    row["ssn_total"],
-                    row["reason"],
-                ]
-            )
-    return path
+    return write_rows(path, TABLE_COLUMNS, rows)
 
 
 def read_table_csv(path) -> list[dict]:
-    """Read campaign rows written by :func:`write_table_csv`."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "delta": float(row["delta"]),
-                    "seed": int(row["seed"]),
-                    "N": int(row["N"]),
-                    "rel_error": float(row["rel_error"]),
-                    "rate": float(row["rate"]),
-                    "ssn_total": int(row["ssn_total"]),
-                    "reason": row["reason"],
-                }
-            )
-    return rows
+    """Read campaign rows written by :func:`write_table_csv`.
+
+    A damaged file raises ValueError naming the file, as `RunRecord.load` does.
+    """
+    return read_rows(path, TABLE_COLUMNS)
 
 
 def consistency_residuals(n_h_list) -> dict[int, float]:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_fem import GridFunction, Mesh, assemble, values_of
+from .mesh_fem import GridFunction, Mesh, assemble, field_values
 from .sparse_linalg import ConvergenceError, SpdSystem, norm, poisson_preconditioner, solve_spd
 
 FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
@@ -103,23 +103,9 @@ class ForwardSolution:
     final_residual: float
 
 
-def _field_values(problem: ForwardProblem, name: str, v) -> np.ndarray:
-    """The values of field `v`, checked to be finite and one per interior node."""
-    values = values_of(v)
-    n = problem.mesh.n_interior
-    if values.shape != (n,):
-        raise ValueError(
-            f"dimension mismatch: {name} has shape {values.shape}, "
-            f"the mesh has {n} interior nodes"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite values")
-    return values
-
-
 def forward_residual(problem: ForwardProblem, y, u) -> float:
     """Euclidean residual ||A y + D f(y) - M u||_2."""
-    yv, uv = _field_values(problem, "y", y), _field_values(problem, "u", u)
+    yv, uv = field_values(problem.mesh, "y", y), field_values(problem.mesh, "u", u)
     r = problem.A @ yv + problem.D * problem.nonlinearity.value(yv) - problem.M @ uv
     return norm(r)
 
@@ -132,14 +118,14 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
     ForwardSolveError before any Newton step.
     """
     f = problem.nonlinearity
-    b = problem.M @ _field_values(problem, "u", u)
+    b = problem.M @ field_values(problem.mesh, "u", u)
     norm_b = norm(b)
     if not math.isfinite(norm_b):
         raise ForwardSolveError(
             f"source too large: ||M u||_2 overflows to {norm_b}", residual=norm_b
         )
     if y0 is not None:
-        y0 = _field_values(problem, "y0", y0)
+        y0 = field_values(problem.mesh, "y0", y0)
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
     else:
@@ -180,7 +166,7 @@ def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
     if m > 16:
         raise ValueError(f"brute-force enumeration refused for {m} > 16 unknowns")
     A = problem.A.toarray()
-    b = problem.M @ values_of(u)
+    b = problem.M @ field_values(problem.mesh, "u", u)
     bits = np.arange(m)
     for code in range(1 << m):
         s = (code >> bits) & 1

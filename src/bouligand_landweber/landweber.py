@@ -41,7 +41,7 @@ import scipy.sparse as sp
 
 from .bouligand import apply_subderivative, build_linearized
 from .forward import ForwardProblem, solve_forward
-from .mesh_fem import GridFunction, m_norm, values_of
+from .mesh_fem import GridFunction, field_values, m_norm, values_of
 from .sparse_linalg import ConvergenceError
 
 logger = logging.getLogger(__name__)
@@ -102,7 +102,11 @@ class ParameterCheck:
 
     choice: float
     choice_aux: float
-    satisfied: tuple[bool, bool]
+
+    @property
+    def satisfied(self) -> tuple[bool, bool]:
+        """Whether each side is negative, as the theory needs."""
+        return (self.choice < 0.0, self.choice_aux < 0.0)
 
 
 def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
@@ -119,7 +123,7 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     Lam = cfg.constant_step
     choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - Lam * L * L)
     choice_aux = -1.0 + cfg.mu + 5.0 * Lam * L * L
-    return ParameterCheck(choice, choice_aux, (choice < 0.0, choice_aux < 0.0))
+    return ParameterCheck(choice, choice_aux)
 
 
 def relative_error(u, u_exact, M: sp.spmatrix) -> float:
@@ -137,36 +141,118 @@ def empirical_rate(err_abs: float, delta: float) -> float:
     return err_abs / np.sqrt(delta)
 
 
-_CSV_COLUMNS = ("n", "residual_M", "rel_error", "ssn_iters")
+# A CSV record file declares each column once, as (name, format, parse):
+# `format` turns a row value into its cell and `parse` turns the cell back.
+FLOAT_CELL = "{:.17g}".format  # 17 significant digits round-trip a double bit for bit
+INT_CELL = "{:d}".format
+
+
+def write_rows(path, columns, rows) -> Path:
+    """Write row dicts as CSV: the column names, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _, _ in columns])
+        writer.writerows([fmt(row[name]) for name, fmt, _ in columns] for row in rows)
+    return Path(path)
+
+
+def read_rows(path, columns) -> list[dict]:
+    """Read the row dicts of a CSV written by :func:`write_rows` with the same columns.
+
+    A damaged file raises ValueError naming the file and the defect: the
+    missing columns, or the line of a cell that is empty, cut off or does
+    not parse.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name, _, _ in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        for row in reader:
+            values = {}
+            for name, _, parse in columns:
+                cell = row[name]  # None where the row is cut off
+                try:
+                    values[name] = parse(cell)
+                except (TypeError, ValueError) as exc:
+                    defect = f"{name}: {exc}" if cell else "empty cell"
+                    raise ValueError(f"{path}, line {reader.line_num}: {defect}") from exc
+            rows.append(values)
+    return rows
+
+
+def _required(ok, requirement: str):
+    """A check that returns the value if ok(value) and otherwise names the requirement."""
+
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {requirement}, got {value!r}")
+        return value
+
+    return check
 
 
 def _finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-# each summary key a record needs, with the test its JSON value must pass
-_SUMMARY_CHECKS = {
-    "config": (lambda v: isinstance(v, dict), "a JSON object"),
-    "delta": (_finite_number, "a finite number"),
-    "tau": (_finite_number, "a finite number"),
-    "stopping_index": (lambda v: type(v) is int and v >= -1, "an integer >= -1"),
-    "reason": (lambda v: v in REASONS, f"one of {', '.join(REASONS)}"),
-}
+parse_reason = _required(lambda v: v in REASONS, f"one of {', '.join(REASONS)}")
+
+RECORD_COLUMNS = (
+    ("n", INT_CELL, int),
+    ("residual_M", FLOAT_CELL, float),
+    # empty when the run had no exact source
+    ("rel_error", lambda e: "" if e is None else FLOAT_CELL(e),
+     lambda cell: math.nan if cell == "" else float(cell)),
+    ("ssn_iters", INT_CELL, int),
+)
+
+# config keys of records written before the per-step schedule options were removed
+_LEGACY_CONFIG_KEYS = ("steps", "lam", "Lam", "warm_start")
 
 
-def _parameter_check_ok(value) -> bool:
-    """A stored parameter check: null, or exactly the fields of ParameterCheck."""
+def _config(value) -> dict:
+    """A stored config: a JSON object whose keys, legacy keys aside, build a LandweberConfig."""
+    if not isinstance(value, dict):
+        raise ValueError(f"must be a JSON object, got {value!r}")
+    try:  # an unknown key is a TypeError, a bad value a TypeError or ValueError
+        LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"is not a valid LandweberConfig: {exc}") from exc
+    return value
+
+
+def _parameter_check(value) -> ParameterCheck | None:
+    """A stored parameter check: null, or its two numbers and the `satisfied` they give."""
     if value is None:
-        return True
-    return (
+        return None
+    if (
         isinstance(value, dict)
         and value.keys() == {"choice", "choice_aux", "satisfied"}
         and _finite_number(value["choice"])
         and _finite_number(value["choice_aux"])
-        and isinstance(value["satisfied"], list)
-        and len(value["satisfied"]) == 2
-        and all(type(b) is bool for b in value["satisfied"])
+    ):
+        check = ParameterCheck(value["choice"], value["choice_aux"])
+        stored = value["satisfied"]
+        if stored == list(check.satisfied) and all(type(b) is bool for b in stored):
+            return check
+    raise ValueError(
+        "must be null or an object with finite numbers 'choice' and 'choice_aux' and the "
+        f"two bools 'satisfied' they give, got {value!r}"
     )
+
+
+# each summary key with the check that returns its value in the record or
+# raises ValueError saying what the value must be
+_SUMMARY_CHECKS = {
+    "config": _config,
+    "delta": _required(_finite_number, "a finite number"),
+    "tau": _required(_finite_number, "a finite number"),
+    "stopping_index": _required(lambda v: type(v) is int and v >= -1, "an integer >= -1"),
+    "reason": parse_reason,
+    "parameter_check": _parameter_check,
+}
 
 
 @dataclass
@@ -205,15 +291,16 @@ class RunRecord:
     def save(self, base) -> tuple[Path, Path]:
         """Write `<base>.csv` (per-iteration history) and `<base>.json` (summary)."""
         base = Path(base)
-        csv_path = base.with_name(base.name + ".csv")
-        json_path = base.with_name(base.name + ".json")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for n, res in enumerate(self.residual_norms):
-                err = "" if self.rel_errors is None else f"{self.rel_errors[n]:.17g}"
-                writer.writerow([n, f"{res:.17g}", err, int(self.ssn_counts[n])])
+        errors = [None] * len(self.residual_norms) if self.rel_errors is None else self.rel_errors
+        history = zip(self.residual_norms, errors, self.ssn_counts, strict=True)
+        rows = (
+            {"n": n, "residual_M": res, "rel_error": err, "ssn_iters": ssn}
+            for n, (res, err, ssn) in enumerate(history)
+        )
+        csv_path = write_rows(base.with_name(base.name + ".csv"), RECORD_COLUMNS, rows)
         check = self.parameter_check
+        if check is not None:
+            check = {**asdict(check), "satisfied": check.satisfied}
         summary = {
             "config": self.config,
             "delta": self.delta,
@@ -221,8 +308,9 @@ class RunRecord:
             "stopping_index": int(self.stopping_index),
             "reason": self.reason,
             "ssn_total": self.total_ssn,
-            "parameter_check": None if check is None else asdict(check),
+            "parameter_check": check,
         }
+        json_path = base.with_name(base.name + ".json")
         with open(json_path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
@@ -245,63 +333,27 @@ class RunRecord:
                 raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise ValueError(f"{json_path}: expected a JSON object, got {type(summary).__name__}")
+        summary.setdefault("parameter_check", None)  # older files do not store it
         missing = [k for k in _SUMMARY_CHECKS if k not in summary]
         if missing:
             raise ValueError(f"{json_path}: missing keys {missing}")
-        for key, (ok, requirement) in _SUMMARY_CHECKS.items():
-            if not ok(summary[key]):
-                raise ValueError(
-                    f"{json_path}: {key!r} must be {requirement}, got {summary[key]!r}"
-                )
-        check = summary.get("parameter_check")  # absent in older files
-        if not _parameter_check_ok(check):
-            raise ValueError(
-                f"{json_path}: 'parameter_check' must be null or an object with finite "
-                f"numbers 'choice' and 'choice_aux' and a two-bool 'satisfied', got {check!r}"
-            )
-        residuals, errors, ssn = [], [], []
-        with open(csv_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{csv_path}: missing columns {missing}")
-            for row in reader:
-                # rel_error stays empty when the run had no exact source
-                required = (c for c in _CSV_COLUMNS if c != "rel_error")
-                if row["rel_error"] is None or not all(row[c] for c in required):
-                    raise ValueError(f"{csv_path}, line {reader.line_num}: empty cell")
-                try:
-                    residuals.append(float(row["residual_M"]))
-                    errors.append(float(row["rel_error"]) if row["rel_error"] else np.nan)
-                    ssn.append(int(row["ssn_iters"]))
-                except ValueError as exc:
-                    raise ValueError(f"{csv_path}, line {reader.line_num}: {exc}") from exc
-        if len(residuals) != summary["stopping_index"] + 1:
-            raise ValueError(
-                f"{csv_path}: {len(residuals)} rows, but stopping_index "
-                f"{summary['stopping_index']} needs {summary['stopping_index'] + 1}"
-            )
-        errors_arr = np.array(errors)
+        values = {}
+        for key, check in _SUMMARY_CHECKS.items():
+            try:
+                values[key] = check(summary[key])
+            except ValueError as exc:
+                raise ValueError(f"{json_path}: {key!r} {exc}") from exc
+        rows = read_rows(csv_path, RECORD_COLUMNS)
+        n = values["stopping_index"]
+        if len(rows) != n + 1:
+            raise ValueError(f"{csv_path}: {len(rows)} rows, but stopping_index {n} needs {n + 1}")
+        errors = np.array([row["rel_error"] for row in rows])
         return cls(
-            residual_norms=np.array(residuals),
-            rel_errors=None if np.all(np.isnan(errors_arr)) else errors_arr,
-            ssn_counts=np.array(ssn, dtype=int),
-            stopping_index=summary["stopping_index"],
-            reason=summary["reason"],
-            delta=summary["delta"],
-            tau=summary["tau"],
-            config=summary["config"],
-            parameter_check=None
-            if check is None
-            else ParameterCheck(check["choice"], check["choice_aux"], tuple(check["satisfied"])),
+            residual_norms=np.array([row["residual_M"] for row in rows]),
+            rel_errors=None if np.all(np.isnan(errors)) else errors,
+            ssn_counts=np.array([row["ssn_iters"] for row in rows], dtype=int),
+            **values,
         )
-
-
-def _finite_values(name: str, v) -> np.ndarray:
-    values = values_of(v)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} contains non-finite values")
-    return values
 
 
 def run(
@@ -322,9 +374,9 @@ def run(
     solve failure truncates the record with reason 'forward-failure'.
     """
     M = problem.M
-    data = _finite_values("y_data", y_data)
-    u = _finite_values("u0", u0).copy()
-    exact = None if u_exact is None else _finite_values("u_exact", u_exact)
+    data = field_values(problem.mesh, "y_data", y_data)
+    u = field_values(problem.mesh, "u0", u0).copy()
+    exact = None if u_exact is None else field_values(problem.mesh, "u_exact", u_exact)
     norm_exact = None
     if exact is not None:
         norm_exact = m_norm(M, exact)

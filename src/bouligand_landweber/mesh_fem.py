@@ -85,18 +85,9 @@ class GridFunction:
     role: str = "source"
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_interior,):
-            raise ValueError(
-                f"grid function needs {self.mesh.n_interior} interior values, "
-                f"got shape {self.values.shape}"
-            )
+        self.values = np.ascontiguousarray(field_values(self.mesh, "grid function", self.values))
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
-        bad = ~np.isfinite(self.values)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"non-finite value {self.values[k]} at interior node {k}")
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.mesh, self.values.copy(), self.role)
@@ -107,6 +98,22 @@ def values_of(v) -> np.ndarray:
     if isinstance(v, GridFunction):
         return v.values
     return np.asarray(v, dtype=float)
+
+
+def field_values(mesh: Mesh, name: str, v) -> np.ndarray:
+    """The values of field `v` (GridFunction or array-like), checked where a field
+    enters the package: one finite value per interior node of `mesh`, else
+    ValueError naming `name`.
+    """
+    values = values_of(v)
+    n = mesh.n_interior
+    if values.shape != (n,):
+        raise ValueError(f"{name} needs {n} interior values, got shape {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"{name} contains non-finite values: {values[k]} at interior node {k}")
+    return values
 
 
 # local element matrices on the two triangles of a cell with corners
@@ -210,11 +217,7 @@ def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
 
 def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:
     """Nodal interpolant of f(x1, x2), evaluated once on the arrays of interior coordinates."""
-    x1, x2 = mesh.interior_coords()
-    vals = np.asarray(f(x1, x2), dtype=float)
-    if vals.shape != x1.shape:
-        raise ValueError(f"f returned shape {vals.shape}, expected {x1.shape}")
-    return GridFunction(mesh, vals, role)
+    return GridFunction(mesh, f(*mesh.interior_coords()), role)
 
 
 def m_inner(M: sp.spmatrix, v, w) -> float:

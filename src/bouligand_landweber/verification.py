@@ -24,7 +24,7 @@ import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
 from .forward import ForwardProblem, brute_force_forward, solve_forward
-from .mesh_fem import build_mesh, m_inner, m_norm, values_of
+from .mesh_fem import build_mesh, field_values, m_inner, m_norm, values_of
 
 
 ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
@@ -72,7 +72,7 @@ def tcc_ratio(problem: ForwardProblem, u, u_hat) -> TCCEstimate:
     1e-14 times the pair distance.
     """
     M = problem.M
-    uv, uhv = values_of(u), values_of(u_hat)
+    uv, uhv = field_values(problem.mesh, "u", u), field_values(problem.mesh, "u_hat", u_hat)
     radius = m_norm(M, uhv - uv)
     sol = solve_forward(problem, uv)
     sol_hat = solve_forward(problem, uhv)
@@ -154,7 +154,7 @@ def tcc_survey(
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
     M = problem.M
-    c = values_of(center)
+    c = field_values(problem.mesh, "center", center)
     estimates = []
     degenerate = 0
     while len(estimates) < n_pairs:

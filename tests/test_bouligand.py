@@ -169,3 +169,16 @@ def test_relative_floor_keeps_the_overflow_error(problem17):
 def test_dimension_mismatch(problem17):
     with pytest.raises(ValueError):
         build_linearized(problem17, np.zeros(4))
+
+
+def test_fields_are_checked_where_they_enter(problem17):
+    n = problem17.mesh.n_interior
+    y = np.zeros(n)
+    y[5] = np.nan
+    with pytest.raises(ValueError, match="^y contains non-finite values: nan at interior node 5"):
+        build_linearized(problem17, y)
+    op = build_linearized(problem17, np.zeros(n))
+    with pytest.raises(ValueError, match=rf"^w needs {n} interior values, got shape \(4,\)"):
+        apply_subderivative(op, problem17.M, np.ones(4))
+    with pytest.raises(ValueError, match="^w contains non-finite values: inf at interior node 0"):
+        apply_subderivative(op, problem17.M, np.full(n, np.inf))

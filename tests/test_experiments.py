@@ -234,6 +234,37 @@ def test_table_csv_keeps_forward_failure_row(tmp_path, monkeypatch):
         assert back[0][key] == row[key]
 
 
+_TABLE_ROWS = [
+    {"delta": 1e-2, "seed": 0, "N": 7, "rel_error": 0.3, "rate": 4.8, "ssn_total": 19,
+     "reason": "discrepancy"},
+    {"delta": 1e-3, "seed": 0, "N": -1, "rel_error": np.nan, "rate": np.nan, "ssn_total": 0,
+     "reason": "forward-failure"},
+]
+
+
+def _drop_rate_column(text):
+    rows = [line.split(",") for line in text.splitlines()]
+    return "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_drop_rate_column, r"table\.csv: missing columns \['rate'\]"),
+        (lambda text: text[: text.rindex(",0,")] + "\n", r"table\.csv, line 3: empty cell"),
+        (lambda text: text.replace("0.01,", "abc,"), r"table\.csv, line 2: delta: could not"),
+        (lambda text: text.replace(",7,", ",7.5,"), r"table\.csv, line 2: N: invalid literal"),
+        (lambda text: text.replace("discrepancy", "bogus"), r"table\.csv, line 2: reason: must"),
+    ],
+    ids=["missing-column", "cut-row", "delta-text", "N-float", "reason-unknown"],
+)
+def test_read_table_csv_rejects_damaged_files(tmp_path, damage, message):
+    path = write_table_csv(tmp_path / "table.csv", _TABLE_ROWS)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(ValueError, match=message):
+        read_table_csv(path)
+
+
 _RECORD_SCRIPT = """
 import sys
 import numpy as np

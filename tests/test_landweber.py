@@ -385,7 +385,20 @@ def _set_json(**changes):
     return damage
 
 
+def _update_config(**changes):
+    """A damage that changes or adds keys of the stored config."""
+
+    def damage(base):
+        path = base.with_name(base.name + ".json")
+        summary = json.loads(path.read_text())
+        summary["config"].update(changes)
+        path.write_text(json.dumps(summary))
+
+    return damage
+
+
 _CHECK = {"choice": 1.0, "choice_aux": 2.0, "satisfied": [False, False]}
+_BAD_CONFIG = r"run\.json: 'config' is not a valid LandweberConfig: "
 _BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
 
 
@@ -414,6 +427,10 @@ _BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
         (_set_json(parameter_check={**_CHECK, "satisfied": [True]}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "choice": "a"}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "choice_aux": float("inf")}), _BAD_CHECK),
+        (_set_json(parameter_check={**_CHECK, "satisfied": [True, True]}), _BAD_CHECK),
+        (_update_config(mu="a"), _BAD_CONFIG + "'<=' not supported"),
+        (_update_config(mu=2.0), _BAD_CONFIG + r"mu must lie in \[0, 1\), got 2\.0"),
+        (_update_config(bogus=1), _BAD_CONFIG + ".*unexpected keyword argument 'bogus'"),
     ],
     ids=[
         "cut-row",
@@ -438,6 +455,10 @@ _BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
         "check-satisfied-one-bool",
         "check-choice-string",
         "check-choice-aux-inf",
+        "check-satisfied-disagrees",
+        "config-mu-string",
+        "config-mu-out-of-range",
+        "config-unknown-key",
     ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):

@@ -15,6 +15,7 @@ from bouligand_landweber import (
     write_grid_function,
 )
 from bouligand_landweber.experiments import exact_state
+from bouligand_landweber.mesh_fem import field_values
 
 
 def test_smallest_mesh():
@@ -180,7 +181,7 @@ def test_interpolate_scalar_callable():
 def test_interpolate_rejects_wrong_shape():
     # f is evaluated once on the coordinate arrays, never node by node
     mesh = build_mesh(4)
-    with pytest.raises(ValueError, match=r"shape \(\), expected \(4,\)"):
+    with pytest.raises(ValueError, match=r"needs 4 interior values, got shape \(\)"):
         interpolate(mesh, lambda x1, x2: 1.0)
 
 
@@ -233,14 +234,37 @@ def test_grid_function_validation():
 def test_grid_function_rejects_non_finite(bad):
     values = np.zeros(9)
     values[4] = bad
-    with pytest.raises(ValueError, match="non-finite value .* at interior node 4"):
+    message = "grid function contains non-finite values: .* at interior node 4"
+    with pytest.raises(ValueError, match=message):
         GridFunction(build_mesh(5), values)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros(4), r"^u0 needs 9 interior values, got shape \(4,\)$"),
+        (np.zeros((3, 3)), r"^u0 needs 9 interior values, got shape \(3, 3\)$"),
+        (np.array([0, 0, 1, 2, -np.inf, 0, np.nan, 0, 0]),
+         r"^u0 contains non-finite values: -inf at interior node 4$"),
+    ],
+    ids=["size", "2d", "inf"],
+)
+def test_field_values_names_the_argument(values, message):
+    with pytest.raises(ValueError, match=message):
+        field_values(build_mesh(5), "u0", values)
+
+
+def test_field_values_passes_a_field_through():
+    gf = GridFunction(build_mesh(5), np.arange(9.0))
+    assert field_values(gf.mesh, "u0", gf) is gf.values
+    assert field_values(gf.mesh, "u0", [1, 2, 3, 4, 5, 6, 7, 8, 9]).dtype == float
 
 
 def test_read_grid_function_rejects_nan_line(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("n_h=3,role=state\nnan\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: non-finite"):
+    message = f"{re.escape(str(path))}: grid function contains non-finite values: nan"
+    with pytest.raises(ValueError, match=message):
         read_grid_function(path)
 
 
