@@ -116,13 +116,15 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     choice_aux = -1 + mu + 5 Lam L^2
 
     with Lam the constant step size.  Both must be negative for the
-    convergence theory; the result is reported, never enforced.
+    convergence theory; the result is reported, never enforced.  Lam L^2 is
+    evaluated as (2 - 2 mu) (L / lbar)^2, which stays finite at L = lbar even
+    where Lam itself overflows.
     """
     if not 0.0 < L < math.inf:  # written so that NaN fails
         raise ValueError(f"norm bound L must be finite and positive, got {L}")
-    Lam = cfg.constant_step
-    choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - Lam * L * L)
-    choice_aux = -1.0 + cfg.mu + 5.0 * Lam * L * L
+    lam_l2 = (2.0 - 2.0 * cfg.mu) * (L / cfg.lbar) ** 2
+    choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - lam_l2)
+    choice_aux = -1.0 + cfg.mu + 5.0 * lam_l2
     return ParameterCheck(choice, choice_aux)
 
 
@@ -312,7 +314,7 @@ class RunRecord:
         }
         json_path = base.with_name(base.name + ".json")
         with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump(summary, fh, indent=2, allow_nan=False)  # only what load accepts
             fh.write("\n")
         return csv_path, json_path
 

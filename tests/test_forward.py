@@ -147,6 +147,20 @@ def test_nonconvergence_raises_with_residual(monkeypatch):
     assert 0.0 < err.value.residual < np.inf
 
 
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        (forward.SINGLE_PRECISION_MIN_SIDE - 1, sparse_linalg.poisson_preconditioner),
+        (forward.SINGLE_PRECISION_MIN_SIDE, sparse_linalg.single_precision_poisson_preconditioner),
+    ],
+    ids=["below-exact", "from-single-precision"],
+)
+def test_build_chooses_preconditioner_by_grid_side(m, expected):
+    problem = ForwardProblem.build(build_mesh(m + 2))
+    v = np.sin(np.arange(m * m, dtype=float))
+    assert np.array_equal(problem.precond(v), expected(m)(v))
+
+
 def test_positive_part_conventions():
     f = PositivePart()
     t = np.array([-2.0, -1e-15, 0.0, 1e-15, 3.0])

@@ -1,6 +1,6 @@
-from fractions import Fraction
-
+import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +17,13 @@ from bouligand_landweber import (
     empirical_rate,
     exact_fields,
     m_norm,
+    poisson_preconditioner,
     relative_error,
     run,
     solve_forward,
 )
 from bouligand_landweber import landweber as lw
+from bouligand_landweber.forward import SINGLE_PRECISION_MIN_SIDE
 
 
 def test_check_parameters_default_experiment_values():
@@ -127,6 +129,21 @@ def _noisy_run(problem, seed=5, target=1e-3):
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=seed, mode="rescale", value=target), problem.M)
     cfg = LandweberConfig(delta=delta)
     return run(problem, y_noisy, cfg, u_bar, u_exact), cfg
+
+
+@pytest.mark.parametrize("target", [1e-3, 1e-4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 19])
+def test_single_precision_preconditioner_keeps_the_run(problem33, seed, target):
+    # the production (float32) preconditioner against the exact float64 one:
+    # same stopping index, reason and Newton counts, errors to 1e-9 relative
+    assert problem33.mesh.m >= SINGLE_PRECISION_MIN_SIDE  # production runs float32 here
+    exact = dataclasses.replace(problem33, precond=poisson_preconditioner(problem33.mesh.m))
+    record, _ = _noisy_run(problem33, seed=seed, target=target)
+    oracle, _ = _noisy_run(exact, seed=seed, target=target)
+    assert record.stopping_index == oracle.stopping_index
+    assert record.reason == oracle.reason
+    assert np.array_equal(record.ssn_counts, oracle.ssn_counts)
+    np.testing.assert_allclose(record.rel_errors, oracle.rel_errors, rtol=1e-9, atol=0.0)
 
 
 def test_noisy_run_record_invariants(problem33):
@@ -305,6 +322,27 @@ def test_record_roundtrip_without_exact(tmp_path, problem17):
     record.save(base)
     back = RunRecord.load(base)
     assert back.rel_errors is None
+    assert np.array_equal(back.residual_norms, record.residual_norms)
+
+
+def test_record_roundtrip_of_overflowing_step(tmp_path, problem9):
+    # lbar = 1e-160 makes the step overflow; the stored parameter check must
+    # still be finite, so the summary is strict JSON that load accepts
+    u_exact, y_exact, u_bar = exact_fields(problem9.mesh)
+    cfg = LandweberConfig(lbar=1e-160, max_iter=3)
+    record = run(problem9, y_exact, cfg, u_bar, u_exact)
+    assert record.reason == "divergence"
+    base = tmp_path / "run"
+    _, json_path = record.save(base)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    json.loads(json_path.read_text(), parse_constant=reject)
+    back = RunRecord.load(base)
+    assert back.parameter_check == record.parameter_check
+    assert back.parameter_check.choice_aux == pytest.approx(-1.0 + 0.1 + 5.0 * 1.8, abs=1e-12)
+    assert back.reason == record.reason
     assert np.array_equal(back.residual_norms, record.residual_norms)
 
 

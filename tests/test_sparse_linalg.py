@@ -13,6 +13,12 @@ from bouligand_landweber import (
     solve_spd,
     sparse_linalg,
 )
+from bouligand_landweber.sparse_linalg import CG_TOL, single_precision_poisson_preconditioner
+
+PRECONDITIONERS = [
+    pytest.param(poisson_preconditioner, id="poisson"),
+    pytest.param(single_precision_poisson_preconditioner, id="single-precision"),
+]
 
 
 def _solve(system, b):
@@ -45,7 +51,7 @@ def test_solve_matches_direct_sparse_oracle():
     assert np.max(np.abs(x - x_direct)) <= 1e-11
 
 
-@pytest.mark.parametrize("precond", [pytest.param(poisson_preconditioner, id="poisson")])
+@pytest.mark.parametrize("precond", PRECONDITIONERS)
 def test_preconditioner_choices_agree(precond):
     # shifted system (lumped indicator of a random active set) against SuperLU
     mesh = build_mesh(17)
@@ -58,7 +64,8 @@ def test_preconditioner_choices_agree(precond):
     assert np.max(np.abs(x - x_direct)) <= 1e-11
 
 
-def test_residual_contract_post_hoc():
+@pytest.mark.parametrize("precond", PRECONDITIONERS)
+def test_residual_contract_post_hoc(precond):
     mesh = build_mesh(33)
     A, M, D = assemble(mesh)
     rng = np.random.default_rng(9)
@@ -66,7 +73,7 @@ def test_residual_contract_post_hoc():
         shift = D * rng.uniform(0.0, 2.0, mesh.n_interior)
         system = SpdSystem(A, shift)
         b = M @ rng.standard_normal(mesh.n_interior)
-        x = _solve(system, b)
+        x = solve_spd(system, b, precond(mesh.m))
         assert np.linalg.norm(system.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -128,6 +135,47 @@ def test_poisson_preconditioner_is_exact_inverse():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(mesh.n_interior)
     assert np.max(np.abs(A @ pre(v) - v)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_h", [17, 257])
+def test_single_precision_preconditioner_is_near_inverse(n_h):
+    # float32 transforms: a relative defect of 3e-7 (n_h = 17) to 7e-6 (n_h = 257)
+    mesh = build_mesh(n_h)
+    A, _, _ = assemble(mesh)
+    pre = single_precision_poisson_preconditioner(mesh.m)
+    v = np.random.default_rng(11).standard_normal(mesh.n_interior)
+    z = pre(v)
+    assert z.dtype == np.float64 and z.shape == v.shape
+    assert np.linalg.norm(A @ z - v) <= 1e-4 * np.linalg.norm(v)
+
+
+def test_single_precision_preconditioner_edge_inputs():
+    m = 15
+    pre = single_precision_poisson_preconditioner(m)
+    assert np.array_equal(pre(np.zeros(m * m)), np.zeros(m * m))
+    for bad in (np.nan, np.inf, -np.inf):  # reaches CG's breakdown check
+        v = np.ones(m * m)
+        v[7] = bad
+        assert not np.all(np.isfinite(pre(v)))
+    # residuals at the extreme exponents of float64 (subnormal, or above 2^1023)
+    A, _, _ = assemble(build_mesh(m + 2))
+    for w in (1e-310, 5e307):
+        x = np.full(m * m, w)
+        v = 4.0 * (A @ (x / 4.0))  # A x, without the overflow of 4 w in the product
+        assert np.max(np.abs(v)) > w
+        assert np.allclose(pre(v), x, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e-30, 1.0, 1e30, 1e60, 1e100])
+def test_single_precision_solve_reaches_cg_tol_at_any_scale(scale):
+    # the residual is scaled by a power of two before the float32 cast, so a
+    # right-hand side far outside float32's range solves like one of size 1
+    mesh = build_mesh(33)
+    A, M, D = assemble(mesh)
+    system = SpdSystem(A, D * (np.arange(mesh.n_interior) % 3 == 0))
+    b = scale * (M @ np.sin(np.arange(mesh.n_interior, dtype=float)))
+    x = solve_spd(system, b, single_precision_poisson_preconditioner(mesh.m))
+    assert np.linalg.norm(system.matvec(x) - b) <= CG_TOL * np.linalg.norm(b)
 
 
 def _counting(pre, applications):
