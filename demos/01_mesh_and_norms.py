@@ -20,8 +20,8 @@ mesh = build_mesh(n_h)
 print(f"mesh: {n_h} x {n_h} vertices, h = {mesh.h:.5f}, {mesh.n_interior} interior nodes")
 
 A, M, D = assemble(mesh)
-print(f"stiffness A: {A.shape}, {A.nnz} nonzeros")
-print(f"mass M:      {M.shape}, {M.nnz} nonzeros")
+print(f"stiffness A: {A.shape}, {A.count_nonzero()} nonzeros")
+print(f"mass M:      {M.shape}, {M.count_nonzero()} nonzeros")
 
 # the interior stencil: 4 on the diagonal, -1 to the four edge neighbors
 center = (mesh.m // 2) * mesh.m + mesh.m // 2

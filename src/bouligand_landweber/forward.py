@@ -21,7 +21,7 @@ meshes with at most 16 interior unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .mesh_fem import GridFunction, Mesh, assemble, field_values
 from .sparse_linalg import (
+    TINY_RHS,
     ConvergenceError,
     SpdSystem,
     norm,
@@ -77,11 +78,15 @@ class PositivePart:
 
 @dataclass
 class ForwardProblem:
-    """Assembled discrete problem A y + D f(y) = M u on one mesh."""
+    """Assembled discrete problem A y + D f(y) = M u on one mesh.
+
+    A and M are the DIA matrices of `mesh_fem.assemble`; the solvers apply
+    them with `@` only, so a CSR matrix of the same shape also works.
+    """
 
     mesh: Mesh
-    A: sp.csr_matrix
-    M: sp.csr_matrix
+    A: sp.dia_matrix
+    M: sp.dia_matrix
     D: np.ndarray
     nonlinearity: PositivePart
     precond: Callable[[np.ndarray], np.ndarray]
@@ -129,15 +134,25 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
 
     A `u` or `y0` that is not one finite value per interior node raises
     ValueError naming the argument; a `u` whose ||M u||_2 overflows raises
-    ForwardSolveError before any Newton step.
+    ForwardSolveError before any Newton step.  A nonzero `u` with ||M u||_2
+    below TINY_RHS is solved from zero, scaled up by a power of two, so that
+    neither the Newton stop nor CG work with underflowing norms; only u = 0
+    gives y = 0.
     """
     f = problem.nonlinearity
-    b = problem.M @ field_values(problem.mesh, "u", u)
+    u = field_values(problem.mesh, "u", u)
+    b = problem.M @ u
     norm_b = norm(b)
     if not math.isfinite(norm_b):
         raise ForwardSolveError(
             f"source too large: ||M u||_2 overflows to {norm_b}", residual=norm_b
         )
+    if norm_b < TINY_RHS and u.any():
+        # F(2^k u) = 2^k F(u), and the Newton iteration scales exactly with it
+        e = math.frexp(np.abs(u).max())[1]
+        sol = solve_forward(problem, np.ldexp(u, -e))
+        y = GridFunction(problem.mesh, np.ldexp(sol.y.values, e), "state")
+        return replace(sol, y=y, final_residual=math.ldexp(sol.final_residual, e))
     if y0 is not None:
         y0 = field_values(problem.mesh, "y0", y0)
     if y0 is None or norm_b == 0.0:

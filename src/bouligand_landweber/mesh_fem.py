@@ -165,31 +165,33 @@ def assemble_full(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]
     return A, M, D
 
 
-def _stencil_matrix(m: int, stencil) -> sp.csr_matrix:
-    """CSR matrix over the m x m interior grid from a constant stencil.
+def _stencil_matrix(m: int, stencil) -> sp.dia_matrix:
+    """DIA matrix over the m x m interior grid from a constant stencil.
 
-    `stencil` lists (dx, dy, value) in increasing order of the column offset
-    dy*m + dx; neighbors outside the grid (Dirichlet nodes) are dropped, so
-    the result is canonical CSR with int32 indices and no explicit zeros.
+    `stencil` lists (dx, dy, value) in increasing order of the offset
+    dy*m + dx; each entry becomes one stored diagonal, in that order, which
+    is the column order of CSR, so products sum their terms as CSR sums
+    them.  Where the neighbor is a Dirichlet node the diagonal stores an
+    explicit zero.  An entry with no neighbor inside the grid at all
+    (|dx| or |dy| >= m) is dropped, as its offset could collide with
+    another's.
     """
-    n = m * m
-    iy, ix = np.divmod(np.arange(n, dtype=np.int32), m)
-    keep = np.empty((n, len(stencil)), dtype=bool)
-    for k, (dx, dy, _) in enumerate(stencil):
-        keep[:, k] = (ix + dx >= 0) & (ix + dx < m) & (iy + dy >= 0) & (iy + dy < m)
-    offsets = np.array([dy * m + dx for dx, dy, _ in stencil], dtype=np.int32)
-    indices = (np.arange(n, dtype=np.int32)[:, None] + offsets)[keep]
-    data = np.broadcast_to(np.array([v for _, _, v in stencil]), keep.shape)[keep]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    kept = [(dx, dy, v) for dx, dy, v in stencil if abs(dx) < m and abs(dy) < m]
+    data = np.zeros((len(kept), m, m))
+    for diag, (dx, dy, v) in zip(data, kept):
+        # scipy stores entry (row, col) of diagonal k = col - row at data[k, col]:
+        # column (jx, jy) has the row neighbor (jx - dx, jy - dy) inside the grid
+        diag[max(dy, 0) : m + min(dy, 0), max(dx, 0) : m + min(dx, 0)] = v
+    offsets = np.array([dy * m + dx for dx, dy, _ in kept], dtype=np.int32)
+    return sp.dia_matrix((data.reshape(len(kept), m * m), offsets), shape=(m * m, m * m))
 
 
-def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, np.ndarray]:
     """Interior (A, M, D) with homogeneous Dirichlet conditions by elimination.
 
-    A is the P1 stiffness matrix, M the consistent mass matrix (both CSR,
-    symmetric with both triangles stored) and D the lumped mass diagonal.
+    A is the P1 stiffness matrix and M the consistent mass matrix, both
+    stored by diagonals (DIA: one diagonal per stencil entry, explicit
+    zeros at Dirichlet neighbors), and D is the lumped mass diagonal.
     They are built straight from the interior stencils; the values are
     summed in the order element assembly sums them, so the result equals
     :func:`assemble_full` restricted to the interior bit for bit.

@@ -35,6 +35,9 @@ import scipy.sparse as sp
 from scipy.fft import dstn
 
 CG_TOL = 1e-12  # relative Euclidean residual every CG solve reaches
+# below this ||b||_2, CG's inner products near its stop would lose digits to
+# underflow, so solve_spd scales b up first (2^-400, about 3.9e-121)
+TINY_RHS = 2.0**-400
 
 
 class ConvergenceError(RuntimeError):
@@ -47,9 +50,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpdSystem:
-    """Sparse SPD matrix plus a nonnegative diagonal shift."""
+    """Sparse SPD matrix plus a nonnegative diagonal shift.
 
-    sparse: sp.csr_matrix
+    `sparse` is applied with `@` only: production passes the DIA stiffness
+    matrix of `mesh_fem.assemble`, tests also pass CSR oracles.
+    """
+
+    sparse: sp.spmatrix
     shift: np.ndarray
 
     @property
@@ -166,7 +173,10 @@ def solve_spd(
     lets a caller that needs less than the relative accuracy stop early, as
     the Newton increments of `forward.solve_forward` do.  A finite b whose
     norm overflows (||b||_2 above about 1e154, where its square exceeds the
-    float range) raises ConvergenceError before any iteration.
+    float range) raises ConvergenceError before any iteration.  A nonzero b
+    with ||b||_2 below TINY_RHS (down to subnormal entries, whose norm
+    underflows to 0) is solved scaled up by a power of two, so that neither
+    its norm nor CG's inner products underflow; only b = 0 gives x = 0.
     """
     if not 0.0 <= atol < math.inf:
         raise ValueError(f"atol must be finite and >= 0, got {atol}")
@@ -181,8 +191,14 @@ def solve_spd(
             f"right-hand side too large: its norm overflows to {norm_b}",
             residual=norm_b,
         )
-    if norm_b == 0.0:
-        return np.zeros_like(b)
+    if norm_b < TINY_RHS:
+        if not b.any():
+            return np.zeros_like(b)
+        # K x = b is linear and powers of two scale exactly: solve for b
+        # scaled to max|b_i| in [0.5, 1); a floor above max|b_i| is capped there
+        e = math.frexp(np.abs(b).max())[1]
+        scaled_atol = math.ldexp(min(atol, math.ldexp(1.0, e)), -e)
+        return np.ldexp(solve_spd(system, np.ldexp(b, -e), preconditioner, scaled_atol), e)
     tol_abs = max(CG_TOL * norm_b, atol)
 
     x, r = np.zeros_like(b), b

@@ -236,3 +236,15 @@ def test_overflowing_source_fails_before_newton(problem9, monkeypatch):
     with pytest.raises(ForwardSolveError, match="overflows") as err:
         solve_forward(problem9, u)
     assert err.value.residual == np.inf
+
+
+def test_source_with_underflowing_norm_is_solved(problem17):
+    # ||M u||_2 underflows to 0 for u = 1e-165, which is not the zero source;
+    # F is positively homogeneous and the solve scales u by a power of two,
+    # so y is the state of 2^600 u scaled back, bit for bit, and not y = 0
+    u = np.full(problem17.mesh.n_interior, 1e-165)
+    sol = solve_forward(problem17, u)
+    big = solve_forward(problem17, np.ldexp(u, 600))
+    assert np.all(sol.y.values > 0.0)
+    assert sol.y.values.tobytes() == np.ldexp(big.y.values, -600).tobytes()
+    assert sol.ssn_iterations == big.ssn_iterations

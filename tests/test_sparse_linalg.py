@@ -128,6 +128,30 @@ def test_non_finite_arithmetic_fails_at_once(shift, scale):
     assert len(applications) <= 1
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 5e-324])
+def test_rhs_with_underflowing_norm_is_solved(tiny):
+    # every |b_i| is below about 1e-162, so ||b||_2 squares to 0 though b is
+    # nonzero; the solve scales b by a power of two, which CG commutes with,
+    # so x is the solve of 2^600 b scaled back, bit for bit, and not x = 0
+    mesh = build_mesh(17)
+    A, _, _ = assemble(mesh)
+    system, pre = SpdSystem(A, 0), poisson_preconditioner(mesh.m)
+    b = np.full(mesh.n_interior, tiny)
+    x = solve_spd(system, b, pre)
+    assert np.any(x != 0.0)
+    assert x.tobytes() == np.ldexp(solve_spd(system, np.ldexp(b, 600), pre), -600).tobytes()
+
+
+def test_tiny_rhs_keeps_a_large_floor_finite():
+    # a floor above max|b_i| would overflow when scaled with b; it is capped
+    mesh = build_mesh(17)
+    A, _, _ = assemble(mesh)
+    b = np.full(mesh.n_interior, 1e-300)
+    x = solve_spd(SpdSystem(A, 0), b, poisson_preconditioner(mesh.m), atol=1e300)
+    assert np.all(np.isfinite(x))
+    assert sparse_linalg.norm(np.ldexp(A @ x - b, 990)) <= sparse_linalg.norm(np.ldexp(b, 990))
+
+
 def test_poisson_preconditioner_is_exact_inverse():
     mesh = build_mesh(17)
     A, _, _ = assemble(mesh)
