@@ -9,6 +9,14 @@ residual of at most FORWARD_RTOL * ||M u||_2, so an inexact CG solve cannot
 end the iteration early.  For M u = 0 the solution is y = 0, which is also
 where the iteration starts then.
 
+A caller that solves for a sequence of nearby sources, as the Landweber
+loop does, passes the last few state increments as `directions`.  The
+Newton iteration then starts from the Galerkin prediction of its first
+step within their span (projection onto earlier solutions, Fischer 1998),
+provided that lowers the residual; the active set of the prediction is
+closer to the solution's, so fewer Newton steps follow.  The stop, and so
+the solution, does not depend on the start.
+
 Since only that stop decides the final accuracy, each increment is solved
 inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
 1982): CG stops at max(CG_TOL * ||H||_2, FORCING * FORWARD_RTOL * ||M u||_2),
@@ -32,6 +40,7 @@ from .sparse_linalg import (
     TINY_RHS,
     ConvergenceError,
     SpdSystem,
+    dot,
     norm,
     poisson_preconditioner,
     single_precision_poisson_preconditioner,
@@ -129,18 +138,57 @@ def forward_residual(problem: ForwardProblem, y, u) -> float:
     return norm(r)
 
 
-def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
+def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
+    """The Galerkin prediction of the first Newton step from y0 within span(directions).
+
+    With G the stacked directions and K = A + D diag(newton_coeff(y0)) the
+    first Newton system, solves (G^T K G) a = -G^T H0 for the residual H0 at
+    y0 and returns the start y0 + G a with its residual, or (y0, H0) when
+    the k x k system is singular, a is not finite or the residual norm does
+    not fall.  Costs k matvecs, k (k + 3) / 2 dot products and one residual.
+    """
+    f = problem.nonlinearity
+    system = SpdSystem(problem.A, problem.D * f.newton_coeff(y0))
+    k = len(directions)
+    gram, rhs = np.empty((k, k)), np.empty(k)
+    for i, g in enumerate(directions):
+        Kg = system.matvec(g)
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = dot(directions[j], Kg)
+        rhs[i] = -dot(g, H0)
+    try:
+        a = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return y0, H0
+    if not np.all(np.isfinite(a)):
+        return y0, H0
+    y = y0.copy()
+    for a_i, g in zip(a, directions):
+        y += a_i * g
+    H = problem.A @ y + problem.D * f.value(y) - b
+    if norm(H) < norm(H0):
+        return y, H
+    return y0, H0
+
+
+def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> ForwardSolution:
     """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0).
 
-    A `u` or `y0` that is not one finite value per interior node raises
-    ValueError naming the argument; a `u` whose ||M u||_2 overflows raises
-    ForwardSolveError before any Newton step.  A nonzero `u` with ||M u||_2
-    below TINY_RHS is solved from zero, scaled up by a power of two, so that
-    neither the Newton stop nor CG work with underflowing norms; only u = 0
-    gives y = 0.
+    `directions` (recent state increments, say y_n - y_{n-1}) move a given
+    start y0 to the Galerkin prediction of the first Newton step within
+    their span when that lowers the residual (see `_predicted_start`);
+    without y0, or for u = 0, they are unused.  A `u`, `y0` or direction
+    that is not one finite value per interior node raises ValueError naming
+    the argument; a `u` whose ||M u||_2 overflows raises ForwardSolveError
+    before any Newton step.  A nonzero `u` with ||M u||_2 below TINY_RHS is
+    solved from zero, scaled up by a power of two, so that neither the
+    Newton stop nor CG work with underflowing norms; only u = 0 gives y = 0.
     """
     f = problem.nonlinearity
     u = field_values(problem.mesh, "u", u)
+    if y0 is not None:
+        y0 = field_values(problem.mesh, "y0", y0)
+    directions = [field_values(problem.mesh, "directions", g) for g in directions]
     b = problem.M @ u
     norm_b = norm(b)
     if not math.isfinite(norm_b):
@@ -153,14 +201,14 @@ def solve_forward(problem: ForwardProblem, u, y0=None) -> ForwardSolution:
         sol = solve_forward(problem, np.ldexp(u, -e))
         y = GridFunction(problem.mesh, np.ldexp(sol.y.values, e), "state")
         return replace(sol, y=y, final_residual=math.ldexp(sol.final_residual, e))
-    if y0 is not None:
-        y0 = field_values(problem.mesh, "y0", y0)
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
     else:
         y = y0.copy()
-    pattern = f.selection_pattern(y)
     H = problem.A @ y + problem.D * f.value(y) - b
+    if directions and y0 is not None and norm_b > 0.0:
+        y, H = _predicted_start(problem, y, H, b, directions)
+    pattern = f.selection_pattern(y)
     atol = FORCING * FORWARD_RTOL * norm_b
     residual = math.inf
     for iters in range(1, SSN_MAX_ITER + 1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,92 @@ def test_source_with_underflowing_norm_is_solved(problem17):
     assert np.all(sol.y.values > 0.0)
     assert sol.y.values.tobytes() == np.ldexp(big.y.values, -600).tobytes()
     assert sol.ssn_iterations == big.ssn_iterations
+
+
+def _nearby_solve(problem, seed):
+    """A source u, the state y0 of a perturbed source, and the solve of u from y0."""
+    rng = np.random.default_rng(seed)
+    n = problem.mesh.n_interior
+    u = 3.0 * rng.standard_normal(n)
+    y0 = solve_forward(problem, u + 0.1 * rng.standard_normal(n)).y.values
+    return u, y0, solve_forward(problem, u, y0=y0)
+
+
+@pytest.mark.parametrize(
+    "make_directions",
+    [
+        lambda n, g: [np.zeros(n)],
+        lambda n, g: [g, g.copy()],
+        lambda n, g: [np.where(np.arange(n) == n // 2, 1e300, 0.0)],
+    ],
+    ids=["zero", "repeated", "huge-entry"],
+)
+def test_degenerate_directions_keep_the_solve(problem33, make_directions):
+    # a singular or overflowing Galerkin system falls back to the start y0:
+    # no exception or warning, the same active set, the same Newton stop,
+    # and the same solve bit for bit
+    u, y0, plain = _nearby_solve(problem33, seed=40)
+    g = np.random.default_rng(41).standard_normal(problem33.mesh.n_interior)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_forward(
+            problem33, u, y0=y0, directions=make_directions(problem33.mesh.n_interior, g)
+        )
+    assert np.array_equal(sol.active_pattern, plain.active_pattern)
+    assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
+    assert sol.y.values.tobytes() == plain.y.values.tobytes()
+
+
+def test_prediction_is_used_only_where_it_lowers_the_residual(problem33):
+    # along random directions the Galerkin prediction lowers the residual for
+    # some and not for others; only the former move the start, and the
+    # latter leave the solve bit for bit as without directions
+    u, y0, plain = _nearby_solve(problem33, seed=40)
+    b = problem33.M @ u
+    H0 = problem33.A @ y0 + problem33.D * np.maximum(y0, 0.0) - b
+    moved = []
+    for seed in range(10):
+        g = np.random.default_rng(seed).standard_normal(problem33.mesh.n_interior)
+        y, H = forward._predicted_start(problem33, y0, H0, b, [g])
+        moved.append(y is not y0)
+        if moved[-1]:
+            assert np.array_equal(H, problem33.A @ y + problem33.D * np.maximum(y, 0.0) - b)
+            assert np.linalg.norm(H) < np.linalg.norm(H0)
+        else:
+            sol = solve_forward(problem33, u, y0=y0, directions=[g])
+            assert sol.y.values.tobytes() == plain.y.values.tobytes()
+    assert any(moved) and not all(moved)
+
+
+def test_direction_along_the_increment_predicts_the_state(problem33):
+    # along the true increment y(u_hat) - y0 the Galerkin prediction lands
+    # close enough to y(u_hat) to share its active set (F is affine wherever
+    # the set is unchanged), so one Newton step confirms it, where the plain
+    # warm start needs two
+    rng = np.random.default_rng(0)
+    n = problem33.mesh.n_interior
+    u = 3.0 * rng.standard_normal(n)
+    u_hat = u + rng.standard_normal(n)
+    y0 = solve_forward(problem33, u).y.values
+    exact = solve_forward(problem33, u_hat)
+    plain = solve_forward(problem33, u_hat, y0=y0)
+    predicted = solve_forward(problem33, u_hat, y0=y0, directions=[exact.y.values - y0])
+    assert predicted.ssn_iterations == 1 < plain.ssn_iterations
+    assert np.array_equal(predicted.active_pattern, exact.active_pattern)
+    assert np.max(np.abs(predicted.y.values - exact.y.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.zeros(48), np.full(49, np.nan)], ids=["size", "nan"])
+def test_solve_forward_rejects_bad_directions(problem9, bad):
+    with pytest.raises(ValueError, match="^directions "):
+        solve_forward(problem9, np.ones(49), y0=np.zeros(49), directions=[np.ones(49), bad])
+
+
+@pytest.mark.parametrize(
+    "y0,directions", [(np.zeros(48), ()), (np.zeros(49), [np.full(49, np.inf)])], ids=["y0", "dir"]
+)
+def test_tiny_source_still_checks_its_start(problem9, y0, directions):
+    # the tiny-source path solves from zero, but a bad y0 or direction is
+    # still rejected where it enters
+    with pytest.raises(ValueError, match="^(y0|directions) "):
+        solve_forward(problem9, np.full(49, 1e-165), y0=y0, directions=directions)

@@ -238,6 +238,23 @@ def test_inexact_step_agrees_with_exact_step(problem33, monkeypatch, seed):
     np.testing.assert_allclose(inexact[1].rel_errors, exact[1].rel_errors, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("target", [1e-3, 1e-4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 19])
+def test_predicted_newton_start_keeps_the_run(problem33, monkeypatch, seed, target):
+    # the Galerkin prediction along the last state increments only moves each
+    # Newton start: same stopping index and reason as starting from the
+    # previous state, no more Newton steps, and errors that agree to 1e-11
+    # relative (1.1e-13 measured over these cases)
+    predicted, _ = _noisy_run(problem33, seed=seed, target=target)
+    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", 0)
+    reference, _ = _noisy_run(problem33, seed=seed, target=target)
+    assert (predicted.stopping_index, predicted.reason) == (
+        reference.stopping_index, reference.reason
+    )
+    assert predicted.total_ssn <= reference.total_ssn
+    np.testing.assert_allclose(predicted.rel_errors, reference.rel_errors, rtol=1e-11, atol=0.0)
+
+
 def test_forward_failure_truncates(problem17, monkeypatch):
     from bouligand_landweber import forward
 
