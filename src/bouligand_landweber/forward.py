@@ -5,9 +5,13 @@ with s the indicator of the active set {y_i >= 0} at the current iterate.
 This is the active-set iteration, which terminates finitely: once the set
 repeats, the iterate solves the nonlinear system up to the error of the
 inner CG solves.  Termination therefore requires an unchanged set and a
-residual of at most FORWARD_RTOL * ||M u||_2, so an inexact CG solve cannot
-end the iteration early.  For M u = 0 the solution is y = 0, which is also
-where the iteration starts then.
+residual of at most max(FORWARD_RTOL * ||M u||_2, tol), so an inexact CG
+solve cannot end the iteration early.  The absolute floor `tol` (default 0)
+is for a caller that needs the state only to a known accuracy: the map
+y -> A y + D max(y, 0) is strongly monotone with constant lambda_min(A), so
+any y whose residual is H lies within `error_certificate(mesh)` * ||H||_2
+of the exact state in the M-norm.  For M u = 0 the solution is y = 0, which
+is also where the iteration starts then.
 
 A caller that solves for a sequence of nearby sources, as the Landweber
 loop does, passes the last few state increments as `directions`.  The
@@ -19,8 +23,9 @@ the solution, does not depend on the start.
 
 Since only that stop decides the final accuracy, each increment is solved
 inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
-1982): CG stops at max(CG_TOL * ||H||_2, FORCING * FORWARD_RTOL * ||M u||_2),
-so the increment's own error is a fraction FORCING of what the stop allows.
+1982): CG stops at max(CG_TOL * ||H||_2, FORCING * max(FORWARD_RTOL *
+||M u||_2, tol)), so the increment's own error is a fraction FORCING of
+what the stop allows.
 
 A brute-force oracle enumerating all 2^m sign patterns is provided for
 meshes with at most 16 interior unknowns.
@@ -29,6 +34,7 @@ meshes with at most 16 interior unknowns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -138,6 +144,22 @@ def forward_residual(problem: ForwardProblem, y, u) -> float:
     return norm(r)
 
 
+def error_certificate(mesh: Mesh) -> float:
+    """C with ||y - y_exact||_M <= C ||A y + D max(y, 0) - M u||_2 for every y.
+
+    Here y_exact solves A y + D max(y, 0) = M u.  Since D >= 0 and max(., 0)
+    is monotone, F(y) = A y + D max(y, 0) satisfies (F(y) - F(z), y - z) >=
+    lambda_min(A) ||y - z||_2^2, so ||y - y_exact||_2 <= ||H||_2 / lambda_min(A)
+    for the residual H at y; and ||v||_M <= h ||v||_2, because no row of |M|
+    sums to more than h^2 (Gershgorin).  lambda_min(A) = 4 - 4 cos(pi h) is
+    the smallest sine-transform eigenvalue, written 8 sin(pi h / 2)^2 to
+    avoid the cancellation; so C = h / (4 - 4 cos(pi h)), about
+    1 / (2 pi^2 h).
+    """
+    h = mesh.h
+    return h / (8.0 * math.sin(0.5 * math.pi * h) ** 2)
+
+
 def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
     """The Galerkin prediction of the first Newton step from y0 within span(directions).
 
@@ -171,9 +193,15 @@ def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
     return y0, H0
 
 
-def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> ForwardSolution:
+def solve_forward(
+    problem: ForwardProblem, u, y0=None, directions=(), tol: float = 0.0
+) -> ForwardSolution:
     """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0).
 
+    The iteration stops once the active set repeats and the residual is at
+    most max(FORWARD_RTOL * ||M u||_2, tol); the floor `tol` (finite, >= 0,
+    else ValueError) bounds the state's M-norm error by
+    `error_certificate(mesh) * tol` where it exceeds the relative stop.
     `directions` (recent state increments, say y_n - y_{n-1}) move a given
     start y0 to the Galerkin prediction of the first Newton step within
     their span when that lowers the residual (see `_predicted_start`);
@@ -181,9 +209,12 @@ def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> Forward
     that is not one finite value per interior node raises ValueError naming
     the argument; a `u` whose ||M u||_2 overflows raises ForwardSolveError
     before any Newton step.  A nonzero `u` with ||M u||_2 below TINY_RHS is
-    solved from zero, scaled up by a power of two, so that neither the
-    Newton stop nor CG work with underflowing norms; only u = 0 gives y = 0.
+    solved from zero, scaled up by a power of two together with `tol`, so
+    that neither the Newton stop nor CG work with underflowing norms; only
+    u = 0 gives y = 0.
     """
+    if not 0.0 <= tol < math.inf:  # written so that NaN fails
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     f = problem.nonlinearity
     u = field_values(problem.mesh, "u", u)
     if y0 is not None:
@@ -196,9 +227,12 @@ def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> Forward
             f"source too large: ||M u||_2 overflows to {norm_b}", residual=norm_b
         )
     if norm_b < TINY_RHS and u.any():
-        # F(2^k u) = 2^k F(u), and the Newton iteration scales exactly with it
+        # F(2^k u) = 2^k F(u), and the Newton iteration scales exactly with
+        # it; a floor whose scaled value would overflow, which every finite
+        # residual meets anyway, is capped at the largest float
         e = math.frexp(np.abs(u).max())[1]
-        sol = solve_forward(problem, np.ldexp(u, -e))
+        scaled_tol = math.ldexp(min(tol, math.ldexp(sys.float_info.max, e)), -e)
+        sol = solve_forward(problem, np.ldexp(u, -e), tol=scaled_tol)
         y = GridFunction(problem.mesh, np.ldexp(sol.y.values, e), "state")
         return replace(sol, y=y, final_residual=math.ldexp(sol.final_residual, e))
     if y0 is None or norm_b == 0.0:
@@ -209,7 +243,8 @@ def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> Forward
     if directions and y0 is not None and norm_b > 0.0:
         y, H = _predicted_start(problem, y, H, b, directions)
     pattern = f.selection_pattern(y)
-    atol = FORCING * FORWARD_RTOL * norm_b
+    stop = max(FORWARD_RTOL * norm_b, tol)
+    atol = FORCING * stop
     residual = math.inf
     for iters in range(1, SSN_MAX_ITER + 1):
         system = SpdSystem(problem.A, problem.D * f.newton_coeff(y))
@@ -217,7 +252,7 @@ def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> Forward
         new_pattern = f.selection_pattern(y)
         H = problem.A @ y + problem.D * f.value(y) - b
         residual = norm(H)
-        if residual <= FORWARD_RTOL * norm_b and np.array_equal(new_pattern, pattern):
+        if residual <= stop and np.array_equal(new_pattern, pattern):
             return ForwardSolution(
                 y=GridFunction(problem.mesh, y, "state"),
                 active_pattern=new_pattern,
@@ -227,7 +262,7 @@ def solve_forward(problem: ForwardProblem, u, y0=None, directions=()) -> Forward
         pattern = new_pattern
     raise ForwardSolveError(
         f"semi-smooth Newton did not converge within {SSN_MAX_ITER} iterations "
-        f"(last residual {residual:.3e}, target {FORWARD_RTOL * norm_b:.3e})",
+        f"(last residual {residual:.3e}, target {stop:.3e})",
         residual=residual,
     )
 

@@ -57,10 +57,13 @@ def test_exact_fields_roles(problem17):
         exact_fields(problem17.mesh, beta=0.7)
 
 
-@pytest.mark.parametrize("n_h, beta, rho", [(17, 0.005, 5.0), (129, 0.005, 5.0), (64, 0.1, 0.3)])
+@pytest.mark.parametrize(
+    "n_h, beta, rho",
+    [(n_h, 0.005, 5.0) for n_h in (3, 4, 17, 129, 257, 1025)] + [(64, 0.1, 0.3)],
+)
 def test_exact_fields_match_interpolation(n_h, beta, rho):
-    # one evaluation of u* for u* and u_bar gives the same bits as
-    # interpolating each closed form on its own
+    # broadcasting the axis coordinates gives the same bits as
+    # interpolating each pointwise closed form on its own
     mesh = build_mesh(n_h)
     expected = (
         interpolate(mesh, lambda a, b: exact_source(a, b, beta)),

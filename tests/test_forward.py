@@ -14,7 +14,7 @@ from bouligand_landweber import (
     solve_forward,
 )
 from bouligand_landweber import forward, sparse_linalg
-from bouligand_landweber.forward import FORWARD_RTOL
+from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +250,82 @@ def test_source_with_underflowing_norm_is_solved(problem17):
     assert np.all(sol.y.values > 0.0)
     assert sol.y.values.tobytes() == np.ldexp(big.y.values, -600).tobytes()
     assert sol.ssn_iterations == big.ssn_iterations
+
+
+def _sign_changing_source(problem, scale):
+    x1, x2 = problem.mesh.interior_coords()
+    return scale * np.sin(3.0 * np.pi * x1) * np.cos(2.0 * np.pi * x2)
+
+
+def test_tiny_source_scales_its_floor(problem17):
+    # the floor is an absolute residual, so the tiny-source path scales it
+    # with u: the solve of u at floor t is the solve of 2^600 u at floor
+    # 2^600 t scaled back, bit for bit, and that floor changes the state
+    u = _sign_changing_source(problem17, 1e-165)
+    big_u = np.ldexp(u, 600)
+    tol = 1e-4 * np.linalg.norm(problem17.M @ big_u)
+    big = solve_forward(problem17, big_u, tol=tol)
+    assert big.y.values.tobytes() != solve_forward(problem17, big_u).y.values.tobytes()
+    sol = solve_forward(problem17, u, tol=np.ldexp(tol, -600))
+    assert sol.y.values.tobytes() == np.ldexp(big.y.values, -600).tobytes()
+    assert sol.ssn_iterations == big.ssn_iterations
+
+
+def test_tiny_source_with_a_huge_floor_is_solved(problem17):
+    # a floor that overflows once scaled with a tiny u is capped, not raised
+    u = _sign_changing_source(problem17, 1e-165)
+    sol = solve_forward(problem17, u, tol=1e300)
+    assert np.all(np.isfinite(sol.y.values)) and np.any(sol.y.values != 0.0)
+
+
+def test_zero_floor_is_the_default_stop(problem17):
+    u = _sign_changing_source(problem17, 30.0)
+    a, b = solve_forward(problem17, u, tol=0.0), solve_forward(problem17, u)
+    assert a.y.values.tobytes() == b.y.values.tobytes()
+    assert (a.ssn_iterations, a.final_residual) == (b.ssn_iterations, b.final_residual)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, np.nan, np.inf, -np.inf])
+def test_solve_forward_rejects_bad_floor(problem9, tol):
+    with pytest.raises(ValueError, match="^tol must be finite"):
+        solve_forward(problem9, np.ones(49), tol=tol)
+
+
+def test_floor_stops_at_the_larger_residual(problem33):
+    # the stop is max(FORWARD_RTOL ||M u||_2, tol): a floor above the relative
+    # stop ends the solve at a larger residual, and the state stays within the
+    # certificate of its own residual
+    u = _sign_changing_source(problem33, 30.0)
+    exact = solve_forward(problem33, u)
+    tol = 1e3 * FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
+    loose = solve_forward(problem33, u, tol=tol)
+    assert loose.final_residual <= tol
+    assert loose.final_residual > exact.final_residual
+    distance = m_norm(problem33.M, loose.y.values - exact.y.values)
+    assert distance <= error_certificate(problem33.mesh) * (
+        loose.final_residual + exact.final_residual
+    )
+
+
+@pytest.mark.parametrize("n_h", [3, 5, 9, 17, 33])
+def test_error_certificate_is_h_over_the_smallest_stiffness_eigenvalue(n_h):
+    # C = h / lambda_min(A) with lambda_max(M) <= h^2, so the certificate holds
+    # for every pair of states; two states below zero, where F(y) = A y, whose
+    # difference is the smoothest sine mode attain it up to that mode's
+    # M-norm, which falls short of h times its 2-norm by about pi^2 h^2 / 6
+    problem = ForwardProblem.build(build_mesh(n_h))
+    h = problem.mesh.h
+    lam_a = np.linalg.eigvalsh(problem.A.toarray())
+    assert np.max(np.linalg.eigvalsh(problem.M.toarray())) <= h * h
+    assert error_certificate(problem.mesh) == pytest.approx(h / lam_a[0], rel=1e-12)
+    if n_h == 33:
+        assert lam_a[0] == pytest.approx(0.019261, abs=5e-7)
+    x1, x2 = problem.mesh.interior_coords()
+    mode = np.sin(np.pi * x1) * np.sin(np.pi * x2)  # y - z, so F(y) - F(z) = A mode
+    ratio = m_norm(problem.M, mode) / (
+        error_certificate(problem.mesh) * np.linalg.norm(problem.A @ mode)
+    )
+    assert 1.0 - np.pi**2 * h * h / 6.0 <= ratio <= 1.0 + 1e-12
 
 
 def _nearby_solve(problem, seed):

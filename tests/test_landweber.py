@@ -23,7 +23,11 @@ from bouligand_landweber import (
     solve_forward,
 )
 from bouligand_landweber import landweber as lw
-from bouligand_landweber.forward import SINGLE_PRECISION_MIN_SIDE
+from bouligand_landweber.forward import (
+    FORWARD_RTOL,
+    SINGLE_PRECISION_MIN_SIDE,
+    error_certificate,
+)
 
 
 def test_check_parameters_default_experiment_values():
@@ -253,6 +257,63 @@ def test_predicted_newton_start_keeps_the_run(problem33, monkeypatch, seed, targ
     )
     assert predicted.total_ssn <= reference.total_ssn
     np.testing.assert_allclose(predicted.rel_errors, reference.rel_errors, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("target", [1e-3, 1e-4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 7, 11, 19])
+def test_forward_error_floor_keeps_the_run(problem33, monkeypatch, seed, target):
+    # stopping each forward solve at FORWARD_ERROR_FRACTION of the smallest
+    # earlier residual changes no stopping index, reason or Newton count, and
+    # the errors agree to 1e-11 relative (1.14e-12 measured over these cases;
+    # FORWARD_ERROR_FRACTION = 1e-6 reads 2.0e-11)
+    floored, _ = _noisy_run(problem33, seed=seed, target=target)
+    monkeypatch.setattr(lw, "FORWARD_ERROR_FRACTION", 0.0)
+    reference, _ = _noisy_run(problem33, seed=seed, target=target)
+    assert (floored.stopping_index, floored.reason) == (
+        reference.stopping_index, reference.reason
+    )
+    assert floored.ssn_counts.tolist() == reference.ssn_counts.tolist()
+    np.testing.assert_allclose(floored.rel_errors, reference.rel_errors, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("target, lbar", [(1e-3, 0.05), (1e-4, 0.05), (1e-3, 0.045)])
+def test_forward_solves_of_a_run_are_within_their_certificate(
+    problem33, monkeypatch, target, lbar
+):
+    # solve n gets the floor kappa min_{k<n} ||r_k||_M / C, so its state is
+    # within kappa min_{k<n} ||r_k||_M of the exact one; against a solve of
+    # the same u at the relative stop alone, which is itself within C times
+    # its residual, that is the distance allowed.  The first solve has no
+    # floor and is that solve bit for bit.  The floor decides every later
+    # solve here, and the distances stay below 1.4e-5 of what is allowed.
+    # lbar = 0.045 makes the step too long: the residual rises at 18 of the
+    # 25 steps before the run diverges, so the smallest earlier residual is
+    # often not the last one
+    calls = []
+
+    def recording_solve(problem, u, y0=None, directions=(), tol=0.0):
+        sol = solve_forward(problem, u, y0=y0, directions=directions, tol=tol)
+        calls.append((u.copy(), tol, sol))
+        return sol
+
+    monkeypatch.setattr(lw, "solve_forward", recording_solve)
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    noise = NoiseSpec(seed=3, mode="rescale", value=target)
+    y_noisy, delta = add_noise(y_exact, noise, problem33.M)
+    record = run(problem33, y_noisy, LandweberConfig(delta=delta, lbar=lbar), u_bar, u_exact)
+    certificate = error_certificate(problem33.mesh)
+    assert len(calls) == len(record.residual_norms) > 10
+    for n, (u, tol, sol) in enumerate(calls):
+        reference = solve_forward(problem33, u)
+        if n == 0:
+            assert tol == 0.0
+            assert sol.y.values.tobytes() == reference.y.values.tobytes()
+            continue
+        allowed = lw.FORWARD_ERROR_FRACTION * np.min(record.residual_norms[:n])
+        assert tol == allowed / certificate
+        assert tol > FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
+        distance = m_norm(problem33.M, sol.y.values - reference.y.values)
+        assert distance <= allowed + certificate * reference.final_residual
 
 
 def test_forward_failure_truncates(problem17, monkeypatch):

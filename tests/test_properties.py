@@ -24,11 +24,12 @@ from bouligand_landweber import (
     brute_force_forward,
     build_linearized,
     build_mesh,
+    m_norm,
     read_grid_function,
     solve_forward,
     write_grid_function,
 )
-from bouligand_landweber.forward import FORWARD_RTOL
+from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
 from bouligand_landweber.sparse_linalg import CG_TOL, dot, norm
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -83,6 +84,42 @@ def test_ssn_agrees_with_enumeration(case):
     y_ssn = solve_forward(problem, u).y.values
     y_enum = brute_force_forward(problem, u).values
     assert np.max(np.abs(y_ssn - y_enum)) <= 1e-10
+
+
+def _residual_and_rounding(problem, y, b):
+    """||A y + D max(y, 0) - b||_2 as computed, and a bound on its rounding error.
+
+    With u = eps / 2 and s = |A| |y| + D |y| + |b|: each entry of H sums at
+    most seven terms (five exact stencil products, the rounded lumped term
+    and b_i), so it is within gamma_7 s_i of the exact entry, gamma_k =
+    k u / (1 - k u); the norm of n entries adds at most gamma_{n+2} ||H||_2
+    <= gamma_{n+2} ||s||_2.  With n <= 9 unknowns here that is 18 u ||s||_2
+    to first order, which 16 eps ||s||_2 covers.
+    """
+    H = problem.A @ y + problem.D * np.maximum(y, 0.0) - b
+    scale = abs(problem.A) @ np.abs(y) + problem.D * np.abs(y) + np.abs(b)
+    return norm(H), 16.0 * EPS * norm(scale)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(_problem_and_source(), st.sampled_from([0.0, 1e-6, 1e-2, 1e2, 1e4]))
+def test_ssn_state_is_within_the_certificate_of_its_residual(case, floor):
+    # ||y - y_exact||_M <= C ||H(y)||_2 for every state y (forward.error_certificate),
+    # also when a floor on the Newton residual, up to 1e4 ||M u||_2, ends the
+    # solve early.  y_exact is known through the enumeration's state only,
+    # which misses it by the rounding of its LU solves: by at most C times its
+    # own residual.  That is the one slack beyond the SSN state's certificate;
+    # both residuals are taken as computed plus the bound on the rounding of
+    # their evaluation
+    problem, u = case
+    b = problem.M @ u
+    y_ssn = solve_forward(problem, u, tol=floor * norm(b)).y.values
+    y_enum = brute_force_forward(problem, u).values
+    bound = error_certificate(problem.mesh) * (
+        sum(_residual_and_rounding(problem, y_ssn, b))
+        + sum(_residual_and_rounding(problem, y_enum, b))
+    )
+    assert m_norm(problem.M, y_ssn - y_enum) <= bound
 
 
 @PROPERTY
