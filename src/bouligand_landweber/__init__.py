@@ -46,7 +46,6 @@ from .forward import (
     ForwardSolution,
     ForwardSolveError,
     PositivePart,
-    brute_force_forward,
     forward_residual,
     solve_forward,
 )
@@ -57,7 +56,6 @@ from .landweber import (
     RunRecord,
     check_parameters,
     empirical_rate,
-    relative_error,
     run,
 )
 from .verification import (
@@ -67,6 +65,7 @@ from .verification import (
     TCCEstimate,
     TCCSurvey,
     adjoint_check,
+    brute_force_forward,
     mismatch_measure,
     oracle_sweep,
     tcc_ratio,

@@ -26,9 +26,6 @@ inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
 1982): CG stops at max(CG_TOL * ||H||_2, FORCING * max(FORWARD_RTOL *
 ||M u||_2, tol)), so the increment's own error is a fraction FORCING of
 what the stop allows.
-
-A brute-force oracle enumerating all 2^m sign patterns is provided for
-meshes with at most 16 interior unknowns.
 """
 
 from __future__ import annotations
@@ -264,28 +261,4 @@ def solve_forward(
         f"semi-smooth Newton did not converge within {SSN_MAX_ITER} iterations "
         f"(last residual {residual:.3e}, target {stop:.3e})",
         residual=residual,
-    )
-
-
-def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
-    """Oracle solve by enumerating all sign patterns; at most 16 unknowns.
-
-    For each pattern s the linear system (A + D diag(s)) y = M u is solved;
-    the unique y consistent with its own signs (y_i >= 0 where s_i = 1,
-    y_i <= 0 where s_i = 0, zeros accepted either way) is returned.
-    """
-    m = problem.mesh.n_interior
-    if m > 16:
-        raise ValueError(f"brute-force enumeration refused for {m} > 16 unknowns")
-    A = problem.A.toarray()
-    b = problem.M @ field_values(problem.mesh, "u", u)
-    bits = np.arange(m)
-    for code in range(1 << m):
-        s = (code >> bits) & 1
-        y = np.linalg.solve(A + np.diag(problem.D * s), b)
-        if np.all(y[s == 1] >= 0.0) and np.all(y[s == 0] <= 0.0):
-            return GridFunction(problem.mesh, y, "state")
-    raise RuntimeError(
-        "internal error: no sign-consistent pattern found, "
-        "which is impossible for this monotone problem"
     )

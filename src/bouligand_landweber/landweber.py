@@ -47,9 +47,14 @@ preconditioner applications of the n_h = 257 campaign, and none at
 delta = 0.
 
 Two scalar parameter conditions from the convergence theory are evaluated
-by :func:`check_parameters` and stored in the run record, never enforced:
-with the default experiment parameters both are violated, yet the iteration
-behaves well.
+by :func:`check_parameters`, never enforced: with the default experiment
+parameters both are violated, yet the iteration behaves well.
+
+A run's record holds what the run produced, its config and its history;
+delta, tau, the stopping index and the parameter check at lbar follow from
+them.  Its saved summary states these too, and loading it requires each to
+equal the value the config and the history give, so a saved run re-checks
+its stopping rule from its own files.
 """
 
 from __future__ import annotations
@@ -58,17 +63,16 @@ import csv
 import json
 import logging
 import math
-import operator
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bouligand import apply_subderivative, build_linearized
 from .forward import ForwardProblem, error_certificate, solve_forward
-from .mesh_fem import GridFunction, field_values, m_norm, values_of
+from .mesh_fem import GridFunction, field_values, m_norm
 from .sparse_linalg import ConvergenceError
 
 logger = logging.getLogger(__name__)
@@ -107,6 +111,18 @@ class LandweberConfig:
     delta: float = 0.0
 
     def __post_init__(self):
+        # numbers, never bools, stored as plain floats and a plain int, as JSON records need
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.name == "max_iter"
+            if isinstance(value, bool) or not isinstance(value, Integral if integral else Real):
+                kind = "an integer >= 0" if integral else "a real number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            try:
+                value = int(value) if integral else float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            object.__setattr__(self, f.name, value)
         # written so that NaN fails every bound
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
@@ -115,13 +131,8 @@ class LandweberConfig:
         for name in ("rho", "lbar"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        try:
-            max_iter = operator.index(self.max_iter)
-        except TypeError:
-            max_iter = -1  # not an integer
-        if max_iter < 0:
+        if self.max_iter < 0:
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
-        object.__setattr__(self, "max_iter", max_iter)  # a plain int, as JSON records need
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
 
@@ -160,14 +171,6 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - lam_l2)
     choice_aux = -1.0 + cfg.mu + 5.0 * lam_l2
     return ParameterCheck(choice, choice_aux)
-
-
-def relative_error(u, u_exact, M: sp.spmatrix) -> float:
-    """Relative M-norm error ||u_exact - u||_M / ||u_exact||_M."""
-    norm_exact = m_norm(M, u_exact)
-    if norm_exact == 0.0:
-        raise ValueError("relative error undefined: exact field has zero norm")
-    return m_norm(M, values_of(u_exact) - values_of(u)) / norm_exact
 
 
 def empirical_rate(err_abs: float, delta: float) -> float:
@@ -218,22 +221,12 @@ def read_rows(path, columns) -> list[dict]:
     return rows
 
 
-def _required(ok, requirement: str):
-    """A check that returns the value if ok(value) and otherwise names the requirement."""
+def parse_reason(value) -> str:
+    """A stored reason: one of REASONS."""
+    if value not in REASONS:
+        raise ValueError(f"must be one of {', '.join(REASONS)}, got {value!r}")
+    return value
 
-    def check(value):
-        if not ok(value):
-            raise ValueError(f"must be {requirement}, got {value!r}")
-        return value
-
-    return check
-
-
-def _finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-parse_reason = _required(lambda v: v in REASONS, f"one of {', '.join(REASONS)}")
 
 RECORD_COLUMNS = (
     ("n", INT_CELL, int),
@@ -248,81 +241,94 @@ RECORD_COLUMNS = (
 _LEGACY_CONFIG_KEYS = ("steps", "lam", "Lam", "warm_start")
 
 
-def _config(value) -> dict:
+def _config(value) -> LandweberConfig:
     """A stored config: a JSON object whose keys, legacy keys aside, build a LandweberConfig."""
     if not isinstance(value, dict):
         raise ValueError(f"must be a JSON object, got {value!r}")
-    try:  # an unknown key is a TypeError, a bad value a TypeError or ValueError
-        LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
+    try:  # an unknown key is a TypeError, a bad value a ValueError
+        return LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"is not a valid LandweberConfig: {exc}") from exc
-    return value
 
 
-def _parameter_check(value) -> ParameterCheck | None:
-    """A stored parameter check: null, or its two numbers and the `satisfied` they give."""
-    if value is None:
-        return None
-    if (
-        isinstance(value, dict)
-        and value.keys() == {"choice", "choice_aux", "satisfied"}
-        and _finite_number(value["choice"])
-        and _finite_number(value["choice_aux"])
-    ):
-        check = ParameterCheck(value["choice"], value["choice_aux"])
-        stored = value["satisfied"]
-        if stored == list(check.satisfied) and all(type(b) is bool for b in stored):
-            return check
-    raise ValueError(
-        "must be null or an object with finite numbers 'choice' and 'choice_aux' and the "
-        f"two bools 'satisfied' they give, got {value!r}"
-    )
+# summary keys that follow from the config and the history, the last one
+# optional: a record written before the parameter check was stored lacks it
+_DERIVED_KEYS = ("delta", "tau", "stopping_index", "ssn_total", "parameter_check")
 
 
-# each summary key with the check that returns its value in the record or
-# raises ValueError saying what the value must be
-_SUMMARY_CHECKS = {
-    "config": _config,
-    "delta": _required(_finite_number, "a finite number"),
-    "tau": _required(_finite_number, "a finite number"),
-    "stopping_index": _required(lambda v: type(v) is int and v >= -1, "an integer >= -1"),
-    "reason": parse_reason,
-    "parameter_check": _parameter_check,
-}
+def _same(stored, derived) -> bool:
+    """Whether a stored summary value is the derived one, bit for bit and type for type.
+
+    An integer stands for the float of its value, as configs built from
+    integers were once stored.
+    """
+    if type(stored) is int and type(derived) is float:
+        return stored == derived
+    return json.dumps(stored, sort_keys=True) == json.dumps(derived, sort_keys=True)
 
 
 @dataclass
 class RunRecord:
-    """Complete history of one Landweber run."""
+    """What one Landweber run produced: its history, why it ended, and its config.
+
+    Everything else the summary states follows from these: delta and tau
+    from the config, the stopping index from the length of the history, and
+    the parameter check from the config at its assumed bound lbar.
+    """
 
     residual_norms: np.ndarray
     rel_errors: np.ndarray | None
     ssn_counts: np.ndarray
-    stopping_index: int
     reason: str
-    delta: float
-    tau: float
-    config: dict
+    config: LandweberConfig
     final: GridFunction | None = None
-    parameter_check: ParameterCheck | None = None
+
+    @property
+    def delta(self) -> float:
+        return self.config.delta
+
+    @property
+    def tau(self) -> float:
+        return self.config.tau
 
     @property
     def threshold(self) -> float:
         return self.tau * self.delta
 
     @property
+    def stopping_index(self) -> int:
+        return len(self.residual_norms) - 1
+
+    @property
     def total_ssn(self) -> int:
         return int(np.sum(self.ssn_counts))
+
+    @property
+    def parameter_check(self) -> ParameterCheck:
+        return check_parameters(self.config, self.config.lbar)
 
     def check_discrepancy(self) -> bool:
         """Re-verify the stopping rule from the recorded history alone."""
         n = self.stopping_index
-        if n < 0 or n >= len(self.residual_norms):
+        if n < 0:
             return False
         if np.any(self.residual_norms[:n] <= self.threshold):
             return False
         stopped = self.residual_norms[n] <= self.threshold
         return stopped if self.reason == REASON_DISCREPANCY else not stopped
+
+    def summary(self) -> dict:
+        """The JSON summary: the config, the reason, and what follows from them and the history."""
+        check = self.parameter_check
+        return {
+            "config": asdict(self.config),
+            "delta": self.delta,
+            "tau": self.tau,
+            "stopping_index": self.stopping_index,
+            "reason": self.reason,
+            "ssn_total": self.total_ssn,
+            "parameter_check": {**asdict(check), "satisfied": list(check.satisfied)},
+        }
 
     def save(self, base) -> tuple[Path, Path]:
         """Write `<base>.csv` (per-iteration history) and `<base>.json` (summary)."""
@@ -334,21 +340,9 @@ class RunRecord:
             for n, (res, err, ssn) in enumerate(history)
         )
         csv_path = write_rows(base.with_name(base.name + ".csv"), RECORD_COLUMNS, rows)
-        check = self.parameter_check
-        if check is not None:
-            check = {**asdict(check), "satisfied": check.satisfied}
-        summary = {
-            "config": self.config,
-            "delta": self.delta,
-            "tau": self.tau,
-            "stopping_index": int(self.stopping_index),
-            "reason": self.reason,
-            "ssn_total": self.total_ssn,
-            "parameter_check": check,
-        }
         json_path = base.with_name(base.name + ".json")
         with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, allow_nan=False)  # only what load accepts
+            json.dump(self.summary(), fh, indent=2, allow_nan=False)  # only what load accepts
             fh.write("\n")
         return csv_path, json_path
 
@@ -356,8 +350,10 @@ class RunRecord:
     def load(cls, base) -> "RunRecord":
         """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized).
 
+        The record is built from the summary's config and reason and from the
+        CSV; every other summary key must equal the value the record gives.
         A damaged pair raises ValueError naming the file and the defect: for a
-        summary value of the wrong type or out of range, the key.
+        summary value, the key.
         """
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
@@ -369,27 +365,31 @@ class RunRecord:
                 raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise ValueError(f"{json_path}: expected a JSON object, got {type(summary).__name__}")
-        summary.setdefault("parameter_check", None)  # older files do not store it
-        missing = [k for k in _SUMMARY_CHECKS if k not in summary]
+        missing = [k for k in ("config", "reason", *_DERIVED_KEYS[:-1]) if k not in summary]
         if missing:
             raise ValueError(f"{json_path}: missing keys {missing}")
         values = {}
-        for key, check in _SUMMARY_CHECKS.items():
+        for key, check in (("config", _config), ("reason", parse_reason)):
             try:
                 values[key] = check(summary[key])
             except ValueError as exc:
                 raise ValueError(f"{json_path}: {key!r} {exc}") from exc
         rows = read_rows(csv_path, RECORD_COLUMNS)
-        n = values["stopping_index"]
-        if len(rows) != n + 1:
-            raise ValueError(f"{csv_path}: {len(rows)} rows, but stopping_index {n} needs {n + 1}")
         errors = np.array([row["rel_error"] for row in rows])
-        return cls(
+        record = cls(
             residual_norms=np.array([row["residual_M"] for row in rows]),
             rel_errors=None if np.all(np.isnan(errors)) else errors,
             ssn_counts=np.array([row["ssn_iters"] for row in rows], dtype=int),
             **values,
         )
+        derived = record.summary()
+        for key in _DERIVED_KEYS:
+            if key in summary and not _same(summary[key], derived[key]):
+                raise ValueError(
+                    f"{json_path}: {key!r} must be {derived[key]!r}, as the config and "
+                    f"{csv_path.name} give, got {summary[key]!r}"
+                )
+        return record
 
 
 def run(
@@ -484,11 +484,7 @@ def run(
         residual_norms=np.array(residuals),
         rel_errors=np.array(errors) if exact is not None and errors else None,
         ssn_counts=np.array(ssn_counts, dtype=int),
-        stopping_index=len(residuals) - 1,
         reason=reason,
-        delta=cfg.delta,
-        tau=cfg.tau,
-        config=asdict(cfg),
+        config=cfg,
         final=GridFunction(problem.mesh, u, "source"),
-        parameter_check=check_parameters(cfg, cfg.lbar),
     )

@@ -11,8 +11,10 @@ disagree in sign, computed by :func:`mismatch_measure`; the surveys report
 both so that the ratio can be related to the mismatch (the fitted constants
 are diagnostics, not assertions).
 
-The module also hosts the brute-force oracle harness for the forward solver
-and a randomized self-adjointness check for the subderivative.
+The module also hosts the brute-force oracle for the forward solver, which
+enumerates all 2^m sign patterns on meshes with at most 16 interior
+unknowns, its comparison sweep, and a randomized self-adjointness check for
+the subderivative.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
-from .forward import ForwardProblem, brute_force_forward, solve_forward
-from .mesh_fem import build_mesh, field_values, m_inner, m_norm, values_of
+from .forward import ForwardProblem, solve_forward
+from .mesh_fem import GridFunction, build_mesh, field_values, m_inner, m_norm, values_of
 
 
 ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
@@ -173,6 +175,30 @@ def tcc_survey(
                     f"{degenerate} degenerate pairs in a row at ball_radius {ball_radius:g}"
                 ) from exc
     return TCCSurvey(estimates=estimates, mode=mode)
+
+
+def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
+    """Oracle solve by enumerating all sign patterns; at most 16 unknowns.
+
+    For each pattern s the linear system (A + D diag(s)) y = M u is solved;
+    the unique y consistent with its own signs (y_i >= 0 where s_i = 1,
+    y_i <= 0 where s_i = 0, zeros accepted either way) is returned.
+    """
+    m = problem.mesh.n_interior
+    if m > 16:
+        raise ValueError(f"brute-force enumeration refused for {m} > 16 unknowns")
+    A = problem.A.toarray()
+    b = problem.M @ field_values(problem.mesh, "u", u)
+    bits = np.arange(m)
+    for code in range(1 << m):
+        s = (code >> bits) & 1
+        y = np.linalg.solve(A + np.diag(problem.D * s), b)
+        if np.all(y[s == 1] >= 0.0) and np.all(y[s == 0] <= 0.0):
+            return GridFunction(problem.mesh, y, "state")
+    raise RuntimeError(
+        "internal error: no sign-consistent pattern found, "
+        "which is impossible for this monotone problem"
+    )
 
 
 @dataclass

@@ -97,9 +97,9 @@ def test_invert_command(tmp_path):
     assert record.reason == "discrepancy"
     assert record.check_discrepancy()
     assert record.delta == pytest.approx(1e-2, rel=1e-14)
-    assert record.config["mu"] == 0.1
-    assert record.config["tau"] == 1.4
-    assert record.config["max_iter"] == 5000
+    assert record.config.mu == 0.1
+    assert record.config.tau == 1.4
+    assert record.config.max_iter == 5000
 
 
 def test_invert_sigma_mode(tmp_path):
@@ -256,7 +256,7 @@ def _run_both(tmp_path, command, flags):
 def test_config_strings_convert_like_flags(tmp_path):
     flag, config = _run_both(tmp_path, "noise-free", ["--n", "9", "--iters", "2", "--tau", "1.5"])
     record = RunRecord.load(config.with_suffix(""))
-    assert record.config["tau"] == 1.5 and isinstance(record.config["tau"], float)
+    assert record.config.tau == 1.5 and isinstance(record.config.tau, float)
     assert len(record.residual_norms) == 3
     for suffix in (".csv", ".json"):
         assert flag.with_suffix(suffix).read_bytes() == config.with_suffix(suffix).read_bytes()

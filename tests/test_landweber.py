@@ -18,7 +18,6 @@ from bouligand_landweber import (
     exact_fields,
     m_norm,
     poisson_preconditioner,
-    relative_error,
     run,
     solve_forward,
 )
@@ -96,18 +95,26 @@ def test_config_max_iter_must_be_an_integer(value):
     assert type(LandweberConfig(max_iter=np.int64(3)).max_iter) is int
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", ["mu", "tau", "rho", "lbar", "max_iter", "delta"])
+def test_config_rejects_bools(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be (a real number|an integer >= 0), got"):
+        LandweberConfig(**{field: value})
+
+
+def test_config_stores_plain_floats_and_an_int():
+    # any real number type is accepted and stored as the plain type a JSON record holds
+    cfg = LandweberConfig(
+        mu=0, tau=2, rho=np.float32(5.0), lbar=Fraction(1, 20), max_iter=np.int64(3), delta=0
+    )
+    assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == [float] * 4 + [
+        int, float
+    ]
+    assert cfg == LandweberConfig(mu=0.0, tau=2.0, rho=5.0, lbar=0.05, max_iter=3, delta=0.0)
+
+
 def test_constant_step_default_value():
     assert LandweberConfig().constant_step == pytest.approx(720.0, rel=1e-12)
-
-
-def test_relative_error_trivial(problem17):
-    M = problem17.M
-    n = problem17.mesh.n_interior
-    u_exact = np.ones(n)
-    assert relative_error(u_exact, u_exact, M) == 0.0
-    assert relative_error(np.zeros(n), u_exact, M) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError, match="zero norm"):
-        relative_error(u_exact, np.zeros(n), M)
 
 
 def test_empirical_rate():
@@ -428,7 +435,8 @@ def test_record_load_reads_older_summaries(tmp_path, problem17):
     # files written before the parameter check was stored carry the removed
     # config keys steps/lam/Lam/warm_start and no "parameter_check"
     u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
-    record = run(problem17, y_exact, LandweberConfig(max_iter=2), u_bar, u_exact)
+    cfg = LandweberConfig(max_iter=2)
+    record = run(problem17, y_exact, cfg, u_bar, u_exact)
     base = tmp_path / "run"
     _, json_path = record.save(base)
     summary = json.loads(json_path.read_text())
@@ -436,9 +444,24 @@ def test_record_load_reads_older_summaries(tmp_path, problem17):
     summary["config"].update(steps=None, lam=720.0, Lam=720.0, warm_start=False)
     json_path.write_text(json.dumps(summary))
     back = RunRecord.load(base)
-    assert back.parameter_check is None
-    assert back.config["warm_start"] is False
+    assert back.config == cfg
+    assert back.parameter_check == check_parameters(cfg, cfg.lbar)
     assert np.array_equal(back.residual_norms, record.residual_norms)
+
+
+def test_record_load_reads_integer_valued_fields(tmp_path, problem9):
+    # a config built from integers, as LandweberConfig(tau=2), was once stored
+    # with integers; the record holds the floats of the same values
+    u_exact, y_exact, u_bar = exact_fields(problem9.mesh)
+    record = run(problem9, y_exact, LandweberConfig(tau=2, max_iter=1), u_bar, u_exact)
+    base = tmp_path / "run"
+    _, json_path = record.save(base)
+    summary = json.loads(json_path.read_text())
+    summary["tau"] = summary["config"]["tau"] = 2
+    json_path.write_text(json.dumps(summary))
+    back = RunRecord.load(base)
+    assert back.config == record.config
+    assert type(back.tau) is float and back.tau == 2.0
 
 
 @pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])
@@ -514,27 +537,37 @@ def _update_config(**changes):
 
 
 _CHECK = {"choice": 1.0, "choice_aux": 2.0, "satisfied": [False, False]}
+# finite and self-consistent, but evaluated at a norm bound other than lbar
+_OTHER = check_parameters(LandweberConfig(), L=0.04)
+_CHECK_AT_OTHER_BOUND = {**dataclasses.asdict(_OTHER), "satisfied": list(_OTHER.satisfied)}
 _BAD_CONFIG = r"run\.json: 'config' is not a valid LandweberConfig: "
-_BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
+
+
+def _derived(key, value):
+    """The message for a summary key that contradicts the config and the CSV."""
+    return rf"run\.json: '{key}' must be {value}, as the config and run\.csv give, got "
+
+
+_BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[False, False\]\}")
 
 
 @pytest.mark.parametrize(
     "damage, message",
     [
         (_damage_last_csv_row, r"run\.csv, line \d+: empty cell"),
-        (_drop_last_csv_row, r"run\.csv: 2 rows, but stopping_index 2 needs 3"),
+        (_drop_last_csv_row, _derived("stopping_index", 1) + "2"),
         (_empty_residual_cell, r"run\.csv, line 3: empty cell"),
         (_drop_csv_column, r"run\.csv: missing columns \['ssn_iters'\]"),
         (_truncate_json, r"run\.json: not valid JSON"),
         (_drop_json_key, r"run\.json: missing keys \['stopping_index'\]"),
         (_set_json(summary=5), r"run\.json: expected a JSON object"),
-        (_set_json(stopping_index="2"), r"run\.json: 'stopping_index' must be an integer"),
-        (_set_json(stopping_index=2.0), r"run\.json: 'stopping_index' must be an integer"),
-        (_set_json(stopping_index=-2), r"run\.json: 'stopping_index' must be an integer >= -1"),
-        (_set_json(delta="abc"), r"run\.json: 'delta' must be a finite number"),
-        (_set_json(delta=float("nan")), r"run\.json: 'delta' must be a finite number"),
-        (_set_json(tau=None), r"run\.json: 'tau' must be a finite number"),
-        (_set_json(tau=True), r"run\.json: 'tau' must be a finite number"),
+        (_set_json(stopping_index="2"), _derived("stopping_index", 2) + "'2'"),
+        (_set_json(stopping_index=2.0), _derived("stopping_index", 2) + r"2\.0"),
+        (_set_json(stopping_index=-2), _derived("stopping_index", 2) + "-2"),
+        (_set_json(delta="abc"), _derived("delta", r"0\.0") + "'abc'"),
+        (_set_json(delta=float("nan")), _derived("delta", r"0\.0") + "nan"),
+        (_set_json(tau=None), _derived("tau", r"1\.4") + "None"),
+        (_set_json(tau=True), _derived("tau", r"1\.4") + "True"),
         (_set_json(reason="bogus"), r"run\.json: 'reason' must be one of"),
         (_set_json(config=5), r"run\.json: 'config' must be a JSON object"),
         (_set_json(parameter_check={"choice": 1.0}), _BAD_CHECK),
@@ -544,9 +577,16 @@ _BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
         (_set_json(parameter_check={**_CHECK, "choice": "a"}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "choice_aux": float("inf")}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "satisfied": [True, True]}), _BAD_CHECK),
-        (_update_config(mu="a"), _BAD_CONFIG + "'<=' not supported"),
+        (_update_config(mu="a"), _BAD_CONFIG + "mu must be a real number, got 'a'"),
         (_update_config(mu=2.0), _BAD_CONFIG + r"mu must lie in \[0, 1\), got 2\.0"),
         (_update_config(bogus=1), _BAD_CONFIG + ".*unexpected keyword argument 'bogus'"),
+        (_set_json(delta=1.0), _derived("delta", r"0\.0") + r"1\.0"),
+        (_set_json(tau=3.0), _derived("tau", r"1\.4") + r"3\.0"),
+        (_set_json(ssn_total=-7), _derived("ssn_total", r"\d+") + "-7"),
+        (_set_json(parameter_check=_CHECK), _BAD_CHECK),
+        (_set_json(parameter_check=_CHECK_AT_OTHER_BOUND), _BAD_CHECK),
+        (_update_config(max_iter=True), _BAD_CONFIG + "max_iter must be an integer >= 0, got True"),
+        (_update_config(tau=10**400), _BAD_CONFIG + "tau must be finite and exceed 1, got inf"),
     ],
     ids=[
         "cut-row",
@@ -575,6 +615,13 @@ _BAD_CHECK = r"run\.json: 'parameter_check' must be null or an object"
         "config-mu-string",
         "config-mu-out-of-range",
         "config-unknown-key",
+        "delta-contradicts-config",
+        "tau-contradicts-config",
+        "ssn-total-wrong",
+        "check-contradicts-config",
+        "check-at-another-bound",
+        "config-max-iter-bool",
+        "config-tau-beyond-float-range",
     ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):

@@ -5,7 +5,6 @@ The examples are derandomized, so every run checks the same inputs.
 
 import math
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from bouligand_landweber import (
     ForwardProblem,
     GridFunction,
     LandweberConfig,
-    ParameterCheck,
     PositivePart,
     RunRecord,
     apply_subderivative,
@@ -238,21 +236,28 @@ def test_dot_and_norm_match_exact_sums(pair):
     assert abs(norm(a) ** 2 - squares) <= (n + 3) * EPS * squares + (n + 1) * TINY
 
 
+positive = st.floats(0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True)
+configs = st.builds(
+    LandweberConfig,
+    mu=st.floats(0.0, 1.0, exclude_max=True),
+    tau=st.floats(1.0, exclude_min=True, allow_infinity=False),
+    rho=positive,
+    lbar=positive,
+    max_iter=st.integers(0, 10**6),
+    delta=st.floats(0.0, allow_infinity=False, allow_subnormal=True),
+)
+
+
 @st.composite
 def _run_records(draw):
     rows = draw(st.integers(1, 12))
     column = arrays(np.float64, rows, elements=finite)
-    check = ParameterCheck(draw(finite), draw(finite))  # `satisfied` follows from the two
     return RunRecord(
         residual_norms=draw(column),
         rel_errors=draw(st.one_of(st.none(), column)),
         ssn_counts=draw(arrays(np.int64, rows, elements=st.integers(0, 100))),
-        stopping_index=rows - 1,
         reason=draw(st.sampled_from(["discrepancy", "max-iterations", "divergence"])),
-        delta=draw(finite),
-        tau=draw(finite),
-        config=asdict(LandweberConfig()),
-        parameter_check=draw(st.one_of(st.none(), st.just(check))),
+        config=draw(configs),
     )
 
 
@@ -268,9 +273,8 @@ def test_run_record_roundtrip_is_bit_exact(record):
     else:
         assert back.rel_errors.tobytes() == record.rel_errors.tobytes()
     assert back.ssn_counts.tolist() == record.ssn_counts.tolist()
-    assert (back.stopping_index, back.reason, back.config) == (
-        record.stopping_index, record.reason, record.config
-    )
+    assert (back.stopping_index, back.reason) == (record.stopping_index, record.reason)
+    assert repr(back.config) == repr(record.config)  # repr tells every float apart, even -0.0
     assert np.float64(back.delta).tobytes() == np.float64(record.delta).tobytes()
     assert np.float64(back.tau).tobytes() == np.float64(record.tau).tobytes()
     assert back.parameter_check == record.parameter_check
