@@ -20,7 +20,6 @@ any problem is built.  The commands only parse; the runs themselves are built by
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
@@ -36,13 +35,21 @@ from .experiments import (
     write_table_csv,
 )
 from .forward import ForwardProblem, solve_forward
-from .landweber import LandweberConfig
+from .landweber import FLOAT_CELL, INT_CELL, LandweberConfig, write_json, write_rows
 from .mesh_fem import build_mesh, read_grid_function, write_grid_function
 from .verification import adjoint_check, oracle_sweep, tcc_survey
 
 # The LandweberConfig fields a user may set; delta is measured from the data.
 LANDWEBER_DEFAULTS = {f.name: f.default for f in fields(LandweberConfig) if f.name != "delta"}
 RUN_COMMANDS = ("noise-free", "invert", "table")
+STARTS = ("zero", "source")
+
+# the verify suites' CSV columns, as (name, format, parse); see landweber.write_rows
+ORACLE_COLUMNS = (("n_h", INT_CELL, int), ("trial", INT_CELL, int), ("max_diff", FLOAT_CELL, float))
+TCC_COLUMNS = tuple((name, FLOAT_CELL, float) for name in ("radius", "mu_hat", "mismatch"))
+ADJOINT_COLUMNS = (
+    ("trial", INT_CELL, int), ("asymmetry", FLOAT_CELL, float), ("rayleigh", FLOAT_CELL, float)
+)
 
 
 def _checked(cast, ok, requirement: str):
@@ -72,17 +79,12 @@ def _list_of(convert):
     return convert_list
 
 
-def _one_of(*options):
-    return _checked(str, lambda v: v in options, f"one of {', '.join(options)}")
-
-
 MESH_SIZE = _checked(int, lambda v: v >= 3, "an integer >= 3")
 ORACLE_SIZE = _checked(int, lambda v: 3 <= v <= 6, "between 3 and 6 (at most 16 unknowns)")
 COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
 NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-START = _one_of("zero", "source")
 
 
 def _file_line_args(line: str) -> list[str]:
@@ -107,13 +109,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("noise-free", help="noise-free iteration with fixed step count")
     p.add_argument("--n", type=MESH_SIZE, default=129)
-    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--start", choices=STARTS, default="source")
     p.add_argument("--iters", type=NONNEGATIVE_INT, default=100)  # takes the place of --max-iter
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("invert", help="one noisy reconstruction with discrepancy stopping")
     p.add_argument("--n", type=MESH_SIZE, default=129)
-    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--start", choices=STARTS, default="source")
     noise = p.add_mutually_exclusive_group(required=True)
     noise.add_argument("--delta-target", type=NONNEGATIVE)
     noise.add_argument("--sigma", type=NONNEGATIVE)
@@ -122,7 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("table", help="campaign over noise levels and seeds")
     p.add_argument("--n", type=MESH_SIZE, default=129)
-    p.add_argument("--start", type=START, default="source", metavar="{zero,source}")
+    p.add_argument("--start", choices=STARTS, default="source")
     p.add_argument("--deltas", type=_list_of(POSITIVE), default="1e-2,1e-3,1e-4",
                    help="comma-separated noise targets")
     p.add_argument("--seeds", type=_list_of(NONNEGATIVE_INT), default="0",
@@ -130,8 +132,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="empirical verification suites")
-    p.add_argument("--suite", type=_one_of("oracle", "tcc", "adjoint", "all"), default="all",
-                   metavar="{oracle,tcc,adjoint,all}")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--oracle-sizes", type=_list_of(ORACLE_SIZE), default="3,4,5",
                    help="comma-separated n_h")
     p.add_argument("--oracle-trials", type=COUNT, default=100)
@@ -241,11 +242,8 @@ def _verify_oracle(args, out: Path) -> dict:
     for n_h in args.oracle_sizes:
         report = oracle_sweep(n_h, trials=args.oracle_trials, seed=args.seed)
         reports.append(report)
-        rows.extend((n_h, t, d) for t, d in enumerate(report.diffs))
-    with open(out, "w") as fh:
-        fh.write("n_h,trial,max_diff\n")
-        for n_h, t, d in rows:
-            fh.write(f"{n_h},{t},{d:.17g}\n")
+        rows.extend({"n_h": n_h, "trial": t, "max_diff": d} for t, d in enumerate(report.diffs))
+    write_rows(out, ORACLE_COLUMNS, rows)
     return {
         "suite": "oracle",
         "max_diff": max(r.max_diff for r in reports),
@@ -267,11 +265,11 @@ def _verify_tcc(args, out: Path) -> dict:
         )
         for mode in ("nodal", "bump")
     ]
-    with open(out, "w") as fh:
-        fh.write("radius,mu_hat,mismatch\n")
-        for survey in surveys:
-            for radius, ratio, mismatch in survey.rows():
-                fh.write(f"{radius:.17g},{ratio:.17g},{mismatch:.17g}\n")
+    write_rows(out, TCC_COLUMNS, (
+        {"radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch}
+        for survey in surveys
+        for e in survey.estimates
+    ))
     return {
         "suite": "tcc",
         "max_ratio": {s.mode: s.max_ratio for s in surveys},
@@ -286,10 +284,10 @@ def _verify_tcc(args, out: Path) -> dict:
 def _verify_adjoint(args, out: Path) -> dict:
     problem = ForwardProblem.build(build_mesh(args.adjoint_n))
     report = adjoint_check(problem, trials=args.adjoint_trials, seed=args.seed)
-    with open(out, "w") as fh:
-        fh.write("trial,asymmetry,rayleigh\n")
-        for t in range(report.trials):
-            fh.write(f"{t},{report.asymmetries[t]:.17g},{report.rayleigh[t]:.17g}\n")
+    write_rows(out, ADJOINT_COLUMNS, (
+        {"trial": t, "asymmetry": a, "rayleigh": r}
+        for t, (a, r) in enumerate(zip(report.asymmetries, report.rayleigh))
+    ))
     return {
         "suite": "adjoint",
         "max_asymmetry": report.max_asymmetry,
@@ -297,19 +295,19 @@ def _verify_adjoint(args, out: Path) -> dict:
     }
 
 
+SUITES = {"oracle": _verify_oracle, "tcc": _verify_tcc, "adjoint": _verify_adjoint}
+
+
 def _cmd_verify(args) -> int:
     out = Path(args.out)
-    runners = {"oracle": _verify_oracle, "tcc": _verify_tcc, "adjoint": _verify_adjoint}
-    suites = list(runners) if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     summaries = []
     for suite in suites:
         target = out if len(suites) == 1 else out.with_suffix(f".{suite}.csv")
-        summaries.append(runners[suite](args, target))
+        summaries.append(SUITES[suite](args, target))
         print(f"verify[{suite}] -> {target}")
-    json_path = out.with_suffix(".json")
-    with open(json_path, "w") as fh:
-        json.dump(summaries if len(summaries) > 1 else summaries[0], fh, indent=2)
-        fh.write("\n")
+    summary = summaries if len(summaries) > 1 else summaries[0]
+    json_path = write_json(out.with_suffix(".json"), summary)
     print(f"verify summary -> {json_path}")
     return 0
 

@@ -52,9 +52,9 @@ parameters both are violated, yet the iteration behaves well.
 
 A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
-them.  Its saved summary states these too, and loading it requires each to
-equal the value the config and the history give, so a saved run re-checks
-its stopping rule from its own files.
+them.  Its saved summary states these too, and loading it requires the
+stored summary to be the one the config and the history give, key for key,
+so a saved run re-checks its stopping rule from its own files.
 """
 
 from __future__ import annotations
@@ -195,6 +195,13 @@ def write_rows(path, columns, rows) -> Path:
     return Path(path)
 
 
+def write_json(path, obj) -> Path:
+    """Write obj as strict JSON, indented, with a final newline; NaN or infinity is a ValueError."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    return path
+
+
 def read_rows(path, columns) -> list[dict]:
     """Read the row dicts of a CSV written by :func:`write_rows` with the same columns.
 
@@ -249,11 +256,6 @@ def _config(value) -> LandweberConfig:
         return LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"is not a valid LandweberConfig: {exc}") from exc
-
-
-# summary keys that follow from the config and the history, the last one
-# optional: a record written before the parameter check was stored lacks it
-_DERIVED_KEYS = ("delta", "tau", "stopping_index", "ssn_total", "parameter_check")
 
 
 def _same(stored, derived) -> bool:
@@ -340,20 +342,17 @@ class RunRecord:
             for n, (res, err, ssn) in enumerate(history)
         )
         csv_path = write_rows(base.with_name(base.name + ".csv"), RECORD_COLUMNS, rows)
-        json_path = base.with_name(base.name + ".json")
-        with open(json_path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, allow_nan=False)  # only what load accepts
-            fh.write("\n")
-        return csv_path, json_path
+        return csv_path, write_json(base.with_name(base.name + ".json"), self.summary())
 
     @classmethod
     def load(cls, base) -> "RunRecord":
         """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized).
 
         The record is built from the summary's config and reason and from the
-        CSV; every other summary key must equal the value the record gives.
-        A damaged pair raises ValueError naming the file and the defect: for a
-        summary value, the key.
+        CSV, whose `n` column must count its rows; the stored summary must
+        then be the record's own, with no key unknown or missing and every
+        other value equal.  A damaged pair raises ValueError naming the file
+        and the defect: for a summary value, the key.
         """
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
@@ -365,16 +364,18 @@ class RunRecord:
                 raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise ValueError(f"{json_path}: expected a JSON object, got {type(summary).__name__}")
-        missing = [k for k in ("config", "reason", *_DERIVED_KEYS[:-1]) if k not in summary]
-        if missing:
-            raise ValueError(f"{json_path}: missing keys {missing}")
         values = {}
         for key, check in (("config", _config), ("reason", parse_reason)):
+            if key not in summary:
+                raise ValueError(f"{json_path}: missing key {key!r}")
             try:
                 values[key] = check(summary[key])
             except ValueError as exc:
                 raise ValueError(f"{json_path}: {key!r} {exc}") from exc
         rows = read_rows(csv_path, RECORD_COLUMNS)
+        for n, row in enumerate(rows):
+            if row["n"] != n:  # the header is line 1
+                raise ValueError(f"{csv_path}, line {n + 2}: n must be {n}, got {row['n']}")
         errors = np.array([row["rel_error"] for row in rows])
         record = cls(
             residual_norms=np.array([row["residual_M"] for row in rows]),
@@ -382,9 +383,16 @@ class RunRecord:
             ssn_counts=np.array([row["ssn_iters"] for row in rows], dtype=int),
             **values,
         )
+        # the config and the reason built the record; every other key must be derived
         derived = record.summary()
-        for key in _DERIVED_KEYS:
-            if key in summary and not _same(summary[key], derived[key]):
+        for key in {**derived, **summary}:
+            if key not in derived:
+                raise ValueError(f"{json_path}: unknown key {key!r}")
+            if key not in summary:
+                # records written before the parameter check was stored lack it
+                if key != "parameter_check":
+                    raise ValueError(f"{json_path}: missing key {key!r}")
+            elif key not in values and not _same(summary[key], derived[key]):
                 raise ValueError(
                     f"{json_path}: {key!r} must be {derived[key]!r}, as the config and "
                     f"{csv_path.name} give, got {summary[key]!r}"

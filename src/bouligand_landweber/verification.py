@@ -131,9 +131,6 @@ class TCCSurvey:
             out[p] = max(quotients) if quotients else 0.0
         return out
 
-    def rows(self) -> list[tuple[float, float, float]]:
-        return [(e.radius, e.ratio, e.mismatch) for e in self.estimates]
-
 
 def tcc_survey(
     problem: ForwardProblem,
@@ -251,10 +248,6 @@ class AdjointReport:
 
     asymmetries: np.ndarray  # relative, per trial
     rayleigh: np.ndarray  # ||G w||_M / ||w||_M per trial
-
-    @property
-    def trials(self) -> int:
-        return self.asymmetries.size
 
     @property
     def max_asymmetry(self) -> float:

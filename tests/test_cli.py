@@ -8,13 +8,18 @@ from bouligand_landweber import (
     GridFunction,
     LandweberConfig,
     RunRecord,
+    adjoint_check,
     build_mesh,
+    exact_fields,
+    oracle_sweep,
     read_grid_function,
     read_table_csv,
     run_table,
+    tcc_survey,
     write_grid_function,
 )
-from bouligand_landweber.cli import main
+from bouligand_landweber.cli import ADJOINT_COLUMNS, ORACLE_COLUMNS, TCC_COLUMNS, main
+from bouligand_landweber.landweber import read_rows
 
 
 def test_forward_builtin_exact(tmp_path, capsys):
@@ -225,6 +230,47 @@ def test_verify_all_suites_with_config(tmp_path):
     assert summaries[2]["max_asymmetry"] <= 1e-10
 
 
+def _strict_json(path):
+    """The JSON of `path`, which must not hold NaN or infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_verify_csvs_read_back_as_the_reports(tmp_path):
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--oracle-sizes=3,4", "--oracle-trials=3", "--tcc-n=9", "--tcc-pairs=2",
+            "--adjoint-n=9", "--adjoint-trials=2", "--seed=5", "--out", str(out)]
+    assert main(argv) == 0
+    summaries = _strict_json(tmp_path / "verify.json")
+    assert [s["suite"] for s in summaries] == ["oracle", "tcc", "adjoint"]
+
+    oracle = read_rows(tmp_path / "verify.oracle.csv", ORACLE_COLUMNS)
+    diffs = [oracle_sweep(n_h, trials=3, seed=5).diffs for n_h in (3, 4)]
+    assert [(r["n_h"], r["trial"]) for r in oracle] == [(n, t) for n in (3, 4) for t in range(3)]
+    assert [r["max_diff"] for r in oracle] == np.concatenate(diffs).tolist()
+
+    problem = ForwardProblem.build(build_mesh(9))
+    u_exact, _, _ = exact_fields(problem.mesh)
+    estimates = [
+        e
+        for mode in ("nodal", "bump")
+        for e in tcc_survey(problem, u_exact, 2, seed=5, mode=mode).estimates
+    ]
+    assert read_rows(tmp_path / "verify.tcc.csv", TCC_COLUMNS) == [
+        {"radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch} for e in estimates
+    ]
+
+    report = adjoint_check(problem, trials=2, seed=5)
+    adjoint = read_rows(tmp_path / "verify.adjoint.csv", ADJOINT_COLUMNS)
+    assert [r["trial"] for r in adjoint] == [0, 1]
+    assert [r["asymmetry"] for r in adjoint] == report.asymmetries.tolist()
+    assert [r["rayleigh"] for r in adjoint] == report.rayleigh.tolist()
+    assert (tmp_path / "verify.adjoint.csv").read_bytes().endswith(b"\r\n")
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     opts = _options_file(tmp_path, ["--iters=2", "--start=zero"])
     out = tmp_path / "a.csv"
@@ -297,6 +343,7 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         ([], ["verify", "--suite", "tcc", "--tcc-radius", "0"], "--tcc-radius"),
         ([], ["verify", "--oracle-sizes", "3,8"], "--oracle-sizes"),
         ([], ["noise-free", "--n", "2"], "--n"),
+        (["--suite=stability"], ["verify"], "--suite"),
     ],
     ids=[
         "config-start",
@@ -312,6 +359,7 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         "flag-tcc-radius",
         "flag-oracle-sizes",
         "flag-n",
+        "config-suite",
     ],
 )
 def test_bad_value_is_usage_error(tmp_path, capsys, monkeypatch, lines, argv, named):

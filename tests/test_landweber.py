@@ -464,6 +464,40 @@ def test_record_load_reads_integer_valued_fields(tmp_path, problem9):
     assert type(back.tau) is float and back.tau == 2.0
 
 
+# run_noise_free(9, "zero", 2) as saved before load compared every summary key
+_SAVED_CSV = (
+    "n,residual_M,rel_error,ssn_iters\r\n"
+    "0,0.025210970904030201,1,1\r\n"
+    "1,0.019078722648622766,0.76194244544628442,3\r\n"
+    "2,0.014554461733892944,0.59110595245209707,1\r\n"
+)
+_SAVED_SUMMARY = {
+    "config": {"mu": 0.1, "tau": 1.4, "rho": 5.0, "lbar": 0.05, "max_iter": 2, "delta": 0.0},
+    "delta": 0.0,
+    "tau": 1.4,
+    "stopping_index": 2,
+    "reason": "max-iterations",
+    "ssn_total": 5,
+    "parameter_check": {
+        "choice": 1.5714285714285716, "choice_aux": 8.1, "satisfied": [False, False]
+    },
+}
+
+
+def test_saved_record_loads_and_saves_the_same_bytes(tmp_path):
+    base = tmp_path / "saved"
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    csv_path.write_bytes(_SAVED_CSV.encode())
+    json_path.write_text(json.dumps(_SAVED_SUMMARY, indent=2) + "\n")
+    saved = csv_path.read_bytes(), json_path.read_bytes()
+    record = RunRecord.load(base)
+    assert record.config == LandweberConfig(max_iter=2)
+    assert record.ssn_counts.tolist() == [1, 3, 1]
+    assert record.rel_errors[0] == 1.0
+    resaved = record.save(tmp_path / "again")
+    assert tuple(path.read_bytes() for path in resaved) == saved
+
+
 @pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])
 def test_run_rejects_non_finite_input(problem17, argument):
     # rejected before the first forward solve, with the argument named
@@ -505,11 +539,23 @@ def _truncate_json(base):
     path.write_text(path.read_text()[:40])
 
 
-def _drop_json_key(base):
-    path = base.with_name(base.name + ".json")
-    summary = json.loads(path.read_text())
-    del summary["stopping_index"]
-    path.write_text(json.dumps(summary))
+def _renumber_csv_row(base):
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "7" + lines[2][1:]  # the row of n = 1
+    path.write_text("".join(lines))
+
+
+def _drop_json_key(key):
+    """A damage that deletes one summary key."""
+
+    def damage(base):
+        path = base.with_name(base.name + ".json")
+        summary = json.loads(path.read_text())
+        del summary[key]
+        path.write_text(json.dumps(summary))
+
+    return damage
 
 
 def _set_json(**changes):
@@ -559,7 +605,11 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         (_empty_residual_cell, r"run\.csv, line 3: empty cell"),
         (_drop_csv_column, r"run\.csv: missing columns \['ssn_iters'\]"),
         (_truncate_json, r"run\.json: not valid JSON"),
-        (_drop_json_key, r"run\.json: missing keys \['stopping_index'\]"),
+        (_drop_json_key("stopping_index"), r"run\.json: missing key 'stopping_index'"),
+        (_drop_json_key("config"), r"run\.json: missing key 'config'"),
+        (_drop_json_key("ssn_total"), r"run\.json: missing key 'ssn_total'"),
+        (_set_json(bogus=1), r"run\.json: unknown key 'bogus'"),
+        (_renumber_csv_row, r"run\.csv, line 3: n must be 1, got 7"),
         (_set_json(summary=5), r"run\.json: expected a JSON object"),
         (_set_json(stopping_index="2"), _derived("stopping_index", 2) + "'2'"),
         (_set_json(stopping_index=2.0), _derived("stopping_index", 2) + r"2\.0"),
@@ -595,6 +645,10 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         "missing-column",
         "bad-json",
         "missing-key",
+        "missing-config",
+        "missing-ssn-total",
+        "unknown-key",
+        "index-column-out-of-order",
         "not-an-object",
         "index-string",
         "index-float",
