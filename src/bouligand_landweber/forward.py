@@ -134,11 +134,20 @@ class ForwardSolution:
     final_residual: float
 
 
+def _residual(problem: ForwardProblem, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The residual A y + D f(y) - b, summed in that order into one new vector."""
+    H = problem.A @ y
+    Df = problem.nonlinearity.value(y)
+    Df *= problem.D
+    H += Df
+    H -= b
+    return H
+
+
 def forward_residual(problem: ForwardProblem, y, u) -> float:
     """Euclidean residual ||A y + D f(y) - M u||_2."""
     yv, uv = field_values(problem.mesh, "y", y), field_values(problem.mesh, "u", u)
-    r = problem.A @ yv + problem.D * problem.nonlinearity.value(yv) - problem.M @ uv
-    return norm(r)
+    return norm(_residual(problem, yv, problem.M @ uv))
 
 
 def error_certificate(mesh: Mesh) -> float:
@@ -184,7 +193,7 @@ def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
     y = y0.copy()
     for a_i, g in zip(a, directions):
         y += a_i * g
-    H = problem.A @ y + problem.D * f.value(y) - b
+    H = _residual(problem, y, b)
     if norm(H) < norm(H0):
         return y, H
     return y0, H0
@@ -208,7 +217,8 @@ def solve_forward(
     before any Newton step.  A nonzero `u` with ||M u||_2 below TINY_RHS is
     solved from zero, scaled up by a power of two together with `tol`, so
     that neither the Newton stop nor CG work with underflowing norms; only
-    u = 0 gives y = 0.
+    u = 0 gives y = 0.  `u`, `y0` and `directions` are never modified: the
+    iteration updates its own copy of the state in place.
     """
     if not 0.0 <= tol < math.inf:  # written so that NaN fails
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -236,7 +246,7 @@ def solve_forward(
         y = np.zeros(problem.mesh.n_interior)
     else:
         y = y0.copy()
-    H = problem.A @ y + problem.D * f.value(y) - b
+    H = _residual(problem, y, b)
     if directions and y0 is not None and norm_b > 0.0:
         y, H = _predicted_start(problem, y, H, b, directions)
     pattern = f.selection_pattern(y)
@@ -244,10 +254,12 @@ def solve_forward(
     atol = FORCING * stop
     residual = math.inf
     for iters in range(1, SSN_MAX_ITER + 1):
-        system = SpdSystem(problem.A, problem.D * f.newton_coeff(y))
-        y = y + solve_spd(system, -H, problem.precond, atol=atol)
+        shift = f.newton_coeff(y)
+        shift *= problem.D
+        # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
+        y -= solve_spd(SpdSystem(problem.A, shift), H, problem.precond, atol=atol)
         new_pattern = f.selection_pattern(y)
-        H = problem.A @ y + problem.D * f.value(y) - b
+        H = _residual(problem, y, b)
         residual = norm(H)
         if residual <= stop and np.array_equal(new_pattern, pattern):
             return ForwardSolution(

@@ -206,19 +206,23 @@ def read_rows(path, columns) -> list[dict]:
     """Read the row dicts of a CSV written by :func:`write_rows` with the same columns.
 
     A damaged file raises ValueError naming the file and the defect: the
-    missing columns, or the line of a cell that is empty, cut off or does
-    not parse.
+    missing columns, a blank line, or the line of a cell that is empty, cut
+    off or does not parse.  Row i is therefore on line i + 2.
     """
     rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name, _, _ in columns if name not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name, _, _ in columns if name not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
+        for cells in reader:
+            if not cells:
+                raise ValueError(f"{path}, line {reader.line_num}: blank line")
+            row = dict(zip(header, cells))
             values = {}
             for name, _, parse in columns:
-                cell = row[name]  # None where the row is cut off
+                cell = row.get(name)  # None where the row is cut off
                 try:
                     values[name] = parse(cell)
                 except (TypeError, ValueError) as exc:
@@ -374,7 +378,7 @@ class RunRecord:
                 raise ValueError(f"{json_path}: {key!r} {exc}") from exc
         rows = read_rows(csv_path, RECORD_COLUMNS)
         for n, row in enumerate(rows):
-            if row["n"] != n:  # the header is line 1
+            if row["n"] != n:  # read_rows puts row n on line n + 2
                 raise ValueError(f"{csv_path}, line {n + 2}: n must be {n}, got {row['n']}")
         errors = np.array([row["rel_error"] for row in rows])
         record = cls(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,25 @@ def problem33():
 @pytest.fixture(scope="session")
 def problem65():
     return ForwardProblem.build(build_mesh(65))
+
+
+@pytest.fixture(scope="session")
+def problem257():
+    return ForwardProblem.build(build_mesh(257))
+
+
+def peak_vectors(fn, n: int) -> float:
+    """Peak memory that fn() allocates, traced by tracemalloc, in vectors of n doubles.
+
+    Counted from the start of the call, so what fn returns is included and
+    what the caller already holds is not.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
 
 
 def matched_pattern_pair(problem, rng):

@@ -166,6 +166,13 @@ def test_relative_floor_keeps_the_overflow_error(problem17):
         apply_subderivative(op, problem17.M, w, rtol=1e-8)
 
 
+def test_apply_leaves_the_direction_unchanged(problem33):
+    op, w, _ = _counted_operator(problem33)
+    before = w.tobytes()
+    apply_subderivative(op, problem33.M, w)
+    assert w.tobytes() == before
+
+
 def test_dimension_mismatch(problem17):
     with pytest.raises(ValueError):
         build_linearized(problem17, np.zeros(4))

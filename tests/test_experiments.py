@@ -258,8 +258,9 @@ def _drop_rate_column(text):
         (lambda text: text.replace("0.01,", "abc,"), r"table\.csv, line 2: delta: could not"),
         (lambda text: text.replace(",7,", ",7.5,"), r"table\.csv, line 2: N: invalid literal"),
         (lambda text: text.replace("discrepancy", "bogus"), r"table\.csv, line 2: reason: must"),
+        (lambda text: text.replace("\n", "\n\n", 1), r"table\.csv, line 2: blank line"),
     ],
-    ids=["missing-column", "cut-row", "delta-text", "N-float", "reason-unknown"],
+    ids=["missing-column", "cut-row", "delta-text", "N-float", "reason-unknown", "blank-line"],
 )
 def test_read_table_csv_rejects_damaged_files(tmp_path, damage, message):
     path = write_table_csv(tmp_path / "table.csv", _TABLE_ROWS)

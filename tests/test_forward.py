@@ -14,7 +14,9 @@ from bouligand_landweber import (
     solve_forward,
 )
 from bouligand_landweber import forward, sparse_linalg
+from bouligand_landweber.experiments import exact_fields
 from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
+from conftest import peak_vectors
 
 
 @pytest.fixture(scope="module")
@@ -415,3 +417,28 @@ def test_tiny_source_still_checks_its_start(problem9, y0, directions):
     # still rejected where it enters
     with pytest.raises(ValueError, match="^(y0|directions) "):
         solve_forward(problem9, np.full(49, 1e-165), y0=y0, directions=directions)
+
+
+def test_solve_forward_leaves_its_inputs_unchanged(problem33):
+    # the Newton loop updates its own state in place; u, y0 and the
+    # directions keep every bit, from zero, from y0, and from the prediction
+    u, y0, _ = _nearby_solve(problem33, seed=40)
+    g = np.random.default_rng(3).standard_normal(problem33.mesh.n_interior)
+    b = problem33.M @ u
+    H0 = problem33.A @ y0 + problem33.D * np.maximum(y0, 0.0) - b
+    directions = [g, solve_forward(problem33, 1.1 * u).y.values - y0]
+    assert forward._predicted_start(problem33, y0, H0, b, directions)[0] is not y0
+    before = [v.tobytes() for v in (u, y0, *directions)]
+    solve_forward(problem33, u)
+    solve_forward(problem33, u, y0=y0)
+    solve_forward(problem33, u, y0=y0, directions=directions)
+    assert [v.tobytes() for v in (u, y0, *directions)] == before
+
+
+def test_solve_forward_working_set(problem257):
+    # one cold solve of u_bar at n_h = 257: tracemalloc measured 10.63
+    # vectors of 8 n bytes, returned state and active set included (numpy
+    # 2.4, scipy 1.17)
+    n = problem257.mesh.n_interior
+    u_bar = exact_fields(problem257.mesh)[2]
+    assert peak_vectors(lambda: solve_forward(problem257, u_bar), n) <= 11.5

@@ -546,6 +546,16 @@ def _renumber_csv_row(base):
     path.write_text("".join(lines))
 
 
+def _blank_line_before_renumbered_row(base):
+    # a blank line 3 and 9 in place of 2 on line 5: the blank line is named,
+    # not the line before the renumbered row
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = "9" + lines[3][1:]  # the row of n = 2
+    lines.insert(2, "\r\n")
+    path.write_text("".join(lines))
+
+
 def _drop_json_key(key):
     """A damage that deletes one summary key."""
 
@@ -610,6 +620,7 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         (_drop_json_key("ssn_total"), r"run\.json: missing key 'ssn_total'"),
         (_set_json(bogus=1), r"run\.json: unknown key 'bogus'"),
         (_renumber_csv_row, r"run\.csv, line 3: n must be 1, got 7"),
+        (_blank_line_before_renumbered_row, r"run\.csv, line 3: blank line"),
         (_set_json(summary=5), r"run\.json: expected a JSON object"),
         (_set_json(stopping_index="2"), _derived("stopping_index", 2) + "'2'"),
         (_set_json(stopping_index=2.0), _derived("stopping_index", 2) + r"2\.0"),
@@ -649,6 +660,7 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         "missing-ssn-total",
         "unknown-key",
         "index-column-out-of-order",
+        "blank-line",
         "not-an-object",
         "index-string",
         "index-float",
