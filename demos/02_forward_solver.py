@@ -36,7 +36,7 @@ print(f"max |SSN - enumeration| over 50 random sources at n_h=5: {worst:.2e}")
 problem = ForwardProblem.build(build_mesh(257))
 u_exact, y_exact, _ = exact_fields(problem.mesh)
 sol = solve_forward(problem, u_exact)
-active = int(np.sum(sol.active_pattern == 1))
+active = np.count_nonzero(sol.active_pattern)
 print(f"n_h=257 benchmark: {sol.ssn_iterations} Newton steps, "
       f"residual {sol.final_residual:.2e}, {active}/{problem.mesh.n_interior} active nodes")
 print(f"distance to the interpolated exact state: "

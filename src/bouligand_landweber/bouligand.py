@@ -30,7 +30,7 @@ from .sparse_linalg import SpdSystem, norm, solve_spd
 
 @dataclass(frozen=True)
 class LinearizedOperator:
-    """The matrix A + K_y frozen at a base state y."""
+    """The matrix A + K_y frozen at a base state y; `coeff` is the bool mask {y > 0}."""
 
     problem: ForwardProblem
     coeff: np.ndarray

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,9 @@ class NoiseSpec:
     value: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # a plain int, as a table row records it
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if not 0.0 <= self.value < math.inf:
@@ -207,26 +211,25 @@ def run_table(
     deltas = [float(d) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("all noise targets must be positive")
+    noises = [NoiseSpec(seed=seed, mode="rescale", value=d) for seed in seeds for d in deltas]
     cfg, problem, fields = _campaign(n_h, cfg)
     norm_exact = m_norm(problem.M, fields[0])
 
     rows = []
-    for seed in seeds:
-        for delta_target in deltas:
-            noise = NoiseSpec(seed=int(seed), mode="rescale", value=delta_target)
-            record = _cell(problem, fields, start, cfg, noise)
-            err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
-            rows.append(
-                {
-                    "delta": record.delta,
-                    "seed": int(seed),
-                    "N": record.stopping_index,
-                    "rel_error": err,
-                    "rate": empirical_rate(err * norm_exact, record.delta),
-                    "ssn_total": record.total_ssn,
-                    "reason": record.reason,
-                }
-            )
+    for noise in noises:
+        record = _cell(problem, fields, start, cfg, noise)
+        err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
+        rows.append(
+            {
+                "delta": record.delta,
+                "seed": noise.seed,
+                "N": record.stopping_index,
+                "rel_error": err,
+                "rate": empirical_rate(err * norm_exact, record.delta),
+                "ssn_total": record.total_ssn,
+                "reason": record.reason,
+            }
+        )
     return rows
 
 

@@ -65,7 +65,7 @@ class ForwardSolveError(ConvergenceError):
 
 
 class PositivePart:
-    """The nonlinearity f(t) = max(t, 0) and its derivative conventions at the kink."""
+    """The nonlinearity f(t) = max(t, 0) and its two conventions at the kink, as bool masks."""
 
     @staticmethod
     def value(t) -> np.ndarray:
@@ -74,18 +74,17 @@ class PositivePart:
 
     @staticmethod
     def bouligand_coeff(t) -> np.ndarray:
-        """Subderivative coefficient: the strict indicator of t > 0."""
-        return np.greater(t, 0.0).astype(float)
+        """Subderivative coefficient: the bool mask {t > 0}."""
+        return np.greater(t, 0.0)
 
     @staticmethod
     def newton_coeff(t) -> np.ndarray:
-        """Newton derivative coefficient: the indicator of t >= 0."""
-        return np.greater_equal(t, 0.0).astype(float)
+        """Newton derivative coefficient and active set: the bool mask {t >= 0}."""
+        return np.greater_equal(t, 0.0)
 
-    @staticmethod
-    def selection_pattern(t) -> np.ndarray:
-        """Active set {t >= 0} as 0/1 integers."""
-        return np.greater_equal(t, 0.0).astype(int)
+    # the same set under its older name, kept only because the benchmark's
+    # perfbench/spans.py wraps it by name (ROADMAP item 1(a) drops it)
+    selection_pattern = newton_coeff
 
 
 @dataclass
@@ -126,7 +125,7 @@ class ForwardProblem:
 
 @dataclass
 class ForwardSolution:
-    """Converged state with its selection pattern and iteration diagnostics."""
+    """Converged state, its active set {y >= 0} as a bool mask, and iteration diagnostics."""
 
     y: GridFunction
     active_pattern: np.ndarray
@@ -249,26 +248,24 @@ def solve_forward(
     H = _residual(problem, y, b)
     if directions and y0 is not None and norm_b > 0.0:
         y, H = _predicted_start(problem, y, H, b, directions)
-    pattern = f.selection_pattern(y)
+    active = f.newton_coeff(y)
     stop = max(FORWARD_RTOL * norm_b, tol)
     atol = FORCING * stop
     residual = math.inf
     for iters in range(1, SSN_MAX_ITER + 1):
-        shift = f.newton_coeff(y)
-        shift *= problem.D
         # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
-        y -= solve_spd(SpdSystem(problem.A, shift), H, problem.precond, atol=atol)
-        new_pattern = f.selection_pattern(y)
+        y -= solve_spd(SpdSystem(problem.A, problem.D * active), H, problem.precond, atol=atol)
+        new_active = f.newton_coeff(y)
         H = _residual(problem, y, b)
         residual = norm(H)
-        if residual <= stop and np.array_equal(new_pattern, pattern):
+        if residual <= stop and np.array_equal(new_active, active):
             return ForwardSolution(
                 y=GridFunction(problem.mesh, y, "state"),
-                active_pattern=new_pattern,
+                active_pattern=new_active,
                 ssn_iterations=iters,
                 final_residual=residual,
             )
-        pattern = new_pattern
+        active = new_active
     raise ForwardSolveError(
         f"semi-smooth Newton did not converge within {SSN_MAX_ITER} iterations "
         f"(last residual {residual:.3e}, target {stop:.3e})",

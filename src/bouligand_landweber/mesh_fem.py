@@ -109,6 +109,11 @@ def field_values(mesh: Mesh, name: str, v) -> np.ndarray:
     n = mesh.n_interior
     if values.shape != (n,):
         raise ValueError(f"{name} needs {n} interior values, got shape {values.shape}")
+    return require_finite(name, values)
+
+
+def require_finite(name: str, values: np.ndarray) -> np.ndarray:
+    """`values`, or ValueError naming `name` and its first NaN or infinite entry."""
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))

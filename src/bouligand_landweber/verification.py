@@ -25,8 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
-from .forward import ForwardProblem, solve_forward
-from .mesh_fem import GridFunction, build_mesh, field_values, m_inner, m_norm, values_of
+from .forward import ForwardProblem, PositivePart, solve_forward
+from .mesh_fem import (
+    GridFunction,
+    build_mesh,
+    field_values,
+    m_inner,
+    m_norm,
+    require_finite,
+    values_of,
+)
 
 
 ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
@@ -54,15 +62,18 @@ def _require_count(name: str, count: int) -> None:
 def mismatch_measure(D: np.ndarray, y, y_hat) -> float:
     """Lumped area of the set where y and y_hat disagree in sign.
 
-    Counts nodes with (y_i <= 0 and y_hat_i > 0) or (y_i > 0 and
-    y_hat_i <= 0), each weighted by its lumped-mass entry D_ii; a quadrature
-    surrogate for the Lebesgue measure of the continuum mismatch set.
+    Counts nodes where the subderivative masks {y > 0} and {y_hat > 0}
+    differ, each weighted by its lumped-mass entry D_ii; a quadrature
+    surrogate for the Lebesgue measure of the continuum mismatch set.  A
+    NaN or infinite entry in y or y_hat raises ValueError naming it.
     """
     a, b = values_of(y), values_of(y_hat)
     D = np.asarray(D, dtype=float)
     if a.shape != b.shape or D.shape != a.shape:
         raise ValueError(f"dimension mismatch: D {D.shape}, y {a.shape}, y_hat {b.shape}")
-    flipped = (a <= 0.0) != (b <= 0.0)
+    require_finite("y", a)
+    require_finite("y_hat", b)
+    flipped = PositivePart.bouligand_coeff(a) != PositivePart.bouligand_coeff(b)
     return float(np.sum(D[flipped]))
 
 

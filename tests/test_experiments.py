@@ -135,6 +135,17 @@ def test_noise_spec_rejects_non_finite(value):
         NoiseSpec(seed=0, mode="rescale", value=value)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "3", None])
+def test_noise_spec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        NoiseSpec(seed=seed, mode="rescale", value=1e-2)
+
+
+def test_noise_spec_stores_seed_as_int():
+    spec = NoiseSpec(seed=np.int64(3), mode="rescale", value=1e-2)
+    assert type(spec.seed) is int and spec.seed == 3
+
+
 def test_consistency_residual_decays():
     # scaled-down refinement study; the campaign asserts the full ladder
     r = consistency_residuals([17, 33, 65])
@@ -204,6 +215,16 @@ def test_run_noisy_is_one_table_cell():
 def test_run_table_rejects_nonpositive_delta():
     with pytest.raises(ValueError, match="positive"):
         run_table(17, deltas=[1e-2, 0.0])
+
+
+@pytest.mark.parametrize("seeds", [(1.7,), (0, -1), (True,)])
+def test_run_table_rejects_bad_seed_before_any_cell(seeds, monkeypatch):
+    # a seed is not rounded or cast, and the campaign fails before it builds anything
+    from bouligand_landweber import experiments
+
+    monkeypatch.setattr(experiments, "_campaign", lambda *a: pytest.fail("campaign built"))
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        run_table(17, deltas=[1e-2], seeds=seeds)
 
 
 def test_table_csv_roundtrip(tmp_path):

@@ -53,7 +53,8 @@ def test_positive_part_matches_scalar_definitions(t):
     assert f.bouligand_coeff(t).tolist() == [float(x > 0.0) for x in t]
     assert f.newton_coeff(t).tolist() == [float(x >= 0.0) for x in t]
     pattern = f.selection_pattern(t)
-    assert pattern.dtype.kind == "i"
+    assert all(mask.dtype == np.bool_ for mask in (f.bouligand_coeff(t), f.newton_coeff(t), pattern))
+    assert PositivePart.selection_pattern is PositivePart.newton_coeff
     assert pattern.tolist() == [int(x >= 0.0) for x in t]
 
 

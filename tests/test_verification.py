@@ -67,6 +67,16 @@ def test_mismatch_boundary_convention():
     assert mismatch_measure(D, np.array([0.0, 0.0]), np.array([1.0, -1.0])) == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["y", "y_hat"])
+def test_mismatch_rejects_non_finite(name, bad):
+    # a NaN compares false both ways, so it would silently land on one side of the kink
+    good, broken = np.array([1.0, 1.0, -1.0]), np.array([bad, 1.0, -1.0])
+    args = (broken, good) if name == "y" else (good, broken)
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+        mismatch_measure(np.ones(3), *args)
+
+
 def test_mismatch_dimension_mismatch():
     with pytest.raises(ValueError):
         mismatch_measure(np.ones(3), np.zeros(3), np.zeros(2))
