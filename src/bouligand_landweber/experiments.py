@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,17 @@ def exact_fields(
     )
 
 
+def _noise_value(value):
+    """A noise amplitude or target as given; a bool or a non-real raises ValueError.
+
+    A bool is an int to Python, so float(True) would read as a level of 1.0;
+    it is rejected here as `LandweberConfig` rejects it in its real fields.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"noise amplitude/target must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Seeded Gaussian noise, either raw amplitude or rescaled to a target level."""
@@ -119,7 +130,7 @@ class NoiseSpec:
         object.__setattr__(self, "seed", int(self.seed))  # a plain int, as a table row records it
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if not 0.0 <= self.value < math.inf:
+        if not 0.0 <= _noise_value(self.value) < math.inf:
             raise ValueError(f"noise amplitude/target must be finite and >= 0, got {self.value}")
 
 
@@ -208,7 +219,7 @@ def run_table(
     Returns one row dict per cell, keyed by the TABLE_COLUMNS names.  Failures
     of a single cell are recorded in its 'reason' and the campaign continues.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [float(_noise_value(d)) for d in deltas]
     if any(d <= 0.0 for d in deltas):
         raise ValueError("all noise targets must be positive")
     noises = [NoiseSpec(seed=seed, mode="rescale", value=d) for seed in seeds for d in deltas]

@@ -25,7 +25,14 @@ Since only that stop decides the final accuracy, each increment is solved
 inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
 1982): CG stops at max(CG_TOL * ||H||_2, FORCING * max(FORWARD_RTOL *
 ||M u||_2, tol)), so the increment's own error is a fraction FORCING of
-what the stop allows.
+what the stop allows.  A warm solve (y0 given) also offers CG one earlier
+exit at MOVING_SET_FORCING * ||H||_2, a forcing term relative to the
+step's own residual (Eisenstat-Walker 1996).  There the active set of the
+Newton iterate that CG's current iterate gives is compared with the step's
+set, and the step ends if they differ.  A step that moves the set is never
+the last (Hintermueller-Ito-Kunisch 2002): the step that ends the loop was
+solved to the floor above, so the stop keeps its meaning.  Cold solves
+make exactly the CG calls they made before the exit existed.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ from .sparse_linalg import (
 
 FORWARD_RTOL = 1e-10  # Newton residual bound relative to ||M u||_2
 FORCING = 1e-4  # each increment's CG floor as a fraction of the Newton stop
+# a warm step's CG exit, relative to its residual ||H||_2, taken once the set moves
+MOVING_SET_FORCING = 1e-3
 SSN_MAX_ITER = 100
 # Grids with fewer interior points per side keep the exact float64
 # preconditioner: there the float32 transforms save no time, and CG's
@@ -218,6 +227,14 @@ def solve_forward(
     that neither the Newton stop nor CG work with underflowing norms; only
     u = 0 gives y = 0.  `u`, `y0` and `directions` are never modified: the
     iteration updates its own copy of the state in place.
+
+    From a given y0, each Newton step offers `solve_spd` its early exit at
+    MOVING_SET_FORCING times the step's residual ||H||_2.  Once CG gets
+    there, the set {y >= 0} of the Newton iterate its current iterate gives
+    is evaluated; if it differs from the step's set, the step ends there and
+    that mask is the next step's set.  A step that took the exit cannot end
+    the loop, so the returned state comes from a step solved to the FORCING
+    floor.  Without y0 every CG solve runs to that floor.
     """
     if not 0.0 <= tol < math.inf:  # written so that NaN fails
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -251,11 +268,26 @@ def solve_forward(
     active = f.newton_coeff(y)
     stop = max(FORWARD_RTOL * norm_b, tol)
     atol = FORCING * stop
-    residual = math.inf
+    residual = norm(H)
+    moved = []  # the next iterate's set, where a warm step's CG exit found that it moves
+
+    def set_moves(dy):
+        """Whether the iterate y - dy leaves the step's active set; keeps the new set if so."""
+        mask = f.newton_coeff(y - dy)
+        if np.array_equal(mask, active):
+            return False
+        moved.append(mask)
+        return True
+
     for iters in range(1, SSN_MAX_ITER + 1):
+        system = SpdSystem(problem.A, problem.D * active)
         # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
-        y -= solve_spd(SpdSystem(problem.A, problem.D * active), H, problem.precond, atol=atol)
-        new_active = f.newton_coeff(y)
+        if y0 is None:
+            y -= solve_spd(system, H, problem.precond, atol=atol)
+        else:
+            early_exit = (MOVING_SET_FORCING * residual, set_moves)
+            y -= solve_spd(system, H, problem.precond, atol=atol, early_exit=early_exit)
+        new_active = moved.pop() if moved else f.newton_coeff(y)
         H = _residual(problem, y, b)
         residual = norm(H)
         if residual <= stop and np.array_equal(new_active, active):

@@ -139,16 +139,22 @@ def norm(a: np.ndarray) -> float:
     return math.sqrt(dot(a, a))
 
 
-def _pcg(system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, max_iter: int):
+def _pcg(
+    system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, max_iter: int, early_exit
+) -> bool | None:
     """Continue CG from the iterate x whose residual b - K x is r, updating both in place.
 
     Besides x and r it holds p, z, Ap and one scratch vector.  Each update
     rounds exactly as x + alpha p, r - alpha Ap and z + beta p do, since
-    IEEE products and sums commute.
+    IEEE products and sums commute.  With `early_exit` = (tol, test), the
+    first iterate whose residual is at most tol but above tol_abs goes to
+    test: the run stops there if test holds, and goes on to tol_abs if not.
+    Returns test's verdict, or None where test was not called.
     """
     p = pre(r)
     rz = dot(r, p)
     scratch = np.empty_like(x)
+    verdict = None
     for _ in range(max_iter):
         Ap = system.matvec(p, scratch)
         pAp = dot(p, Ap)
@@ -161,8 +167,13 @@ def _pcg(system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, m
         x += np.multiply(p, alpha, out=scratch)
         Ap *= alpha
         r -= Ap
-        if norm(r) <= tol_abs:
-            return
+        residual = norm(r)
+        if residual <= tol_abs:
+            return verdict
+        if verdict is None and early_exit is not None and residual <= early_exit[0]:
+            verdict = bool(early_exit[1](x))
+            if verdict:
+                return verdict
         del Ap  # freed before the preconditioner and the next matvec allocate
         z = pre(r)
         rz_new = dot(r, z)
@@ -182,6 +193,7 @@ def solve_spd(
     b: np.ndarray,
     preconditioner: Callable[[np.ndarray], np.ndarray],
     atol: float = 0.0,
+    early_exit: tuple[float, Callable[[np.ndarray], bool]] | None = None,
 ) -> np.ndarray:
     """Solve K x = b for the SPD system K to a residual of max(CG_TOL * ||b||_2, atol).
 
@@ -198,9 +210,22 @@ def solve_spd(
     with ||b||_2 below TINY_RHS (down to subnormal entries, whose norm
     underflows to 0) is solved scaled up by a power of two, so that neither
     its norm nor CG's inner products underflow; only b = 0 gives x = 0.
+
+    `early_exit` = (tol, test), with tol finite and >= 0, offers one earlier
+    stop to a caller that can tell from the iterate whether it needs more,
+    as a Newton step whose active set moves can (`forward.solve_forward`).
+    The first time CG's recurrence residual falls to tol, but not yet to the
+    floor above, test(x) is called once with the current iterate, which it
+    must not modify.  If it returns true the solve ends there, and its
+    true-residual check (and any restart) targets tol instead of the floor;
+    if false, CG goes on to the floor and test is not called again, restarts
+    included.  Where test is never called or returns false, x has the bits
+    of a call without the exit.
     """
     if not 0.0 <= atol < math.inf:
         raise ValueError(f"atol must be finite and >= 0, got {atol}")
+    if early_exit is not None and not 0.0 <= early_exit[0] < math.inf:
+        raise ValueError(f"early exit tol must be finite and >= 0, got {early_exit[0]}")
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
         raise ValueError(f"dimension mismatch: system dim {system.dim}, b shape {b.shape}")
@@ -216,16 +241,28 @@ def solve_spd(
         if not b.any():
             return np.zeros_like(b)
         # K x = b is linear and powers of two scale exactly: solve for b
-        # scaled to max|b_i| in [0.5, 1); a floor above max|b_i| is capped there
+        # scaled to max|b_i| in [0.5, 1); a floor above max|b_i| is capped
+        # there, and the exit's test sees the iterate scaled back
         e = math.frexp(np.abs(b).max())[1]
-        scaled_atol = math.ldexp(min(atol, math.ldexp(1.0, e)), -e)
-        return np.ldexp(solve_spd(system, np.ldexp(b, -e), preconditioner, scaled_atol), e)
+
+        def scaled(tol):
+            return math.ldexp(min(tol, math.ldexp(1.0, e)), -e)
+
+        if early_exit is not None:
+            tol, test = early_exit
+            early_exit = (scaled(tol), lambda x: test(np.ldexp(x, e)))
+        x = solve_spd(system, np.ldexp(b, -e), preconditioner, scaled(atol), early_exit)
+        return np.ldexp(x, e)
     tol_abs = max(CG_TOL * norm_b, atol)
 
     x, r = np.zeros_like(b), b.copy()
     achieved = np.inf
     for _ in range(3):  # restart on stale recurrence residual
-        _pcg(system, x, r, preconditioner, tol_abs, 10 * system.dim)
+        verdict = _pcg(system, x, r, preconditioner, tol_abs, 10 * system.dim, early_exit)
+        if verdict is not None:
+            if verdict:
+                tol_abs = early_exit[0]
+            early_exit = None  # test is called at most once
         np.subtract(b, system.matvec(x, r), out=r)
         achieved = norm(r)
         if achieved <= tol_abs:

@@ -135,6 +135,13 @@ def test_noise_spec_rejects_non_finite(value):
         NoiseSpec(seed=0, mode="rescale", value=value)
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1e-2", None])
+def test_noise_spec_rejects_a_value_that_is_not_a_real_number(value):
+    # a bool is an int to Python; stored, True would be a target of 1.0
+    with pytest.raises(ValueError, match="noise amplitude/target must be a real number"):
+        NoiseSpec(seed=0, mode="rescale", value=value)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "3", None])
 def test_noise_spec_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
@@ -215,6 +222,17 @@ def test_run_noisy_is_one_table_cell():
 def test_run_table_rejects_nonpositive_delta():
     with pytest.raises(ValueError, match="positive"):
         run_table(17, deltas=[1e-2, 0.0])
+
+
+@pytest.mark.parametrize("deltas", [[True], [1e-2, np.bool_(True)]], ids=["bool", "numpy-bool"])
+def test_run_table_rejects_a_bool_delta_before_any_cell(deltas, monkeypatch):
+    # float(True) is 1.0: the check comes before the conversion, and before
+    # the campaign builds anything
+    from bouligand_landweber import experiments
+
+    monkeypatch.setattr(experiments, "_campaign", lambda *a: pytest.fail("campaign built"))
+    with pytest.raises(ValueError, match="noise amplitude/target must be a real number"):
+        run_table(9, deltas, seeds=(0,))
 
 
 @pytest.mark.parametrize("seeds", [(1.7,), (0, -1), (True,)])

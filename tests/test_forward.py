@@ -477,3 +477,44 @@ def test_solve_forward_evaluates_one_active_set_per_iterate(problem33):
     assert counting.calls == {"newton": sol.ssn_iterations + 1, "bouligand": 0}
     assert sol.active_pattern.dtype == np.bool_
     assert np.array_equal(sol.y.values, solve_forward(problem33, u).y.values)
+
+
+def test_warm_solves_end_with_a_step_solved_to_its_floor(problem33, monkeypatch):
+    # along u_bar -> u* in ten warm solves, each Newton step whose active set
+    # moves may stop its CG at MOVING_SET_FORCING of its residual, but such a
+    # step never ends the loop: the last CG solve of every warm solve runs to
+    # its floor.  The cold first solve never passes the exit.  The next set
+    # is the mask the exit computed, so {y >= 0} is evaluated once per
+    # iterate plus once per refused exit
+    counting = _CountingNonlinearity(problem33.nonlinearity)
+    problem = dataclasses.replace(problem33, nonlinearity=counting)
+    steps = []
+
+    def recording_solve(system, b, pre, atol=0.0, **early):
+        verdicts = []
+        if early:
+            tol, test = early["early_exit"]
+            early["early_exit"] = (tol, lambda x: verdicts.append(test(x)) or verdicts[-1])
+        x = sparse_linalg.solve_spd(system, b, pre, atol=atol, **early)
+        floor = max(sparse_linalg.CG_TOL * np.linalg.norm(b), atol)
+        steps.append((bool(early), verdicts, np.linalg.norm(system.matvec(x) - b) <= floor))
+        return x
+
+    monkeypatch.setattr(forward, "solve_spd", recording_solve)
+    u_star, _, u_bar = exact_fields(problem.mesh)
+    y, taken = None, 0
+    for t in np.linspace(0.0, 1.0, 11):
+        u = u_bar.values + t * (u_star.values - u_bar.values)
+        steps.clear()
+        counting.calls["newton"] = 0
+        sol = solve_forward(problem, u, y0=y)
+        assert [offered for offered, _, _ in steps] == [y is not None] * sol.ssn_iterations
+        _, verdicts, at_floor = steps[-1]
+        assert verdicts in ([], [False]) and at_floor
+        refused = sum(v == [False] for _, v, _ in steps)
+        assert counting.calls["newton"] == sol.ssn_iterations + 1 + refused
+        assert np.array_equal(sol.active_pattern, sol.y.values >= 0.0)
+        assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem.M @ u)
+        taken += sum(v == [True] for _, v, _ in steps)
+        y = sol.y.values
+    assert taken >= 5

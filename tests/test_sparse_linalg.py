@@ -259,3 +259,103 @@ def test_solve_working_set(problem257):
     system = SpdSystem(problem257.A, problem257.D)
     b = problem257.M @ np.sin(np.arange(n, dtype=float))
     assert peak_vectors(lambda: solve_spd(system, b, problem257.precond), n) <= 6.5
+
+
+def _exit_case():
+    """A shifted system at n_h = 65, its right-hand side, preconditioner and exit tol."""
+    mesh = build_mesh(65)
+    A, M, D = assemble(mesh)
+    rng = np.random.default_rng(4)
+    system = SpdSystem(A, D * (rng.uniform(0, 1, mesh.n_interior) > 0.5))
+    b = M @ rng.standard_normal(mesh.n_interior)
+    return system, b, poisson_preconditioner(mesh.m), 1e-3 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-8], ids=["cg-tol", "atol"])
+def test_early_exit_refused_keeps_the_solve(floor):
+    # a test that returns false is asked once, and CG then goes on to the
+    # floor as if no exit had been offered: the same iterate, bit for bit
+    system, b, pre, tol = _exit_case()
+    atol = floor * np.linalg.norm(b)
+    seen = []
+
+    def refuse(x):
+        seen.append(np.linalg.norm(system.matvec(x) - b))
+        return False
+
+    x = solve_spd(system, b, pre, atol=atol, early_exit=(tol, refuse))
+    assert len(seen) == 1 and seen[0] <= 1.01 * tol
+    assert x.tobytes() == solve_spd(system, b, pre, atol=atol).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170], ids=["normal", "tiny-rhs"])
+def test_early_exit_taken_stops_at_its_tol(scale):
+    # a test that holds ends the solve at the first iterate within tol, with
+    # a true residual within tol and fewer preconditioner applications; a
+    # right-hand side below TINY_RHS is solved scaled, and the test sees the
+    # iterate scaled back
+    system, b, pre, tol = _exit_case()
+    b, tol = scale * b, scale * tol
+    plain, early, seen = [], [], []
+
+    def accept(x):
+        seen.append(x.copy())
+        return True
+
+    exact = solve_spd(system, b, _counting(pre, plain))
+    x = solve_spd(system, b, _counting(pre, early), early_exit=(tol, accept))
+    assert len(seen) == 1 and np.array_equal(seen[0], x)
+    assert np.linalg.norm(system.matvec(x) - b) <= tol
+    assert len(early) < len(plain)
+    assert not np.array_equal(x, exact)
+
+
+@pytest.mark.parametrize("verdict, change", [(False, 1e-6), (True, 1e-2)], ids=["refused", "taken"])
+def test_early_exit_test_runs_once_across_restarts(monkeypatch, verdict, change):
+    # the test raises the system's shift in place, so the recurrence residual
+    # goes stale and the true-residual check restarts CG from the new
+    # residual, which already lies below tol: the test is not asked again,
+    # and the restart goes on to the floor (refused) or to tol (taken)
+    mesh = build_mesh(17)
+    A, M, D = assemble(mesh)
+    system = SpdSystem(A, D.copy())
+    b = M @ np.random.default_rng(4).standard_normal(mesh.n_interior)
+    tol = 1e-3 * np.linalg.norm(b)
+    runs, calls = [], []
+    pcg = sparse_linalg._pcg
+
+    def counted_pcg(*args):
+        runs.append(1)
+        return pcg(*args)
+
+    def shifting_test(x):
+        calls.append(1)
+        system.shift[:] += change
+        return verdict
+
+    monkeypatch.setattr(sparse_linalg, "_pcg", counted_pcg)
+    x = solve_spd(system, b, poisson_preconditioner(mesh.m), early_exit=(tol, shifting_test))
+    assert (len(runs), len(calls)) == (2, 1)
+    target = tol if verdict else CG_TOL * np.linalg.norm(b)
+    assert np.linalg.norm(system.matvec(x) - b) <= target
+
+
+def test_early_exit_below_the_floor_is_never_asked():
+    # CG reaches an atol above the exit's tol first: no test, and the bits of
+    # a call without the keyword
+    system, b, pre, tol = _exit_case()
+
+    def never(x):
+        raise AssertionError("test called")
+
+    x = solve_spd(system, b, pre, atol=10.0 * tol, early_exit=(tol, never))
+    assert x.tobytes() == solve_spd(system, b, pre, atol=10.0 * tol).tobytes()
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_bad_early_exit_tol_rejected(tol):
+    A, M, _ = assemble(build_mesh(5))
+    with pytest.raises(ValueError, match="early exit tol"):
+        solve_spd(
+            _unshifted(A), M @ np.ones(9), poisson_preconditioner(3), early_exit=(tol, bool)
+        )
