@@ -53,7 +53,6 @@ from .sparse_linalg import (
     dot,
     norm,
     poisson_preconditioner,
-    single_precision_poisson_preconditioner,
     solve_spd,
 )
 
@@ -120,15 +119,13 @@ class ForwardProblem:
     def build(cls, mesh: Mesh) -> "ForwardProblem":
         """Assemble matrices and set up the fast-Poisson preconditioner.
 
-        The preconditioner runs in single precision from
-        SINGLE_PRECISION_MIN_SIDE interior points per side on, and is the
-        exact float64 inverse below.
+        The preconditioner `poisson_preconditioner` runs in float32 from
+        SINGLE_PRECISION_MIN_SIDE interior points per side on, and in
+        float64, the exact inverse, below.
         """
         A, M, D = assemble(mesh)
-        if mesh.m >= SINGLE_PRECISION_MIN_SIDE:
-            precond = single_precision_poisson_preconditioner(mesh.m)
-        else:
-            precond = poisson_preconditioner(mesh.m)
+        dtype = np.float32 if mesh.m >= SINGLE_PRECISION_MIN_SIDE else np.float64
+        precond = poisson_preconditioner(mesh.m, dtype)
         return cls(mesh=mesh, A=A, M=M, D=D, nonlinearity=PositivePart(), precond=precond)
 
 

@@ -25,6 +25,7 @@ taken with the interior mass matrix coincide with boundary-inclusive ones.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,9 +39,23 @@ ROLES = ("state", "source", "data")
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform Friedrichs-Keller triangulation with n_h vertices per side."""
+    """Uniform Friedrichs-Keller triangulation with n_h >= 3 vertices per side.
+
+    Smaller grids have no interior node, so they raise ValueError, as do a
+    bool and a non-integer n_h; an integral float such as 3.0 is stored as
+    the int 3.
+    """
 
     n_h: int
+
+    def __post_init__(self):
+        n_h = self.n_h
+        whole = isinstance(n_h, numbers.Integral) or (
+            isinstance(n_h, numbers.Real) and float(n_h).is_integer()
+        )
+        if isinstance(n_h, bool) or not whole or n_h < 3:
+            raise ValueError(f"invalid mesh: n_h={n_h} (need an integer n_h >= 3)")
+        object.__setattr__(self, "n_h", int(n_h))
 
     @property
     def h(self) -> float:
@@ -70,10 +85,8 @@ class Mesh:
 
 
 def build_mesh(n_h: int) -> Mesh:
-    """Mesh with n_h >= 3 vertices per side; smaller grids have no interior node."""
-    if int(n_h) != n_h or n_h < 3:
-        raise ValueError(f"invalid mesh: n_h={n_h} (need an integer n_h >= 3)")
-    return Mesh(int(n_h))
+    """Mesh with n_h >= 3 vertices per side; `Mesh` checks n_h."""
+    return Mesh(n_h)
 
 
 @dataclass

@@ -14,13 +14,13 @@ The preconditioner is the inverse of the interior five-point stiffness
 matrix, applied via discrete sine transforms.  Since the diagonal part of
 our systems is at most of size h^2, it clusters the spectrum in
 [1, 1 + 1/(2 pi^2)] and CG converges in a handful of iterations
-independently of the mesh.  Production solves on all but the smallest
-grids apply it in single precision (`single_precision_poisson_preconditioner`,
-wired in by `forward.ForwardProblem.build`): a preconditioner only has to be
-spectrally close to the inverse (inexact preconditioning, Golub-Ye 1999),
-while CG's iterates, residuals, inner products and the true-residual check
-of `solve_spd` stay in float64, so the tolerance contract is unchanged.
-`poisson_preconditioner` keeps the exact float64 inverse as the oracle.
+independently of the mesh.  `poisson_preconditioner` applies it in the
+precision its caller picks: float64 gives the exact inverse, the oracle;
+float32, which `forward.ForwardProblem.build` picks on all but the smallest
+grids, is enough, as a preconditioner only has to be spectrally close to the
+inverse (inexact preconditioning, Golub-Ye 1999), while CG's iterates,
+residuals, inner products and the true-residual check of `solve_spd` stay in
+float64, so the tolerance contract is unchanged.
 
 Each solve allocates its vectors once and updates them in place, rounding
 exactly as the textbook formulas do: at n_h = 257 one solve peaks at about
@@ -75,56 +75,36 @@ class SpdSystem:
         return out
 
 
-def _stiffness_eigenvalues(m_side: int, dtype=np.float64) -> np.ndarray:
-    """The m_side x m_side eigenvalues of the five-point stiffness matrix.
+def poisson_preconditioner(m_side: int, dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
+    """Inverse of the interior five-point stiffness matrix via DST-I, in `dtype`.
 
-    They are summed in float64 and rounded once to `dtype`.
-    """
-    k = np.arange(1, m_side + 1)
-    c = 2.0 - 2.0 * np.cos(np.pi * k / (m_side + 1))
-    lam = np.empty((m_side, m_side), dtype=dtype)
-    return np.add(c[:, None], c[None, :], out=lam, casting="same_kind")
-
-
-def poisson_preconditioner(m_side: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of the interior five-point stiffness matrix via DST-I.
-
-    Valid for vectors over the m_side x m_side interior grid in row-major
-    order.  The transform pair is orthonormal, so the map is symmetric
-    positive definite and deterministic.
-    """
-    lam = _stiffness_eigenvalues(m_side)
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        spectral = dstn(r.reshape(m_side, m_side), type=1, norm="ortho")
-        spectral /= lam
-        return dstn(spectral, type=1, norm="ortho").ravel()
-
-    return solve
-
-
-def single_precision_poisson_preconditioner(m_side: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The inverse of `poisson_preconditioner` with both DST-I passes in float32.
-
-    The float64 input is scaled by the power of two 2^-e, with e the binary
-    exponent of max|r|, as it is cast, so that no residual over- or
-    underflows in float32, and scaled back by 2^e into float64.  Powers of
-    two are exact, so only float32 rounding separates the map from the exact
-    inverse: its defect ||A P v - v||_2 / ||v||_2 is 3e-7 at m_side = 15 and
+    Valid for float64 vectors over the m_side x m_side interior grid in
+    row-major order.  The input is scaled by the power of two 2^-e, with e
+    the binary exponent of max|r|, as it is cast to `dtype`, so that no
+    residual over- or underflows there; both orthonormal DST-I passes and
+    the division by the eigenvalues (summed in float64, rounded once to
+    `dtype`) run in `dtype`, and the result is scaled back by 2^e into a new
+    float64 array.  Powers of two are exact, so in float64 the map is the
+    exact inverse, symmetric positive definite, also for subnormal r or r
+    near the float64 maximum; in float32 only its rounding separates the
+    two: the defect ||A P v - v||_2 / ||v||_2 is 3e-7 at m_side = 15 and
     3e-5 at 1023.  It is deterministic.  NaN or inf in r give non-finite
     output, which CG's breakdown check then catches.
     """
-    lam = _stiffness_eigenvalues(m_side, np.float32)
+    k = np.arange(1, m_side + 1)
+    c = 2.0 - 2.0 * np.cos(np.pi * k / (m_side + 1))
+    lam = np.empty((m_side, m_side), dtype)
+    np.add(c[:, None], c[None, :], out=lam, casting="same_kind")
 
     def solve(r: np.ndarray) -> np.ndarray:
         e = math.frexp(max(r.max(), -r.min()))[1]
         e = min(max(e, -1021), 1023)  # keep 2^-e and 2^e finite for extreme r
-        single = np.empty((m_side, m_side), dtype=np.float32)
-        np.multiply(r.reshape(m_side, m_side), 2.0**-e, out=single, casting="same_kind")
-        spectral = dstn(single, type=1, norm="ortho", overwrite_x=True)
+        scaled = np.empty((m_side, m_side), dtype)
+        np.multiply(r.reshape(m_side, m_side), 2.0**-e, out=scaled, casting="same_kind")
+        spectral = dstn(scaled, type=1, norm="ortho", overwrite_x=True)
         spectral /= lam
-        single = dstn(spectral, type=1, norm="ortho", overwrite_x=True)
-        return np.multiply(single, 2.0**e, dtype=np.float64).ravel()
+        scaled = dstn(spectral, type=1, norm="ortho", overwrite_x=True)
+        return np.multiply(scaled, 2.0**e, dtype=np.float64).ravel()
 
     return solve
 

@@ -20,6 +20,7 @@ the subderivative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ class TCCEstimate:
 
 
 def _require_count(name: str, count: int) -> None:
+    """A count is an integer (NumPy's included), not a bool, and at least 1."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
 

@@ -153,17 +153,17 @@ def test_nonconvergence_raises_with_residual(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, expected",
+    "m, dtype",
     [
-        (forward.SINGLE_PRECISION_MIN_SIDE - 1, sparse_linalg.poisson_preconditioner),
-        (forward.SINGLE_PRECISION_MIN_SIDE, sparse_linalg.single_precision_poisson_preconditioner),
+        (forward.SINGLE_PRECISION_MIN_SIDE - 1, np.float64),
+        (forward.SINGLE_PRECISION_MIN_SIDE, np.float32),
     ],
     ids=["below-exact", "from-single-precision"],
 )
-def test_build_chooses_preconditioner_by_grid_side(m, expected):
+def test_build_chooses_preconditioner_by_grid_side(m, dtype):
     problem = ForwardProblem.build(build_mesh(m + 2))
     v = np.sin(np.arange(m * m, dtype=float))
-    assert np.array_equal(problem.precond(v), expected(m)(v))
+    assert np.array_equal(problem.precond(v), sparse_linalg.poisson_preconditioner(m, dtype)(v))
 
 
 def test_positive_part_conventions():

@@ -5,6 +5,7 @@ import pytest
 
 from bouligand_landweber import (
     GridFunction,
+    Mesh,
     SpdSystem,
     assemble,
     assemble_full,
@@ -36,6 +37,19 @@ def test_full_scale_mesh_size():
 def test_too_small_mesh_rejected(n_h):
     with pytest.raises(ValueError, match="invalid mesh"):
         build_mesh(n_h)
+
+
+@pytest.mark.parametrize("n_h", [2, 1, 2.5, 5.5, True, np.nan, "5"])
+def test_mesh_checks_its_own_n_h(n_h):
+    # without the check Mesh(1) has m = -1 and Mesh(2.5) a float n_interior
+    with pytest.raises(ValueError, match="invalid mesh"):
+        Mesh(n_h)
+
+
+def test_mesh_stores_an_integral_n_h_as_int():
+    for n_h in (3.0, np.int64(5), np.float64(9.0)):
+        mesh = Mesh(n_h)
+        assert type(mesh.n_h) is int and mesh.n_h == n_h
 
 
 def test_mesh_spacing_identity():

@@ -13,16 +13,12 @@ from bouligand_landweber import (
     solve_spd,
     sparse_linalg,
 )
-from bouligand_landweber.sparse_linalg import (
-    CG_TOL,
-    TINY_RHS,
-    single_precision_poisson_preconditioner,
-)
+from bouligand_landweber.sparse_linalg import CG_TOL, TINY_RHS
 from conftest import peak_vectors
 
-PRECONDITIONERS = [
-    pytest.param(poisson_preconditioner, id="poisson"),
-    pytest.param(single_precision_poisson_preconditioner, id="single-precision"),
+PRECISIONS = [
+    pytest.param(np.float64, id="poisson"),
+    pytest.param(np.float32, id="single-precision"),
 ]
 
 
@@ -56,21 +52,21 @@ def test_solve_matches_direct_sparse_oracle():
     assert np.max(np.abs(x - x_direct)) <= 1e-11
 
 
-@pytest.mark.parametrize("precond", PRECONDITIONERS)
-def test_preconditioner_choices_agree(precond):
+@pytest.mark.parametrize("dtype", PRECISIONS)
+def test_preconditioner_choices_agree(dtype):
     # shifted system (lumped indicator of a random active set) against SuperLU
     mesh = build_mesh(17)
     A, M, D = assemble(mesh)
     rng = np.random.default_rng(2)
     b = M @ rng.standard_normal(mesh.n_interior)
     system = SpdSystem(A, D * (rng.uniform(0, 1, mesh.n_interior) > 0.5))
-    x = solve_spd(system, b, precond(mesh.m))
+    x = solve_spd(system, b, poisson_preconditioner(mesh.m, dtype))
     x_direct = spsolve((A + sp.diags(system.shift)).tocsc(), b)
     assert np.max(np.abs(x - x_direct)) <= 1e-11
 
 
-@pytest.mark.parametrize("precond", PRECONDITIONERS)
-def test_residual_contract_post_hoc(precond):
+@pytest.mark.parametrize("dtype", PRECISIONS)
+def test_residual_contract_post_hoc(dtype):
     mesh = build_mesh(33)
     A, M, D = assemble(mesh)
     rng = np.random.default_rng(9)
@@ -78,7 +74,7 @@ def test_residual_contract_post_hoc(precond):
         shift = D * rng.uniform(0.0, 2.0, mesh.n_interior)
         system = SpdSystem(A, shift)
         b = M @ rng.standard_normal(mesh.n_interior)
-        x = solve_spd(system, b, precond(mesh.m))
+        x = solve_spd(system, b, poisson_preconditioner(mesh.m, dtype))
         assert np.linalg.norm(system.matvec(x) - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -171,16 +167,17 @@ def test_single_precision_preconditioner_is_near_inverse(n_h):
     # float32 transforms: a relative defect of 3e-7 (n_h = 17) to 7e-6 (n_h = 257)
     mesh = build_mesh(n_h)
     A, _, _ = assemble(mesh)
-    pre = single_precision_poisson_preconditioner(mesh.m)
+    pre = poisson_preconditioner(mesh.m, np.float32)
     v = np.random.default_rng(11).standard_normal(mesh.n_interior)
     z = pre(v)
     assert z.dtype == np.float64 and z.shape == v.shape
     assert np.linalg.norm(A @ z - v) <= 1e-4 * np.linalg.norm(v)
 
 
-def test_single_precision_preconditioner_edge_inputs():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_preconditioner_edge_inputs(dtype):
     m = 15
-    pre = single_precision_poisson_preconditioner(m)
+    pre = poisson_preconditioner(m, dtype)
     assert np.array_equal(pre(np.zeros(m * m)), np.zeros(m * m))
     for bad in (np.nan, np.inf, -np.inf):  # reaches CG's breakdown check
         v = np.ones(m * m)
@@ -195,6 +192,17 @@ def test_single_precision_preconditioner_edge_inputs():
         assert np.allclose(pre(v), x, rtol=1e-4, atol=0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("k", [-600, 600])
+def test_preconditioner_commutes_with_powers_of_two(dtype, k):
+    # the input is scaled to max|r| in [0.5, 1) before the cast, so a power
+    # of two passes through the map exactly, far outside float32's range too
+    m = 15
+    pre = poisson_preconditioner(m, dtype)
+    v = np.sin(np.arange(m * m, dtype=float))
+    assert pre(np.ldexp(v, k)).tobytes() == np.ldexp(pre(v), k).tobytes()
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e-30, 1.0, 1e30, 1e60, 1e100])
 def test_single_precision_solve_reaches_cg_tol_at_any_scale(scale):
     # the residual is scaled by a power of two before the float32 cast, so a
@@ -203,7 +211,7 @@ def test_single_precision_solve_reaches_cg_tol_at_any_scale(scale):
     A, M, D = assemble(mesh)
     system = SpdSystem(A, D * (np.arange(mesh.n_interior) % 3 == 0))
     b = scale * (M @ np.sin(np.arange(mesh.n_interior, dtype=float)))
-    x = solve_spd(system, b, single_precision_poisson_preconditioner(mesh.m))
+    x = solve_spd(system, b, poisson_preconditioner(mesh.m, np.float32))
     assert np.linalg.norm(system.matvec(x) - b) <= CG_TOL * np.linalg.norm(b)
 
 

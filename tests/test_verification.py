@@ -175,6 +175,25 @@ def test_counts_below_one_rejected(call, name, problem9):
         call(problem9)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda problem, k: oracle_sweep(3, trials=k), "trials"),
+        (lambda problem, k: adjoint_check(problem, trials=k), "trials"),
+        (lambda problem, k: tcc_survey(problem, np.zeros(problem.mesh.n_interior), k), "n_pairs"),
+    ],
+    ids=["oracle_sweep", "adjoint_check", "tcc_survey"],
+)
+def test_non_integer_counts_rejected(call, name, count, problem9):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {count!r}"):
+        call(problem9, count)
+
+
+def test_numpy_integer_count_accepted():
+    assert oracle_sweep(3, trials=np.int64(2)).diffs.shape == (2,)
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail with TimeoutError instead of hanging the suite."""
