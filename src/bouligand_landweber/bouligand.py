@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .forward import ForwardProblem
 from .mesh_fem import GridFunction, field_values
-from .sparse_linalg import SpdSystem, norm, solve_spd
+from .sparse_linalg import SpdSystem, norm, require_tolerance, solve_spd
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,18 @@ def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
 
 
 def apply_subderivative(
-    op: LinearizedOperator, M: sp.spmatrix, w, rtol: float = 0.0
+    op: LinearizedOperator, M: sp.spmatrix, w, rtol: float = 0.0, *, M_w=None
 ) -> GridFunction:
     """Solve (A + K_y) eta = M w to max(CG_TOL, rtol) * ||M w||_2 and return eta.
 
-    `rtol` (finite, >= 0) is a relative floor; the default 0 keeps the
-    solve at CG_TOL.
+    `rtol` (finite, >= 0, not a bool, else ValueError) is a relative floor;
+    the default 0 keeps the solve at CG_TOL.  A caller that already formed
+    the product M w passes it as `M_w`, and it is not formed again; as the
+    right-hand side, `solve_spd` checks it.
     """
-    if not 0.0 <= rtol < math.inf:
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
-    rhs = M @ field_values(op.problem.mesh, "w", w)
+    require_tolerance("rtol", rtol)
+    w = field_values(op.problem.mesh, "w", w)
+    rhs = M @ w if M_w is None else M_w
     atol = rtol * norm(rhs) if rtol > 0.0 else 0.0
     if not math.isfinite(atol):  # ||M w||_2 overflowed or is NaN: solve_spd names that
         atol = 0.0

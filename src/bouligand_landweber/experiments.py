@@ -116,6 +116,17 @@ def _noise_value(value):
     return value
 
 
+def require_seed(seed) -> int:
+    """A random seed as a plain int: an integer >= 0 (NumPy's included), never a bool.
+
+    Anything else raises ValueError naming `seed`; True would otherwise run
+    as seed 1.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Seeded Gaussian noise, either raw amplitude or rescaled to a target level."""
@@ -125,9 +136,8 @@ class NoiseSpec:
     value: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # a plain int, as a table row records it
+        # a plain int, as a table row records it
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if not 0.0 <= _noise_value(self.value) < math.inf:

@@ -19,7 +19,10 @@ Newton iteration then starts from the Galerkin prediction of its first
 step within their span (projection onto earlier solutions, Fischer 1998),
 provided that lowers the residual; the active set of the prediction is
 closer to the solution's, so fewer Newton steps follow.  The stop, and so
-the solution, does not depend on the start.
+the solution, does not depend on the start.  Such a caller also passes the
+stiffness products it holds, A y0 (each solution keeps that of its state)
+and A g of each increment, and the solve does not form them again; the
+bits of every result stay those of products formed afresh.
 
 Since only that stop decides the final accuracy, each increment is solved
 inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
@@ -53,6 +56,7 @@ from .sparse_linalg import (
     dot,
     norm,
     poisson_preconditioner,
+    require_tolerance,
     solve_spd,
 )
 
@@ -131,20 +135,28 @@ class ForwardProblem:
 
 @dataclass
 class ForwardSolution:
-    """Converged state, its active set {y >= 0} as a bool mask, and iteration diagnostics."""
+    """Converged state, its active set {y >= 0} as a bool mask, and iteration diagnostics.
+
+    `A_y` is the stiffness product A y of the state, which the last
+    residual formed; a warm solve from this state takes it as `A_y0`.
+    """
 
     y: GridFunction
     active_pattern: np.ndarray
     ssn_iterations: int
     final_residual: float
+    A_y: np.ndarray
 
 
-def _residual(problem: ForwardProblem, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The residual A y + D f(y) - b, summed in that order into one new vector."""
-    H = problem.A @ y
-    Df = problem.nonlinearity.value(y)
-    Df *= problem.D
-    H += Df
+def _residual(problem: ForwardProblem, y: np.ndarray, A_y: np.ndarray, b: np.ndarray):
+    """The residual A y + D f(y) - b in one new vector, from the product A_y = A y.
+
+    D f(y) + A y is summed into the vector of f(y); IEEE addition commutes,
+    so the bits are those of A y + D f(y).
+    """
+    H = problem.nonlinearity.value(y)
+    H *= problem.D
+    H += A_y
     H -= b
     return H
 
@@ -152,7 +164,7 @@ def _residual(problem: ForwardProblem, y: np.ndarray, b: np.ndarray) -> np.ndarr
 def forward_residual(problem: ForwardProblem, y, u) -> float:
     """Euclidean residual ||A y + D f(y) - M u||_2."""
     yv, uv = field_values(problem.mesh, "y", y), field_values(problem.mesh, "u", u)
-    return norm(_residual(problem, yv, problem.M @ uv))
+    return norm(_residual(problem, yv, problem.A @ yv, problem.M @ uv))
 
 
 def error_certificate(mesh: Mesh) -> float:
@@ -171,21 +183,28 @@ def error_certificate(mesh: Mesh) -> float:
     return h / (8.0 * math.sin(0.5 * math.pi * h) ** 2)
 
 
-def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
+def _predicted_start(problem: ForwardProblem, y0, H0, b, directions, A_directions=None):
     """The Galerkin prediction of the first Newton step from y0 within span(directions).
 
     With G the stacked directions and K = A + D diag(newton_coeff(y0)) the
     first Newton system, solves (G^T K G) a = -G^T H0 for the residual H0 at
     y0 and returns the start y0 + G a with its residual, or (y0, H0) when
     the k x k system is singular, a is not finite or the residual norm does
-    not fall.  Costs k matvecs, k (k + 3) / 2 dot products and one residual.
+    not fall.  `A_directions` holds the products A g of the directions, in
+    their order; where it is None they are formed here.  K g is summed as
+    shift * g + A g, which has the bits of K applied to g since IEEE
+    addition commutes.  Costs k (k + 3) / 2 dot products and one residual,
+    whose A y is the only stiffness product when A_directions is given,
+    and k more where it is None.
     """
-    f = problem.nonlinearity
-    system = SpdSystem(problem.A, problem.D * f.newton_coeff(y0))
+    shift = problem.D * problem.nonlinearity.newton_coeff(y0)
+    if A_directions is None:
+        A_directions = [problem.A @ g for g in directions]
     k = len(directions)
     gram, rhs = np.empty((k, k)), np.empty(k)
-    for i, g in enumerate(directions):
-        Kg = system.matvec(g)
+    for i, (g, A_g) in enumerate(zip(directions, A_directions, strict=True)):
+        Kg = shift * g
+        Kg += A_g
         for j in range(i + 1):
             gram[i, j] = gram[j, i] = dot(directions[j], Kg)
         rhs[i] = -dot(g, H0)
@@ -198,20 +217,27 @@ def _predicted_start(problem: ForwardProblem, y0, H0, b, directions):
     y = y0.copy()
     for a_i, g in zip(a, directions):
         y += a_i * g
-    H = _residual(problem, y, b)
+    H = _residual(problem, y, problem.A @ y, b)
     if norm(H) < norm(H0):
         return y, H
     return y0, H0
 
 
 def solve_forward(
-    problem: ForwardProblem, u, y0=None, directions=(), tol: float = 0.0
+    problem: ForwardProblem,
+    u,
+    y0=None,
+    directions=(),
+    tol: float = 0.0,
+    *,
+    A_y0=None,
+    A_directions=None,
 ) -> ForwardSolution:
     """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0).
 
     The iteration stops once the active set repeats and the residual is at
     most max(FORWARD_RTOL * ||M u||_2, tol); the floor `tol` (finite, >= 0,
-    else ValueError) bounds the state's M-norm error by
+    not a bool, else ValueError) bounds the state's M-norm error by
     `error_certificate(mesh) * tol` where it exceeds the relative stop.
     `directions` (recent state increments, say y_n - y_{n-1}) move a given
     start y0 to the Galerkin prediction of the first Newton step within
@@ -225,6 +251,15 @@ def solve_forward(
     u = 0 gives y = 0.  `u`, `y0` and `directions` are never modified: the
     iteration updates its own copy of the state in place.
 
+    A caller that already holds the stiffness products passes them, and
+    they are not formed again: `A_y0` = A y0 (the `A_y` of the solution
+    that y0 came from) and `A_directions`, the products A g of the
+    directions in their order.  Where they are None, the solve forms them
+    itself.  They are taken as given, unchecked: they only move the start,
+    since the stop tests a residual formed afresh, and a non-finite A_y0
+    ends in the ValueError of `solve_spd`.  The returned solution carries
+    A y of its state as `A_y`.
+
     From a given y0, each Newton step offers `solve_spd` its early exit at
     MOVING_SET_FORCING times the step's residual ||H||_2.  Once CG gets
     there, the set {y >= 0} of the Newton iterate its current iterate gives
@@ -233,8 +268,7 @@ def solve_forward(
     the loop, so the returned state comes from a step solved to the FORCING
     floor.  Without y0 every CG solve runs to that floor.
     """
-    if not 0.0 <= tol < math.inf:  # written so that NaN fails
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    require_tolerance("tol", tol)
     f = problem.nonlinearity
     u = field_values(problem.mesh, "u", u)
     if y0 is not None:
@@ -253,15 +287,21 @@ def solve_forward(
         e = math.frexp(np.abs(u).max())[1]
         scaled_tol = math.ldexp(min(tol, math.ldexp(sys.float_info.max, e)), -e)
         sol = solve_forward(problem, np.ldexp(u, -e), tol=scaled_tol)
-        y = GridFunction(problem.mesh, np.ldexp(sol.y.values, e), "state")
-        return replace(sol, y=y, final_residual=math.ldexp(sol.final_residual, e))
+        y = np.ldexp(sol.y.values, e)
+        return replace(
+            sol,
+            y=GridFunction(problem.mesh, y, "state"),
+            final_residual=math.ldexp(sol.final_residual, e),
+            A_y=problem.A @ y,  # scaling back may round into subnormals
+        )
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
+        H = _residual(problem, y, problem.A @ y, b)
     else:
         y = y0.copy()
-    H = _residual(problem, y, b)
-    if directions and y0 is not None and norm_b > 0.0:
-        y, H = _predicted_start(problem, y, H, b, directions)
+        H = _residual(problem, y, problem.A @ y if A_y0 is None else A_y0, b)
+        if directions:
+            y, H = _predicted_start(problem, y, H, b, directions, A_directions)
     active = f.newton_coeff(y)
     stop = max(FORWARD_RTOL * norm_b, tol)
     atol = FORCING * stop
@@ -285,7 +325,8 @@ def solve_forward(
             early_exit = (MOVING_SET_FORCING * residual, set_moves)
             y -= solve_spd(system, H, problem.precond, atol=atol, early_exit=early_exit)
         new_active = moved.pop() if moved else f.newton_coeff(y)
-        H = _residual(problem, y, b)
+        A_y = problem.A @ y
+        H = _residual(problem, y, A_y, b)
         residual = norm(H)
         if residual <= stop and np.array_equal(new_active, active):
             return ForwardSolution(
@@ -293,7 +334,9 @@ def solve_forward(
                 active_pattern=new_active,
                 ssn_iterations=iters,
                 final_residual=residual,
+                A_y=A_y,
             )
+        del A_y  # only the returned state's product is kept past a CG solve
         active = new_active
     raise ForwardSolveError(
         f"semi-smooth Newton did not converge within {SSN_MAX_ITER} iterations "

@@ -27,6 +27,12 @@ span (`forward.solve_forward`), falling back to the previous state where
 that does not lower the residual.  The Newton stop is unchanged, so only
 the number of Newton steps depends on the start.
 
+Each stiffness and mass product is formed once and kept until its last
+use: A g of each increment serves the PREDICTION_DIRECTIONS predictions
+that use g, A y_n of each solution starts the next solve's residual, and
+M r_n serves both ||r_n||_M and the step's right-hand side.  Every record
+keeps the bits it has with each product formed afresh.
+
 F(u_n) enters the iteration only through the residual r_n = y_data - F(u_n),
 so each forward solve after the first stops at the absolute residual floor
 
@@ -42,9 +48,9 @@ at tau * delta < min_{k<n} ||r_k||_M can change only where the margin
 | ||r_n||_M - tau * delta | is below that, and the step's right-hand side
 carries a relative error of at most kappa, a forcing term like that of the
 subderivative solve.  The first solve has no earlier residual and keeps
-the relative stop: a floor kappa * tau * delta / C there saves 4 of the 480
-preconditioner applications of the n_h = 257 campaign, and none at
-delta = 0.
+the relative stop: a floor kappa * tau * delta / C there saves 4 of the 413
+preconditioner applications of the n_h = 257 campaign (benchmark seed 3),
+and none at delta = 0.
 
 Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters`, never enforced: with the default experiment
@@ -73,7 +79,7 @@ import numpy as np
 from .bouligand import apply_subderivative, build_linearized
 from .forward import ForwardProblem, error_certificate, solve_forward
 from .mesh_fem import GridFunction, field_values, m_norm
-from .sparse_linalg import ConvergenceError
+from .sparse_linalg import ConvergenceError, dot
 
 logger = logging.getLogger(__name__)
 
@@ -445,8 +451,10 @@ def run(
     ssn_counts: list[int] = []
 
     reason = REASON_MAX_ITERATIONS
-    y_prev = None
+    prev = None  # the last forward solution
+    # the state increments and their stiffness products, each formed once
     increments = deque(maxlen=PREDICTION_DIRECTIONS)
+    A_increments = deque(maxlen=PREDICTION_DIRECTIONS)
     certificate = error_certificate(problem.mesh)
     smallest = math.inf  # the smallest residual recorded so far
     n = 0
@@ -454,16 +462,21 @@ def run(
         # inf before the first residual, or when every residual overflowed
         tol = 0.0 if smallest == math.inf else FORWARD_ERROR_FRACTION * smallest / certificate
         try:
-            sol = solve_forward(problem, u, y0=y_prev, directions=increments, tol=tol)
+            if prev is None:
+                sol = solve_forward(problem, u, tol=tol)
+            else:
+                sol = solve_forward(
+                    problem, u, y0=prev.y, directions=increments, tol=tol,
+                    A_y0=prev.A_y, A_directions=A_increments,
+                )
         except ConvergenceError as exc:
             logger.error("forward solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
             break
-        if y_prev is not None:
-            increments.append(sol.y.values - y_prev)
-        y_prev = sol.y.values
         residual_vec = data - sol.y.values
-        residuals.append(m_norm(M, residual_vec))
+        # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
+        M_r = M @ residual_vec
+        residuals.append(math.sqrt(max(dot(residual_vec, M_r), 0.0)))
         smallest = min(smallest, residuals[-1])
         ssn_counts.append(sol.ssn_iterations)
         if exact is not None:
@@ -477,9 +490,16 @@ def run(
         if n >= cfg.max_iter:
             reason = REASON_MAX_ITERATIONS
             break
+        if prev is not None:  # formed only for a next solve, which uses it
+            g = sol.y.values - prev.y.values
+            increments.append(g)
+            A_increments.append(problem.A @ g)
+        prev = sol
         try:
             op = build_linearized(problem, sol.y)
-            update = apply_subderivative(op, M, residual_vec, rtol=SUBDERIVATIVE_RTOL)
+            update = apply_subderivative(
+                op, M, residual_vec, rtol=SUBDERIVATIVE_RTOL, M_w=M_r
+            )
         except ConvergenceError as exc:
             logger.error("subderivative solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -109,6 +110,16 @@ def poisson_preconditioner(m_side: int, dtype=np.float64) -> Callable[[np.ndarra
     return solve
 
 
+def require_tolerance(name: str, value) -> None:
+    """Check a tolerance: a finite real number >= 0, else ValueError naming `name`.
+
+    A bool is an int to Python, so True would read as 1.0; it is rejected
+    here as `LandweberConfig` rejects it in its real fields.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean inner product a^T b, summed by numpy without BLAS."""
     return float(np.einsum("i,i->", a, b))
@@ -180,20 +191,22 @@ def solve_spd(
     `preconditioner` applies an SPD approximation of K^{-1}.  The returned x
     satisfies ||K x - b||_2 <= max(CG_TOL * ||b||_2, atol) (verified on the
     true residual, restarting the recurrence if necessary); each CG run is
-    capped at 10 * dim iterations.  The absolute floor `atol` (finite, >= 0)
-    lets a caller that needs less than the relative accuracy stop early, as
-    the Newton increments of `forward.solve_forward` do.  b is never
-    modified; x, r and p are updated in place, so `preconditioner` must
-    return a new array rather than its argument.  A finite b whose
+    capped at 10 * dim iterations.  The absolute floor `atol` (finite, >= 0,
+    not a bool, else ValueError) lets a caller that needs less than the
+    relative accuracy stop early, as the Newton increments of
+    `forward.solve_forward` do.  b is never modified; x, r and p are
+    updated in place, so `preconditioner` must return a new array rather
+    than its argument.  A finite b whose
     norm overflows (||b||_2 above about 1e154, where its square exceeds the
     float range) raises ConvergenceError before any iteration.  A nonzero b
     with ||b||_2 below TINY_RHS (down to subnormal entries, whose norm
     underflows to 0) is solved scaled up by a power of two, so that neither
     its norm nor CG's inner products underflow; only b = 0 gives x = 0.
 
-    `early_exit` = (tol, test), with tol finite and >= 0, offers one earlier
-    stop to a caller that can tell from the iterate whether it needs more,
-    as a Newton step whose active set moves can (`forward.solve_forward`).
+    `early_exit` = (tol, test), with tol finite and >= 0 (not a bool),
+    offers one earlier stop to a caller that can tell from the iterate
+    whether it needs more, as a Newton step whose active set moves can
+    (`forward.solve_forward`).
     The first time CG's recurrence residual falls to tol, but not yet to the
     floor above, test(x) is called once with the current iterate, which it
     must not modify.  If it returns true the solve ends there, and its
@@ -202,10 +215,9 @@ def solve_spd(
     included.  Where test is never called or returns false, x has the bits
     of a call without the exit.
     """
-    if not 0.0 <= atol < math.inf:
-        raise ValueError(f"atol must be finite and >= 0, got {atol}")
-    if early_exit is not None and not 0.0 <= early_exit[0] < math.inf:
-        raise ValueError(f"early exit tol must be finite and >= 0, got {early_exit[0]}")
+    require_tolerance("atol", atol)
+    if early_exit is not None:
+        require_tolerance("early exit tol", early_exit[0])
     b = np.asarray(b, dtype=float)
     if b.shape != (system.dim,):
         raise ValueError(f"dimension mismatch: system dim {system.dim}, b shape {b.shape}")

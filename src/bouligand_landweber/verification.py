@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
+from .experiments import require_seed
 from .forward import ForwardProblem, PositivePart, solve_forward
 from .mesh_fem import (
     GridFunction,
@@ -160,8 +161,10 @@ def tcc_survey(
     A pair whose states nearly coincide (:class:`DegeneratePairError`) is
     redrawn; MAX_DEGENERATE_DRAWS of them in a row end the survey with that
     error, as a ball too small for the perturbation to survive rounding does.
+    `seed` is an integer >= 0, as `NoiseSpec` takes it.
     """
     _require_count("n_pairs", n_pairs)
+    seed = require_seed(seed)
     if not 0.0 < ball_radius < math.inf:
         raise ValueError(f"ball_radius must be finite and positive, got {ball_radius}")
     if mode not in ("nodal", "bump"):
@@ -240,9 +243,11 @@ def oracle_sweep(n_h: int, trials: int = 100, seed: int = 0) -> OracleReport:
     """Compare solve_forward against pattern enumeration on seeded random sources.
 
     Sources are iid uniform on [-1, 1] per interior node; feasible only for
-    meshes with at most 16 interior unknowns.
+    meshes with at most 16 interior unknowns.  `seed` is an integer >= 0,
+    as `NoiseSpec` takes it.
     """
     _require_count("trials", trials)
+    seed = require_seed(seed)
     mesh = build_mesh(n_h)
     if mesh.n_interior > 16:
         raise ValueError(f"enumeration infeasible: {mesh.n_interior} > 16 unknowns")
@@ -274,8 +279,12 @@ class AdjointReport:
 
 
 def adjoint_check(problem: ForwardProblem, trials: int = 50, seed: int = 0) -> AdjointReport:
-    """Probe |(h, G w)_M - (w, G h)_M| / (||h||_M ||w||_M) on random triples (u, h, w)."""
+    """Probe |(h, G w)_M - (w, G h)_M| / (||h||_M ||w||_M) on random triples (u, h, w).
+
+    `seed` is an integer >= 0, as `NoiseSpec` takes it.
+    """
     _require_count("trials", trials)
+    seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     M = problem.M
     n = problem.mesh.n_interior

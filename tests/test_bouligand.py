@@ -150,7 +150,10 @@ def test_relative_floor_stops_early(problem33):
     assert 0 < len(calls) < exact_calls
 
 
-@pytest.mark.parametrize("rtol", [-1e-8, float("nan"), float("inf")])
+# a bool is an int to Python: True would otherwise be a floor of 1.0
+@pytest.mark.parametrize(
+    "rtol", [-1e-8, float("nan"), float("inf"), True, False, np.bool_(True)]
+)
 def test_relative_floor_must_be_finite_and_nonnegative(problem17, rtol):
     op = build_linearized(problem17, np.zeros(problem17.mesh.n_interior))
     with pytest.raises(ValueError, match="rtol"):

@@ -288,7 +288,8 @@ def test_zero_floor_is_the_default_stop(problem17):
     assert (a.ssn_iterations, a.final_residual) == (b.ssn_iterations, b.final_residual)
 
 
-@pytest.mark.parametrize("tol", [-1e-12, np.nan, np.inf, -np.inf])
+# a bool is an int to Python: True would otherwise be a floor of 1.0
+@pytest.mark.parametrize("tol", [-1e-12, np.nan, np.inf, -np.inf, True, False, np.bool_(True)])
 def test_solve_forward_rejects_bad_floor(problem9, tol):
     with pytest.raises(ValueError, match="^tol must be finite"):
         solve_forward(problem9, np.ones(49), tol=tol)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from bouligand_landweber import (
     run,
     solve_forward,
 )
-from bouligand_landweber import forward
+from bouligand_landweber import forward, sparse_linalg
 from bouligand_landweber import landweber as lw
 from bouligand_landweber.forward import (
     FORWARD_RTOL,
@@ -223,6 +225,97 @@ def test_run_deterministic(problem33):
     assert np.array_equal(rec1.final.values, rec2.final.values)
 
 
+class _CountingMatrix:
+    """Stands in for A or M and counts its products; the solvers use only `@` and `.shape`."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.products = matrix, matrix.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+def test_run_forms_each_product_once(problem33, monkeypatch):
+    # outside CG, a run of N steps and S Newton steps forms A y once for the
+    # cold start and once per Newton iterate, once for each Galerkin
+    # prediction (the solves from the third on), and A g once for each
+    # increment a later solve uses: 2 N + S - 1 products.  M products: M u
+    # per forward solve, M r once per residual, for its norm and the step,
+    # and M (u* - u) per error norm, plus ||u*||_M once.  Here N = 14 and
+    # S = 21: 217 A + 46 M products with CG's 169; forming every product
+    # afresh took 254 + 60
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
+    A, M = _CountingMatrix(problem33.A), _CountingMatrix(problem33.M)
+    matvecs = []
+    matvec = sparse_linalg.SpdSystem.matvec
+
+    def counted_matvec(system, v, scratch=None):
+        matvecs.append(1)
+        return matvec(system, v, scratch)
+
+    monkeypatch.setattr(sparse_linalg.SpdSystem, "matvec", counted_matvec)
+    problem = dataclasses.replace(problem33, A=A, M=M)
+    record = run(problem, y_noisy, LandweberConfig(delta=delta), u_bar, u_exact)
+    N, S = record.stopping_index, record.total_ssn
+    assert (N, S, record.reason) == (14, 21, "discrepancy")
+    assert A.products - len(matvecs) == 2 * N + S - 1
+    assert M.products == 3 * (N + 1) + 1
+    assert A.products + M.products <= 217 + 46
+
+
+def _fresh_products_reference(problem, y_data, cfg, u0, u_exact):
+    """run()'s loop with every product formed afresh, through the public calls only.
+
+    Each forward solve gets array y0 and directions, each residual norm comes
+    from m_norm and each step from the positional apply_subderivative.
+    Returns the residuals, the errors, the Newton counts and the last iterate.
+    """
+    M, data = problem.M, y_data.values
+    u, norm_exact = u0.values.copy(), m_norm(M, u_exact)
+    residuals, errors, counts = [], [], []
+    y_prev, increments = None, deque(maxlen=lw.PREDICTION_DIRECTIONS)
+    certificate, smallest = error_certificate(problem.mesh), math.inf
+    for n in range(cfg.max_iter + 1):
+        tol = 0.0 if n == 0 else lw.FORWARD_ERROR_FRACTION * smallest / certificate
+        sol = solve_forward(problem, u, y0=y_prev, directions=list(increments), tol=tol)
+        if y_prev is not None:
+            increments.append(sol.y.values - y_prev)
+        y_prev = sol.y.values
+        residual_vec = data - sol.y.values
+        residuals.append(m_norm(M, residual_vec))
+        smallest = min(smallest, residuals[-1])
+        errors.append(m_norm(M, u_exact.values - u) / norm_exact)
+        counts.append(sol.ssn_iterations)
+        if residuals[-1] <= cfg.tau * cfg.delta or n == cfg.max_iter:
+            break
+        op = build_linearized(problem, sol.y)
+        step = apply_subderivative(op, M, residual_vec, lw.SUBDERIVATIVE_RTOL)
+        u = u + cfg.constant_step * step.values
+    return residuals, errors, counts, u
+
+
+@pytest.mark.parametrize("case", ["noisy", "noise-free"])
+def test_kept_products_keep_the_run_bit_for_bit(problem33, case):
+    # run() keeps A y, A g and M r between their uses; against the loop that
+    # forms each afresh, every record and the final iterate keep their bits
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    if case == "noisy":
+        y_data, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
+        cfg, u0 = LandweberConfig(delta=delta), u_bar
+    else:
+        cfg = LandweberConfig(max_iter=40)
+        y_data, u0 = y_exact, GridFunction(problem33.mesh, np.zeros_like(u_bar.values))
+    record = run(problem33, y_data, cfg, u0, u_exact)
+    residuals, errors, counts, u = _fresh_products_reference(problem33, y_data, cfg, u0, u_exact)
+    assert record.reason == ("discrepancy" if case == "noisy" else "max-iterations")
+    assert record.residual_norms.tobytes() == np.array(residuals).tobytes()
+    assert record.rel_errors.tobytes() == np.array(errors).tobytes()
+    assert record.ssn_counts.tolist() == counts
+    assert record.final.values.tobytes() == u.tobytes()
+
+
 def _cold_start_reference(problem, y_data, cfg, u0):
     """Landweber loop with every forward solve started from zero, and run()'s step.
 
@@ -327,8 +420,8 @@ def test_forward_solves_of_a_run_are_within_their_certificate(
     # often not the last one
     calls = []
 
-    def recording_solve(problem, u, y0=None, directions=(), tol=0.0):
-        sol = solve_forward(problem, u, y0=y0, directions=directions, tol=tol)
+    def recording_solve(problem, u, y0=None, directions=(), tol=0.0, **products):
+        sol = solve_forward(problem, u, y0=y0, directions=directions, tol=tol, **products)
         calls.append((u.copy(), tol, sol))
         return sol
 
@@ -397,7 +490,7 @@ def test_overflowing_source_ends_run(problem17):
 def test_update_failure_truncates_after_residual(problem17, monkeypatch):
     from bouligand_landweber import ConvergenceError
 
-    def boom(op, M, w, rtol=0.0):
+    def boom(op, M, w, rtol=0.0, *, M_w=None):
         raise ConvergenceError("stalled", residual=1.0)
 
     monkeypatch.setattr(lw, "apply_subderivative", boom)

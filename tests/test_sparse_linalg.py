@@ -238,7 +238,12 @@ def test_atol_floor_stops_early_with_true_residual_below_it():
     assert np.linalg.norm(system.matvec(x) - b) <= atol
 
 
-@pytest.mark.parametrize("atol", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+# a bool is an int to Python: True would otherwise be a floor of 1.0
+@pytest.mark.parametrize(
+    "atol",
+    [-1.0, np.nan, np.inf, True, False, np.bool_(True)],
+    ids=["negative", "nan", "inf", "true", "false", "numpy-bool"],
+)
 def test_bad_atol_rejected(atol):
     A, M, _ = assemble(build_mesh(5))
     with pytest.raises(ValueError, match="atol"):
@@ -360,7 +365,11 @@ def test_early_exit_below_the_floor_is_never_asked():
     assert x.tobytes() == solve_spd(system, b, pre, atol=10.0 * tol).tobytes()
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize(
+    "tol",
+    [-1.0, np.nan, np.inf, True, False, np.bool_(True)],
+    ids=["negative", "nan", "inf", "true", "false", "numpy-bool"],
+)
 def test_bad_early_exit_tol_rejected(tol):
     A, M, _ = assemble(build_mesh(5))
     with pytest.raises(ValueError, match="early exit tol"):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import signal
 from contextlib import contextmanager
 
@@ -192,6 +193,28 @@ def test_non_integer_counts_rejected(call, name, count, problem9):
 
 def test_numpy_integer_count_accepted():
     assert oracle_sweep(3, trials=np.int64(2)).diffs.shape == (2,)
+
+
+_SEEDED = [
+    lambda problem, seed: oracle_sweep(3, trials=2, seed=seed),
+    lambda problem, seed: adjoint_check(problem, trials=2, seed=seed),
+    lambda problem, seed: tcc_survey(problem, exact_fields(problem.mesh)[0], 2, seed=seed),
+]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "3", None])
+@pytest.mark.parametrize("call", _SEEDED, ids=["oracle_sweep", "adjoint_check", "tcc_survey"])
+def test_bad_seed_rejected(call, seed, problem9):
+    # checked as NoiseSpec checks its own: True would otherwise run as seed 1
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}"):
+        call(problem9, seed)
+
+
+@pytest.mark.parametrize("call", _SEEDED, ids=["oracle_sweep", "adjoint_check", "tcc_survey"])
+def test_numpy_integer_seed_accepted(call, problem9):
+    # the same draws as the plain int, bit for bit
+    reports = [call(problem9, seed) for seed in (np.uint8(7), 7)]
+    assert pickle.dumps(reports[0]) == pickle.dumps(reports[1])
 
 
 @contextmanager
