@@ -167,9 +167,13 @@ def _campaign(n_h: int, cfg: LandweberConfig | None):
     return cfg, problem, exact_fields(problem.mesh, rho=cfg.rho)
 
 
-def _cell(problem, fields, start: str, cfg: LandweberConfig, noise: NoiseSpec | None):
+def _cell(
+    problem, fields, start: str, cfg: LandweberConfig, noise: NoiseSpec | None,
+    start_solution=None,
+):
     """One run from 'zero' or 'source' (u_bar); noisy data with delta measured, or exact
-    data with delta 0 when noise is None."""
+    data with delta 0 when noise is None.  `start_solution`, where given, is
+    the forward solution of that start, which `run` then does not solve again."""
     u_exact, y_exact, u_bar = fields
     if start == "zero":
         u0 = GridFunction(u_exact.mesh, np.zeros_like(u_exact.values), "source")
@@ -181,7 +185,9 @@ def _cell(problem, fields, start: str, cfg: LandweberConfig, noise: NoiseSpec | 
         y_data, delta = y_exact, 0.0
     else:
         y_data, delta = add_noise(y_exact, noise, problem.M)
-    return run(problem, y_data, replace(cfg, delta=delta), u0, u_exact)
+    return run(
+        problem, y_data, replace(cfg, delta=delta), u0, u_exact, start_solution=start_solution
+    )
 
 
 def run_noise_free(
@@ -212,6 +218,7 @@ TABLE_COLUMNS = (
     ("N", INT_CELL, int),
     ("rel_error", FLOAT_CELL, float),  # nan, like rate, for a failed cell
     ("rate", FLOAT_CELL, float),
+    # the cell's Newton steps; a cell after the first made none for F(u0)
     ("ssn_total", INT_CELL, int),
     ("reason", str, parse_reason),
 )
@@ -228,6 +235,10 @@ def run_table(
 
     Returns one row dict per cell, keyed by the TABLE_COLUMNS names.  Failures
     of a single cell are recorded in its 'reason' and the campaign continues.
+    Every cell starts from the same u0, so the campaign solves F(u0) once:
+    the first cell whose solve of it succeeds hands that solution to every
+    later cell, whose row counts 0 Newton steps for it in `ssn_total`.
+    Each cell's record is otherwise bit for bit the one of `run_noisy`.
     """
     deltas = [float(_noise_value(d)) for d in deltas]
     if any(d <= 0.0 for d in deltas):
@@ -236,9 +247,11 @@ def run_table(
     cfg, problem, fields = _campaign(n_h, cfg)
     norm_exact = m_norm(problem.M, fields[0])
 
-    rows = []
+    rows, start_solution = [], None
     for noise in noises:
-        record = _cell(problem, fields, start, cfg, noise)
+        record = _cell(problem, fields, start, cfg, noise, start_solution)
+        if start_solution is None:
+            start_solution = record.start_solution
         err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
         rows.append(
             {

@@ -257,8 +257,9 @@ def solve_forward(
     directions in their order.  Where they are None, the solve forms them
     itself.  They are taken as given, unchecked: they only move the start,
     since the stop tests a residual formed afresh, and a non-finite A_y0
-    ends in the ValueError of `solve_spd`.  The returned solution carries
-    A y of its state as `A_y`.
+    ends in the ValueError of `solve_spd`.  A start from zero needs no
+    product: A 0 = 0.  The returned solution carries A y of its state as
+    `A_y`.
 
     From a given y0, each Newton step offers `solve_spd` its early exit at
     MOVING_SET_FORCING times the step's residual ||H||_2.  Once CG gets
@@ -296,7 +297,7 @@ def solve_forward(
         )
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
-        H = _residual(problem, y, problem.A @ y, b)
+        H = _residual(problem, y, y, b)  # A 0 = 0: the zero state is its own product
     else:
         y = y0.copy()
         H = _residual(problem, y, problem.A @ y if A_y0 is None else A_y0, b)

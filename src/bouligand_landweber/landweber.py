@@ -56,6 +56,11 @@ Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters`, never enforced: with the default experiment
 parameters both are violated, yet the iteration behaves well.
 
+Runs from the same start, as the cells of a table are, share F(u0): a
+record keeps the forward solution of its u0, and `run(...,
+start_solution=...)` starts from it instead of solving again, with the
+same bits and 0 Newton steps recorded at n = 0.
+
 A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
 them.  Its saved summary states these too, and loading it requires the
@@ -77,9 +82,16 @@ from pathlib import Path
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
-from .forward import ForwardProblem, error_certificate, solve_forward
+from .forward import (
+    FORWARD_RTOL,
+    ForwardProblem,
+    ForwardSolution,
+    error_certificate,
+    forward_residual,
+    solve_forward,
+)
 from .mesh_fem import GridFunction, field_values, m_norm
-from .sparse_linalg import ConvergenceError, dot
+from .sparse_linalg import TINY_RHS, ConvergenceError, dot, norm
 
 logger = logging.getLogger(__name__)
 
@@ -245,13 +257,32 @@ def parse_reason(value) -> str:
     return value
 
 
+def _residual_norm(cell) -> float:
+    """A stored residual norm: a float that is not negative.
+
+    NaN passes: `run` records one where dot(r, M r) is NaN.
+    """
+    value = float(cell)
+    if value < 0.0:
+        raise ValueError(f"must not be negative, got {value!r}")
+    return value
+
+
+def _newton_count(cell) -> int:
+    """A stored Newton count: an integer >= 0 (0 where the caller solved the start)."""
+    value = int(cell)
+    if value < 0:
+        raise ValueError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 RECORD_COLUMNS = (
     ("n", INT_CELL, int),
-    ("residual_M", FLOAT_CELL, float),
+    ("residual_M", FLOAT_CELL, _residual_norm),
     # empty when the run had no exact source
     ("rel_error", lambda e: "" if e is None else FLOAT_CELL(e),
      lambda cell: math.nan if cell == "" else float(cell)),
-    ("ssn_iters", INT_CELL, int),
+    ("ssn_iters", INT_CELL, _newton_count),
 )
 
 # config keys of records written before the per-step schedule options were removed
@@ -286,6 +317,11 @@ class RunRecord:
     Everything else the summary states follows from these: delta and tau
     from the config, the stopping index from the length of the history, and
     the parameter check from the config at its assumed bound lbar.
+    `ssn_counts[n]` counts the Newton steps the run made for F(u_n); it is
+    0 at n = 0 where the caller passed the start's solution.  Next to the
+    final iterate, `start_solution` keeps the forward solution of u0, for
+    another run from the same start (None where that solve failed).
+    Neither is saved, and both are None after `load`.
     """
 
     residual_norms: np.ndarray
@@ -294,6 +330,7 @@ class RunRecord:
     reason: str
     config: LandweberConfig
     final: GridFunction | None = None
+    start_solution: ForwardSolution | None = None
 
     @property
     def delta(self) -> float:
@@ -313,6 +350,7 @@ class RunRecord:
 
     @property
     def total_ssn(self) -> int:
+        """The Newton steps the run made: the summary's `ssn_total`."""
         return int(np.sum(self.ssn_counts))
 
     @property
@@ -356,13 +394,14 @@ class RunRecord:
 
     @classmethod
     def load(cls, base) -> "RunRecord":
-        """Rebuild a record from its CSV/JSON pair (the final iterate is not serialized).
+        """Rebuild a record from its CSV/JSON pair; `final` and `start_solution` are None.
 
         The record is built from the summary's config and reason and from the
         CSV, whose `n` column must count its rows; the stored summary must
         then be the record's own, with no key unknown or missing and every
         other value equal.  A damaged pair raises ValueError naming the file
-        and the defect: for a summary value, the key.
+        and the defect: for a summary value, the key; for a cell, the line,
+        a negative residual or Newton count included.
         """
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
@@ -410,12 +449,49 @@ class RunRecord:
         return record
 
 
+def _require_start_solution(problem: ForwardProblem, sol: ForwardSolution, u0) -> None:
+    """ValueError naming `start_solution` unless sol solves u0 as a first forward solve would.
+
+    Its state must lie on the problem's mesh, and its residual at u0,
+    recomputed by `forward_residual`, must meet the stop FORWARD_RTOL *
+    ||M u0||_2 of a solve without floor.
+
+    `solve_forward` solves a nonzero u0 with ||M u0||_2 below TINY_RHS as
+    2^-e u0 and scales the state back, so the check scales both by 2^-e
+    too: unscaled, the residual and the stop underflow.  Scaling back
+    rounds each state entry that falls below the normal range to a
+    multiple of 2^-1074, so the check allows the stop plus what that
+    rounding, at most 2^-1075 per entry, can add to the residual: F is
+    Lipschitz with ||A||_2 + max D <= 8 + max D (Gershgorin).
+    """
+    if sol.y.mesh != problem.mesh:
+        raise ValueError(
+            f"start_solution lies on the mesh n_h={sol.y.mesh.n_h}, "
+            f"not on the problem's n_h={problem.mesh.n_h}"
+        )
+    y, norm_b, rounding = sol.y.values, norm(problem.M @ u0), 0.0
+    if norm_b < TINY_RHS and u0.any():
+        e = math.frexp(np.abs(u0).max())[1]
+        y, u0 = np.ldexp(y, -e), np.ldexp(u0, -e)
+        norm_b = norm(problem.M @ u0)
+        rounding = (8.0 + problem.D.max()) * math.sqrt(y.size) * math.ldexp(1.0, -1075 - e)
+    residual = forward_residual(problem, y, u0)
+    stop = FORWARD_RTOL * norm_b + rounding
+    if not residual <= stop:
+        raise ValueError(
+            f"start_solution does not solve u0: its residual {residual:.3e} "
+            f"exceeds the stop {stop:.3e} of a first solve"
+        )
+
+
 def run(
     problem: ForwardProblem,
     y_data,
     cfg: LandweberConfig,
     u0,
     u_exact=None,
+    *,
+    start_solution: ForwardSolution | None = None,
 ) -> RunRecord:
     """Run the Landweber iteration from u0 against data y_data.
 
@@ -434,10 +510,21 @@ def run(
     wherever the floor decides; the first has no earlier residual and
     passes 0.  A forward solve failure truncates the record with reason
     'forward-failure'.
+
+    `start_solution`, the forward solution of u0 that an earlier run from
+    the same start kept as its record's `start_solution`, takes the place
+    of the first solve: the record counts 0 Newton steps at n = 0, and the
+    solve of step 1 starts from its state and its product A y, as every
+    later solve does from the one before.  The record keeps the bits it
+    has without it.  It is checked first (see `_require_start_solution`):
+    a solution of another source or on another mesh raises ValueError.
     """
     M = problem.M
     data = field_values(problem.mesh, "y_data", y_data)
     u = field_values(problem.mesh, "u0", u0).copy()
+    given_start = start_solution is not None
+    if given_start:
+        _require_start_solution(problem, start_solution, u)
     exact = None if u_exact is None else field_values(problem.mesh, "u_exact", u_exact)
     norm_exact = None
     if exact is not None:
@@ -462,13 +549,15 @@ def run(
         # inf before the first residual, or when every residual overflowed
         tol = 0.0 if smallest == math.inf else FORWARD_ERROR_FRACTION * smallest / certificate
         try:
-            if prev is None:
-                sol = solve_forward(problem, u, tol=tol)
-            else:
+            if prev is not None:
                 sol = solve_forward(
                     problem, u, y0=prev.y, directions=increments, tol=tol,
                     A_y0=prev.A_y, A_directions=A_increments,
                 )
+            elif given_start:
+                sol = start_solution  # F(u0), solved by the caller
+            else:
+                sol = start_solution = solve_forward(problem, u, tol=tol)
         except ConvergenceError as exc:
             logger.error("forward solve failed at iteration %d: %s", n, exc)
             reason = REASON_FORWARD_FAILURE
@@ -478,7 +567,7 @@ def run(
         M_r = M @ residual_vec
         residuals.append(math.sqrt(max(dot(residual_vec, M_r), 0.0)))
         smallest = min(smallest, residuals[-1])
-        ssn_counts.append(sol.ssn_iterations)
+        ssn_counts.append(0 if prev is None and given_start else sol.ssn_iterations)
         if exact is not None:
             errors.append(m_norm(M, exact - u) / norm_exact)
         if residuals[-1] <= threshold:
@@ -519,4 +608,5 @@ def run(
         reason=reason,
         config=cfg,
         final=GridFunction(problem.mesh, u, "source"),
+        start_solution=start_solution,
     )

@@ -37,6 +37,17 @@ def problem257():
     return ForwardProblem.build(build_mesh(257))
 
 
+class CountingMatrix:
+    """Stands in for A or M and counts its products; the solvers use only `@` and `.shape`."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.products = matrix, matrix.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
 def peak_vectors(fn, n: int) -> float:
     """Peak memory that fn() allocates, traced by tracemalloc, in vectors of n doubles.
 

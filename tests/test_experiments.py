@@ -219,6 +219,80 @@ def test_run_noisy_is_one_table_cell():
     assert record.total_ssn == row["ssn_total"]
 
 
+def _recording_cells(monkeypatch):
+    """The records of the cells run_table runs, in order, and counts of its Newton
+    solves and of its forward solves from zero."""
+    from bouligand_landweber import experiments, forward, landweber
+
+    records, counts = [], {"newton": 0, "cold": 0}
+    run, solve_spd, solve_forward = experiments.run, forward.solve_spd, landweber.solve_forward
+
+    def recording_run(*args, **kwargs):
+        records.append(run(*args, **kwargs))
+        return records[-1]
+
+    def counting_spd(*args, **kwargs):
+        counts["newton"] += 1
+        return solve_spd(*args, **kwargs)
+
+    def counting_solve(problem, u, y0=None, *args, **kwargs):
+        counts["cold"] += y0 is None
+        return solve_forward(problem, u, y0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", recording_run)
+    monkeypatch.setattr(forward, "solve_spd", counting_spd)
+    monkeypatch.setattr(landweber, "solve_forward", counting_solve)
+    return records, counts
+
+
+def test_run_table_solves_its_start_once(monkeypatch):
+    # the four cells share F(u_bar): one cold solve, and every Newton step
+    # the campaign makes is counted in one row's ssn_total
+    records, counts = _recording_cells(monkeypatch)
+    rows = run_table(33, [1e-2, 1e-3], seeds=(0, 1))
+    assert counts["cold"] == 1
+    assert sum(row["ssn_total"] for row in rows) == counts["newton"]
+    first = records[0].start_solution
+    assert first is not None and all(r.start_solution is first for r in records)
+
+
+def test_table_cells_are_run_noisy_bit_for_bit(monkeypatch):
+    # every cell keeps the record of its own run_noisy; a cell after the
+    # first counts no Newton step at n = 0
+    records, _ = _recording_cells(monkeypatch)
+    rows = run_table(33, [1e-2, 1e-3], seeds=(0, 1))
+    cells = records.copy()  # run_noisy records its run too
+    for i, (row, record) in enumerate(zip(rows, cells, strict=True)):
+        alone = run_noisy(33, NoiseSpec(seed=row["seed"], value=[1e-2, 1e-3][i % 2]))
+        assert record.residual_norms.tobytes() == alone.residual_norms.tobytes()
+        assert record.rel_errors.tobytes() == alone.rel_errors.tobytes()
+        assert record.final.values.tobytes() == alone.final.values.tobytes()
+        counts = alone.ssn_counts.tolist()
+        assert record.ssn_counts.tolist() == (counts if i == 0 else [0, *counts[1:]])
+        assert row["ssn_total"] == record.total_ssn
+
+
+def test_run_table_solves_afresh_after_a_failed_start(monkeypatch):
+    # the first cell's solve of u_bar fails: the second cell solves it
+    # afresh, as every cell did before, and hands its solution on
+    from bouligand_landweber import landweber
+
+    solve_forward, calls = landweber.solve_forward, []
+
+    def fail_first(*args, **kwargs):
+        calls.append(kwargs.get("y0"))
+        if len(calls) == 1:
+            raise ConvergenceError("forced failure", residual=1.0)
+        return solve_forward(*args, **kwargs)
+
+    monkeypatch.setattr(landweber, "solve_forward", fail_first)
+    rows = run_table(17, [1e-2, 1e-3, 1e-4], seeds=(0,))
+    assert [row["reason"] for row in rows] == ["forward-failure"] + ["discrepancy"] * 2
+    assert sum(y0 is None for y0 in calls) == 2  # the failed solve and the second cell's
+    alone = run_noisy(17, NoiseSpec(seed=0, value=1e-4))
+    assert rows[2]["ssn_total"] == alone.total_ssn - alone.ssn_counts[0]
+
+
 def test_run_table_rejects_nonpositive_delta():
     with pytest.raises(ValueError, match="positive"):
         run_table(17, deltas=[1e-2, 0.0])

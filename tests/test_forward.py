@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from bouligand_landweber import (
 from bouligand_landweber import forward, sparse_linalg
 from bouligand_landweber.experiments import exact_fields
 from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
-from conftest import peak_vectors
+from conftest import CountingMatrix, peak_vectors
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +446,62 @@ def test_solve_forward_working_set(problem257):
     n = problem257.mesh.n_interior
     u_bar = exact_fields(problem257.mesh)[2]
     assert peak_vectors(lambda: solve_forward(problem257, u_bar), n) <= 10.2
+
+
+def _cold_sources(problem):
+    """u*, u_bar, the zero source and a source below TINY_RHS, each solved from zero."""
+    u_star, _, u_bar = exact_fields(problem.mesh)
+    n = problem.mesh.n_interior
+    return [u_star.values, u_bar.values, np.zeros(n), _sign_changing_source(problem, 1e-165)]
+
+
+def test_cold_solve_forms_no_product_before_its_first_newton_step(problem33, monkeypatch):
+    # the zero start's residual takes A 0 = 0 without forming it, on the
+    # tiny-source path too; a start from y0 forms A y0 unless it is passed
+    A = CountingMatrix(problem33.A)
+    problem = dataclasses.replace(problem33, A=A)
+    before_first_step = []
+
+    def first_step(system, b, pre, **kwargs):
+        before_first_step.append(A.products)
+        return sparse_linalg.solve_spd(system, b, pre, **kwargs)
+
+    monkeypatch.setattr(forward, "solve_spd", first_step)
+
+    def products_before_first_step(u, **start):
+        before_first_step.clear()
+        A.products = 0
+        sol = solve_forward(problem, u, **start)
+        return before_first_step[0], sol
+
+    for u in _cold_sources(problem):
+        assert products_before_first_step(u)[0] == 0
+    u = _cold_sources(problem)[1]
+    _, sol = products_before_first_step(u)
+    assert products_before_first_step(1.01 * u, y0=sol.y)[0] == 1
+    assert products_before_first_step(1.01 * u, y0=sol.y, A_y0=sol.A_y)[0] == 0
+
+
+def _solution_hash(sol) -> str:
+    parts = (sol.y.values, sol.A_y, np.float64(sol.final_residual), sol.active_pattern)
+    return hashlib.sha1(b"".join(part.tobytes() for part in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("n_h", [3, 9, 33, 129])
+def test_cold_solves_keep_their_bits(n_h, monkeypatch):
+    # against residuals that form every stiffness product, the zero start's
+    # included, each cold solve's state, product, residual, set and count
+    # hash equal
+    problem = ForwardProblem.build(build_mesh(n_h))
+    sources = _cold_sources(problem)
+    kept = [solve_forward(problem, u) for u in sources]
+    residual = forward._residual
+    monkeypatch.setattr(
+        forward, "_residual", lambda problem, y, A_y, b: residual(problem, y, problem.A @ y, b)
+    )
+    formed = [solve_forward(problem, u) for u in sources]
+    assert [_solution_hash(sol) for sol in kept] == [_solution_hash(sol) for sol in formed]
+    assert [sol.ssn_iterations for sol in kept] == [sol.ssn_iterations for sol in formed]
 
 
 class _CountingNonlinearity:

@@ -30,6 +30,7 @@ from bouligand_landweber.forward import (
     SINGLE_PRECISION_MIN_SIDE,
     error_certificate,
 )
+from conftest import CountingMatrix
 
 
 def test_check_parameters_default_experiment_values():
@@ -225,29 +226,18 @@ def test_run_deterministic(problem33):
     assert np.array_equal(rec1.final.values, rec2.final.values)
 
 
-class _CountingMatrix:
-    """Stands in for A or M and counts its products; the solvers use only `@` and `.shape`."""
-
-    def __init__(self, matrix):
-        self.matrix, self.shape, self.products = matrix, matrix.shape, 0
-
-    def __matmul__(self, v):
-        self.products += 1
-        return self.matrix @ v
-
-
 def test_run_forms_each_product_once(problem33, monkeypatch):
-    # outside CG, a run of N steps and S Newton steps forms A y once for the
-    # cold start and once per Newton iterate, once for each Galerkin
-    # prediction (the solves from the third on), and A g once for each
-    # increment a later solve uses: 2 N + S - 1 products.  M products: M u
-    # per forward solve, M r once per residual, for its norm and the step,
-    # and M (u* - u) per error norm, plus ||u*||_M once.  Here N = 14 and
-    # S = 21: 217 A + 46 M products with CG's 169; forming every product
+    # outside CG, a run of N steps and S Newton steps forms A y once per
+    # Newton iterate (the cold start from zero needs none), once for each
+    # Galerkin prediction (the solves from the third on), and A g once for
+    # each increment a later solve uses: 2 N + S - 2 products.  M products:
+    # M u per forward solve, M r once per residual, for its norm and the
+    # step, and M (u* - u) per error norm, plus ||u*||_M once.  Here N = 14
+    # and S = 21: 216 A + 46 M products with CG's 169; forming every product
     # afresh took 254 + 60
     u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
-    A, M = _CountingMatrix(problem33.A), _CountingMatrix(problem33.M)
+    A, M = CountingMatrix(problem33.A), CountingMatrix(problem33.M)
     matvecs = []
     matvec = sparse_linalg.SpdSystem.matvec
 
@@ -260,9 +250,9 @@ def test_run_forms_each_product_once(problem33, monkeypatch):
     record = run(problem, y_noisy, LandweberConfig(delta=delta), u_bar, u_exact)
     N, S = record.stopping_index, record.total_ssn
     assert (N, S, record.reason) == (14, 21, "discrepancy")
-    assert A.products - len(matvecs) == 2 * N + S - 1
+    assert A.products - len(matvecs) == 2 * N + S - 2
     assert M.products == 3 * (N + 1) + 1
-    assert A.products + M.products <= 217 + 46
+    assert A.products + M.products <= 216 + 46
 
 
 def _fresh_products_reference(problem, y_data, cfg, u0, u_exact):
@@ -516,6 +506,8 @@ def test_record_roundtrip(tmp_path, problem33):
     assert back.tau == record.tau
     assert back.config == record.config
     assert back.parameter_check == record.parameter_check == check_parameters(cfg, cfg.lbar)
+    assert record.start_solution is not None
+    assert back.final is None and back.start_solution is None
     # the stopping rule is re-checkable from the serialized record alone
     assert back.check_discrepancy()
 
@@ -620,6 +612,65 @@ def test_saved_record_loads_and_saves_the_same_bytes(tmp_path):
     assert tuple(path.read_bytes() for path in resaved) == saved
 
 
+def _start(problem, kind):
+    """u0 of a kind: u_bar, zero, or u_bar scaled below TINY_RHS (its ||M u||_2 underflows)."""
+    u_bar = exact_fields(problem.mesh)[2].values
+    return {"source": u_bar, "zero": np.zeros_like(u_bar), "tiny": 1e-165 * u_bar}[kind]
+
+
+@pytest.mark.parametrize("kind", ["source", "zero", "tiny"])
+def test_run_from_its_start_solution_keeps_the_record(problem33, kind):
+    # a run given solve_forward(problem, u0) skips that solve: the same bits
+    # in every residual, error and the final iterate, and 0 Newton steps at
+    # n = 0; a run without one keeps its own solve of u0 in the record
+    u_exact, y_exact, _ = exact_fields(problem33.mesh)
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
+    cfg, u0 = LandweberConfig(delta=delta, max_iter=12), _start(problem33, kind)
+    start = solve_forward(problem33, u0)
+    solved = run(problem33, y_noisy, cfg, u0, u_exact)
+    given = run(problem33, y_noisy, cfg, u0, u_exact, start_solution=start)
+    assert given.start_solution is start
+    assert _solution_bits(solved.start_solution) == _solution_bits(start)
+    assert solved.stopping_index >= 2
+    assert given.residual_norms.tobytes() == solved.residual_norms.tobytes()
+    assert given.rel_errors.tobytes() == solved.rel_errors.tobytes()
+    assert given.final.values.tobytes() == solved.final.values.tobytes()
+    assert solved.ssn_counts[0] == start.ssn_iterations >= 1
+    assert given.ssn_counts.tolist() == [0, *solved.ssn_counts[1:]]
+    assert given.reason == solved.reason
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-310, 1e-320, 5e-324])
+def test_run_accepts_the_solve_of_a_tiny_start(problem33, scale):
+    # below TINY_RHS the state is solved scaled and scaled back, which rounds
+    # its entries below the normal range; the check allows that rounding
+    _, y_exact, u_bar = exact_fields(problem33.mesh)
+    u0 = scale * u_bar.values
+    start = solve_forward(problem33, u0)
+    record = run(problem33, y_exact, LandweberConfig(max_iter=0), u0, start_solution=start)
+    assert record.ssn_counts.tolist() == [0]
+
+
+def _solution_bits(sol):
+    return [sol.y.values.tobytes(), sol.A_y.tobytes(), sol.ssn_iterations, sol.final_residual]
+
+
+def test_run_rejects_a_start_solution_of_another_source_or_mesh(problem17, problem33, monkeypatch):
+    # checked before any forward solve, with the argument named
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
+    u_exact, y_exact, _ = exact_fields(problem33.mesh)
+    cfg = LandweberConfig(max_iter=1)
+    u_bar, zero, tiny = (_start(problem33, kind) for kind in ("source", "zero", "tiny"))
+    not_u0 = r"^start_solution does not solve u0: its residual .* exceeds the stop"
+    for u0, other in [(u_bar, 1.001 * u_bar), (zero, u_bar), (u_bar, zero), (tiny, 2.0 * tiny)]:
+        start = forward.solve_forward(problem33, other)
+        with pytest.raises(ValueError, match=not_u0):
+            run(problem33, y_exact, cfg, u0, u_exact, start_solution=start)
+    start = forward.solve_forward(problem17, _start(problem17, "source"))
+    with pytest.raises(ValueError, match="^start_solution lies on the mesh n_h=17, not on the"):
+        run(problem33, y_exact, cfg, u_bar, u_exact, start_solution=start)
+
+
 @pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])
 def test_run_rejects_non_finite_input(problem17, argument):
     # rejected before the first forward solve, with the argument named
@@ -675,6 +726,26 @@ def _blank_line_before_renumbered_row(base):
     lines = path.read_text().splitlines(keepends=True)
     lines[3] = "9" + lines[3][1:]  # the row of n = 2
     lines.insert(2, "\r\n")
+    path.write_text("".join(lines))
+
+
+def _negative_newton_count(base):
+    # ssn_iters = -5 in the row of n = 1, with a matching ssn_total
+    csv_path, json_path = (base.with_name(base.name + ext) for ext in (".csv", ".json"))
+    lines = csv_path.read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\r\n").split(",")
+    summary = json.loads(json_path.read_text())
+    summary["ssn_total"] += -5 - int(cells[3])
+    lines[2] = ",".join([*cells[:3], "-5"]) + "\r\n"
+    csv_path.write_text("".join(lines))
+    json_path.write_text(json.dumps(summary))
+
+
+def _negative_residual(base):
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines(keepends=True)
+    n, res, rest = lines[2].split(",", 2)
+    lines[2] = ",".join([n, "-" + res, rest])
     path.write_text("".join(lines))
 
 
@@ -770,6 +841,8 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         (_set_json(parameter_check=_CHECK_AT_OTHER_BOUND), _BAD_CHECK),
         (_update_config(max_iter=True), _BAD_CONFIG + "max_iter must be an integer >= 0, got True"),
         (_update_config(tau=10**400), _BAD_CONFIG + "tau must be finite and exceed 1, got inf"),
+        (_negative_newton_count, r"run\.csv, line 3: ssn_iters: must be an integer >= 0, got -5"),
+        (_negative_residual, r"run\.csv, line 3: residual_M: must not be negative, got -0\.0"),
     ],
     ids=[
         "cut-row",
@@ -810,6 +883,8 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         "check-at-another-bound",
         "config-max-iter-bool",
         "config-tau-beyond-float-range",
+        "newton-count-negative",
+        "residual-negative",
     ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):
