@@ -15,6 +15,10 @@ from a file are ordinary flags and a later flag overrides an earlier one.
 Every bad value is argparse's usage error naming the option, raised before
 any problem is built.  The commands only parse; the runs themselves are built by
 `experiments`.
+
+The exit status is 2 for a usage error, 1 where `verify` writes a suite
+verdict `"passed": false` or where no cell of a `table` ran (every N = -1),
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -234,7 +238,7 @@ def _cmd_table(args) -> int:
             f"rel_error={row['rel_error']:.3e} rate={row['rate']:.3f} "
             f"ssn={row['ssn_total']} reason={row['reason']}"
         )
-    return 0
+    return 1 if all(row["N"] == -1 for row in rows) else 0  # 1: no cell ran
 
 
 def _verify_oracle(args, out: Path) -> dict:
@@ -309,7 +313,7 @@ def _cmd_verify(args) -> int:
     summary = summaries if len(summaries) > 1 else summaries[0]
     json_path = write_json(out.with_suffix(".json"), summary)
     print(f"verify summary -> {json_path}")
-    return 0
+    return 1 if any(s.get("passed") is False for s in summaries) else 0
 
 
 COMMANDS = {

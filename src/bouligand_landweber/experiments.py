@@ -37,8 +37,12 @@ from .forward import ForwardProblem, solve_forward
 from .landweber import (
     FLOAT_CELL,
     INT_CELL,
+    REASON_FORWARD_FAILURE,
     LandweberConfig,
     RunRecord,
+    _cell_parser,
+    _newton_count,
+    _residual_norm,
     empirical_rate,
     parse_reason,
     read_rows,
@@ -213,13 +217,15 @@ def run_noisy(
 
 
 TABLE_COLUMNS = (
-    ("delta", FLOAT_CELL, float),
+    ("delta", FLOAT_CELL,
+     _cell_parser(float, lambda v: 0.0 < v < math.inf, "be finite and positive")),
     ("seed", INT_CELL, int),
-    ("N", INT_CELL, int),
-    ("rel_error", FLOAT_CELL, float),  # nan, like rate, for a failed cell
-    ("rate", FLOAT_CELL, float),
+    # -1 for a cell whose first forward solve failed
+    ("N", INT_CELL, _cell_parser(int, lambda v: v >= -1, "be an integer >= -1")),
+    ("rel_error", FLOAT_CELL, _residual_norm),  # nan, like rate, for a failed cell
+    ("rate", FLOAT_CELL, _residual_norm),
     # the cell's Newton steps; a cell after the first made none for F(u0)
-    ("ssn_total", INT_CELL, int),
+    ("ssn_total", INT_CELL, _newton_count),
     ("reason", str, parse_reason),
 )
 
@@ -250,8 +256,8 @@ def run_table(
     rows, start_solution = [], None
     for noise in noises:
         record = _cell(problem, fields, start, cfg, noise, start_solution)
-        if start_solution is None:
-            start_solution = record.start_solution
+        # the solution given, or the cell's own solve (None where that failed)
+        start_solution = record.start_solution
         err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
         rows.append(
             {
@@ -275,9 +281,21 @@ def write_table_csv(path, rows) -> Path:
 def read_table_csv(path) -> list[dict]:
     """Read campaign rows written by :func:`write_table_csv`.
 
-    A damaged file raises ValueError naming the file, as `RunRecord.load` does.
+    A damaged file raises ValueError naming the file, as `RunRecord.load` does,
+    and the line of a row that no campaign writes: a delta that is not
+    finite and positive, N below -1, a negative count, error or rate, N = -1
+    with a reason other than 'forward-failure', or an error or rate that is
+    NaN where N >= 0, or a number where N = -1.
     """
-    return read_rows(path, TABLE_COLUMNS)
+    rows = read_rows(path, TABLE_COLUMNS)
+    for line, row in enumerate(rows, start=2):  # read_rows puts row i on line i + 2
+        failed = row["N"] == -1
+        if failed and row["reason"] != REASON_FORWARD_FAILURE:
+            raise ValueError(f"{path}, line {line}: N = -1 needs reason {REASON_FORWARD_FAILURE!r}")
+        for name in ("rel_error", "rate"):
+            if math.isnan(row[name]) != failed:
+                raise ValueError(f"{path}, line {line}: {name} must be nan exactly where N = -1")
+    return rows
 
 
 def consistency_residuals(n_h_list) -> dict[int, float]:

@@ -6,51 +6,14 @@ The iteration is
 
 where F is the discrete forward map, G_{u_n} applies (A + K_{y_n})^{-1} M
 (self-adjoint in the M inner product, so no separate adjoint solve), and
-w_n is the step size.  With noisy data of level delta the loop stops at the
-first index whose M-norm residual drops to tau*delta (discrepancy
-principle), at the first index whose residual exceeds the starting one
-or whose update overflows (divergence), or after max_iter steps.  All
-residual and error norms use the M-weighted norm.
-
-The step's subderivative solve is inexact: its CG stops at
-SUBDERIVATIVE_RTOL * ||M r_n||_2.  A relative error eps in G_{u_n} r_n is a
-relative error eps in the step, far below the relative residual decrease
-of a step (at least 1.3e-3 over the 500 noise-free steps from zero at
-n_h=129): inexact Newton forcing (Dembo-Eisenstat-Steihaug 1982) applied
-to the outer step.  Every other caller of `apply_subderivative` keeps its
-exact default.
-
-Consecutive states move in a low-dimensional subspace, so each forward
-solve gets the last PREDICTION_DIRECTIONS state increments y_n - y_{n-1}
-and starts its Newton iteration from the Galerkin prediction within their
-span (`forward.solve_forward`), falling back to the previous state where
-that does not lower the residual.  The Newton stop is unchanged, so only
-the number of Newton steps depends on the start.
-
-Each stiffness and mass product is formed once and kept until its last
-use: A g of each increment serves the PREDICTION_DIRECTIONS predictions
-that use g, A y_n of each solution starts the next solve's residual, and
-M r_n serves both ||r_n||_M and the step's right-hand side.  Every record
-keeps the bits it has with each product formed afresh.
-
-F(u_n) enters the iteration only through the residual r_n = y_data - F(u_n),
-so each forward solve after the first stops at the absolute residual floor
-
-    tol_n = FORWARD_ERROR_FRACTION * min_{k<n} ||r_k||_M / C,
-
-C = `forward.error_certificate(mesh)`, where that exceeds the solve's own
-relative stop.  Strong monotonicity of the forward operator bounds the
-state's M-norm error by C times its residual, so every recorded residual,
-and the step's right-hand side, is within kappa = FORWARD_ERROR_FRACTION
-times the smallest earlier residual of its exact value (or within C times
-the relative stop, where that is larger): the discrepancy decision
-at tau * delta < min_{k<n} ||r_k||_M can change only where the margin
-| ||r_n||_M - tau * delta | is below that, and the step's right-hand side
-carries a relative error of at most kappa, a forcing term like that of the
-subderivative solve.  The first solve has no earlier residual and keeps
-the relative stop: a floor kappa * tau * delta / C there saves 4 of the 413
-preconditioner applications of the n_h = 257 campaign (benchmark seed 3),
-and none at delta = 0.
+w_n is the step size.  One step is :func:`step`, which maps one
+:class:`Iterate` to the next and keeps no state of its own; its docstring
+states how each solve of a step is made.  :func:`run` records each
+iterate and applies the stopping rule around it: with noisy data of level
+delta the loop stops at the first index whose M-norm residual drops to
+tau*delta (discrepancy principle), at the first index whose residual
+exceeds the starting one or whose update overflows (divergence), or after
+max_iter steps.  All residual and error norms use the M-weighted norm.
 
 Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters`, never enforced: with the default experiment
@@ -75,7 +38,7 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -250,30 +213,24 @@ def read_rows(path, columns) -> list[dict]:
     return rows
 
 
-def parse_reason(value) -> str:
-    """A stored reason: one of REASONS."""
-    if value not in REASONS:
-        raise ValueError(f"must be one of {', '.join(REASONS)}, got {value!r}")
-    return value
+def _cell_parser(cast, ok, requirement: str):
+    """A cell parser: `cast` of the cell, a ValueError saying what it must be unless ok(value)."""
+
+    def parse(cell):
+        value = cast(cell)
+        if not ok(value):
+            raise ValueError(f"must {requirement}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _residual_norm(cell) -> float:
-    """A stored residual norm: a float that is not negative.
-
-    NaN passes: `run` records one where dot(r, M r) is NaN.
-    """
-    value = float(cell)
-    if value < 0.0:
-        raise ValueError(f"must not be negative, got {value!r}")
-    return value
-
-
-def _newton_count(cell) -> int:
-    """A stored Newton count: an integer >= 0 (0 where the caller solved the start)."""
-    value = int(cell)
-    if value < 0:
-        raise ValueError(f"must be an integer >= 0, got {value}")
-    return value
+# a stored reason
+parse_reason = _cell_parser(str, lambda v: v in REASONS, f"be one of {', '.join(REASONS)}")
+# a stored residual norm; NaN passes, as `run` records one where dot(r, M r) is NaN
+_residual_norm = _cell_parser(float, lambda v: not v < 0.0, "not be negative")
+# a stored Newton count, 0 where the caller solved the start
+_newton_count = _cell_parser(int, lambda v: v >= 0, "be an integer >= 0")
 
 
 RECORD_COLUMNS = (
@@ -484,6 +441,98 @@ def _require_start_solution(problem: ForwardProblem, sol: ForwardSolution, u0) -
         )
 
 
+@dataclass(frozen=True)
+class Iterate:
+    """One iterate u_n and what the step from it uses; :func:`step` never modifies one.
+
+    `solution` is F(u_n), carrying A y_n; `r` is y_data - y_n, `M_r` its
+    product M r_n and `residual` ||r_n||_M.  `previous` is F(u_{n-1}), None
+    at the start, and `window` holds the (g, A g) pairs of the state
+    increments the solve of F(u_n) started from, at most
+    PREDICTION_DIRECTIONS of them.
+    """
+
+    u: np.ndarray
+    solution: ForwardSolution
+    r: np.ndarray
+    M_r: np.ndarray
+    residual: float
+    previous: ForwardSolution | None
+    window: tuple
+
+    @classmethod
+    def at(cls, problem: ForwardProblem, data, u, solution, previous=None, window=()) -> "Iterate":
+        """The iterate u with its forward solution, against the data values."""
+        r = data - solution.y.values
+        # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
+        M_r = problem.M @ r
+        return cls(u, solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), previous, window)
+
+
+def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> Iterate:
+    """The iterate after `it`: u_{n+1} = u_n + w G_{u_n}(r_n), with F(u_{n+1}) against `data`.
+
+    The subderivative solve is inexact: its CG stops at SUBDERIVATIVE_RTOL *
+    ||M r_n||_2.  A relative error eps in G_{u_n} r_n is a relative error eps
+    in the step, far below the relative residual decrease of a step (at
+    least 1.3e-3 over the 500 noise-free steps from zero at n_h=129):
+    inexact Newton forcing (Dembo-Eisenstat-Steihaug 1982) applied to the
+    outer step.  Every other caller of `apply_subderivative` keeps its exact
+    default.
+
+    Consecutive states move in a low-dimensional subspace, so the solve of
+    F(u_{n+1}) gets the last PREDICTION_DIRECTIONS state increments
+    g = y_k - y_{k-1} and starts its Newton iteration from the Galerkin
+    prediction within their span (`forward.solve_forward`), falling back to
+    y_n where that does not lower the residual.  The Newton stop is
+    unchanged, so only the number of Newton steps depends on the start.
+
+    Each stiffness and mass product is formed once and kept until its last
+    use: A g of each increment, formed when a solve first uses it, serves
+    the PREDICTION_DIRECTIONS predictions that use g; A y_n starts the
+    solve's residual; M r_n serves both ||r_n||_M and the step's right-hand
+    side.  Every record keeps the bits it has with each product formed
+    afresh.
+
+    The solve stops at the absolute residual floor `tol` where that exceeds
+    its own relative stop.  F(u) enters the iteration only through the
+    residual, and strong monotonicity of the forward operator bounds the
+    state's M-norm error by C = `forward.error_certificate(mesh)` times its
+    residual, so `run` passes tol = FORWARD_ERROR_FRACTION * min_{k<=n}
+    ||r_k||_M / C: every recorded residual, and the step's right-hand side,
+    is within kappa = FORWARD_ERROR_FRACTION times the smallest earlier
+    residual of its exact value (or within C times the relative stop, where
+    that is larger).  The discrepancy decision at tau * delta <
+    min_{k<=n} ||r_k||_M can change only where the margin
+    | ||r_{n+1}||_M - tau * delta | is below that, and the step's right-hand
+    side carries a relative error of at most kappa, a forcing term like
+    that of the subderivative solve.  The first solve, of u0, has no
+    earlier residual and keeps the relative stop: a floor
+    kappa * tau * delta / C there saves 4 of the 413 preconditioner
+    applications of the n_h = 257 campaign (benchmark seed 3), and none at
+    delta = 0.
+
+    A failed solve raises its ConvergenceError, and an update that is not
+    finite raises FloatingPointError.  The step works on plain arrays, keeps
+    no state between calls and modifies no array of `it`, so the same `it`
+    always gives the same bits.
+    """
+    op = build_linearized(problem, it.solution.y)
+    update = apply_subderivative(op, problem.M, it.r, rtol=SUBDERIVATIVE_RTOL, M_w=it.M_r)
+    u = it.u + w * update.values
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("the update is not finite")
+    window = deque(it.window, maxlen=PREDICTION_DIRECTIONS)
+    if it.previous is not None:
+        g = it.solution.y.values - it.previous.y.values
+        window.append((g, problem.A @ g))
+    sol = solve_forward(
+        problem, u, y0=it.solution.y, directions=[g for g, _ in window], tol=tol,
+        A_y0=it.solution.A_y, A_directions=[A_g for _, A_g in window],
+    )
+    return Iterate.at(problem, data, u, sol, it.solution, tuple(window))
+
+
 def run(
     problem: ForwardProblem,
     y_data,
@@ -493,113 +542,64 @@ def run(
     *,
     start_solution: ForwardSolution | None = None,
 ) -> RunRecord:
-    """Run the Landweber iteration from u0 against data y_data.
+    """Run the Landweber iteration from u0 against data y_data: record, decide, :func:`step`.
 
     Residual and (when u_exact is given) relative error are recorded for every
     iterate including the final one; the discrepancy principle uses the
     threshold tau*delta from cfg.  A residual above the starting residual,
-    or an update that overflows, ends the run with reason 'divergence'; the
-    final iterate is then the last one whose residual was recorded.  Each
-    semi-smooth Newton solve after the first starts from the Galerkin
-    prediction along the last PREDICTION_DIRECTIONS state increments, or
-    from the previous state where the prediction does not lower the
-    residual.  Each solve after the first stops at the residual floor
-    FORWARD_ERROR_FRACTION * min_{k<n} ||r_k||_M / error_certificate(mesh)
-    where that exceeds its relative stop, so each recorded residual is
-    within FORWARD_ERROR_FRACTION * min_{k<n} ||r_k||_M of its exact value
-    wherever the floor decides; the first has no earlier residual and
-    passes 0.  A forward solve failure truncates the record with reason
-    'forward-failure'.
+    or an update that overflows, ends the run with reason 'divergence'; a
+    failed forward or subderivative solve ends it with reason
+    'forward-failure'.  The final iterate is the last one whose residual
+    was recorded, u0 where none was.
 
     `start_solution`, the forward solution of u0 that an earlier run from
     the same start kept as its record's `start_solution`, takes the place
-    of the first solve: the record counts 0 Newton steps at n = 0, and the
-    solve of step 1 starts from its state and its product A y, as every
-    later solve does from the one before.  The record keeps the bits it
-    has without it.  It is checked first (see `_require_start_solution`):
-    a solution of another source or on another mesh raises ValueError.
+    of the first solve: the record counts 0 Newton steps at n = 0 and
+    keeps the bits it has without it.  It is checked first (see
+    `_require_start_solution`): a solution of another source or on another
+    mesh raises ValueError.
     """
-    M = problem.M
     data = field_values(problem.mesh, "y_data", y_data)
     u = field_values(problem.mesh, "u0", u0).copy()
-    given_start = start_solution is not None
-    if given_start:
+    if start_solution is not None:
         _require_start_solution(problem, start_solution, u)
     exact = None if u_exact is None else field_values(problem.mesh, "u_exact", u_exact)
-    norm_exact = None
     if exact is not None:
-        norm_exact = m_norm(M, exact)
+        norm_exact = m_norm(problem.M, exact)
         if norm_exact == 0.0:
             raise ValueError("u_exact has zero norm; relative errors undefined")
 
-    threshold = cfg.tau * cfg.delta
-    residuals: list[float] = []
-    errors: list[float] = []
-    ssn_counts: list[int] = []
-
-    reason = REASON_MAX_ITERATIONS
-    prev = None  # the last forward solution
-    # the state increments and their stiffness products, each formed once
-    increments = deque(maxlen=PREDICTION_DIRECTIONS)
-    A_increments = deque(maxlen=PREDICTION_DIRECTIONS)
+    residuals, errors, ssn_counts = [], [], []
     certificate = error_certificate(problem.mesh)
     smallest = math.inf  # the smallest residual recorded so far
-    n = 0
-    while True:
-        # inf before the first residual, or when every residual overflowed
-        tol = 0.0 if smallest == math.inf else FORWARD_ERROR_FRACTION * smallest / certificate
-        try:
-            if prev is not None:
-                sol = solve_forward(
-                    problem, u, y0=prev.y, directions=increments, tol=tol,
-                    A_y0=prev.A_y, A_directions=A_increments,
-                )
-            elif given_start:
-                sol = start_solution  # F(u0), solved by the caller
-            else:
-                sol = start_solution = solve_forward(problem, u, tol=tol)
-        except ConvergenceError as exc:
-            logger.error("forward solve failed at iteration %d: %s", n, exc)
-            reason = REASON_FORWARD_FAILURE
-            break
-        residual_vec = data - sol.y.values
-        # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
-        M_r = M @ residual_vec
-        residuals.append(math.sqrt(max(dot(residual_vec, M_r), 0.0)))
-        smallest = min(smallest, residuals[-1])
-        ssn_counts.append(0 if prev is None and given_start else sol.ssn_iterations)
-        if exact is not None:
-            errors.append(m_norm(M, exact - u) / norm_exact)
-        if residuals[-1] <= threshold:
-            reason = REASON_DISCREPANCY
-            break
-        if residuals[-1] > residuals[0]:
-            reason = REASON_DIVERGENCE
-            break
-        if n >= cfg.max_iter:
-            reason = REASON_MAX_ITERATIONS
-            break
-        if prev is not None:  # formed only for a next solve, which uses it
-            g = sol.y.values - prev.y.values
-            increments.append(g)
-            A_increments.append(problem.A @ g)
-        prev = sol
-        try:
-            op = build_linearized(problem, sol.y)
-            update = apply_subderivative(
-                op, M, residual_vec, rtol=SUBDERIVATIVE_RTOL, M_w=M_r
-            )
-        except ConvergenceError as exc:
-            logger.error("subderivative solve failed at iteration %d: %s", n, exc)
-            reason = REASON_FORWARD_FAILURE
-            break
-        u_next = u + cfg.constant_step * update.values
-        if not np.all(np.isfinite(u_next)):
-            logger.error("update at iteration %d overflowed", n)
-            reason = REASON_DIVERGENCE
-            break
-        u = u_next
-        n += 1
+    it = None
+    try:
+        if start_solution is None:
+            start_solution = sol = solve_forward(problem, u)
+        else:
+            sol = replace(start_solution, ssn_iterations=0)  # solved by the caller
+        it = Iterate.at(problem, data, u, sol)
+        while True:
+            residuals.append(it.residual)
+            ssn_counts.append(it.solution.ssn_iterations)
+            if exact is not None:
+                errors.append(m_norm(problem.M, exact - it.u) / norm_exact)
+            if it.residual <= cfg.tau * cfg.delta:
+                reason = REASON_DISCREPANCY
+                break
+            if it.residual > residuals[0]:
+                reason = REASON_DIVERGENCE
+                break
+            if len(residuals) > cfg.max_iter:
+                reason = REASON_MAX_ITERATIONS
+                break
+            smallest = min(smallest, it.residual)
+            # inf when every residual overflowed
+            tol = 0.0 if smallest == math.inf else FORWARD_ERROR_FRACTION * smallest / certificate
+            it = step(problem, it, data, cfg.constant_step, tol)
+    except (ConvergenceError, FloatingPointError) as exc:  # a failed solve, an update not finite
+        reason = REASON_FORWARD_FAILURE if isinstance(exc, ConvergenceError) else REASON_DIVERGENCE
+        logger.error("%s after %d recorded residuals: %s", reason, len(residuals), exc)
 
     return RunRecord(
         residual_norms=np.array(residuals),
@@ -607,6 +607,6 @@ def run(
         ssn_counts=np.array(ssn_counts, dtype=int),
         reason=reason,
         config=cfg,
-        final=GridFunction(problem.mesh, u, "source"),
+        final=GridFunction(problem.mesh, u if it is None else it.u, "source"),
         start_solution=start_solution,
     )

@@ -158,6 +158,35 @@ def test_table_command(tmp_path):
     assert {row["seed"] for row in rows} == {0, 1}
 
 
+def test_table_exits_1_when_no_cell_ran(tmp_path, monkeypatch):
+    # every cell's first forward solve fails: N = -1 in every row, exit 1;
+    # one cell that ran is enough for 0, and a usage error stays at 2
+    from bouligand_landweber import ConvergenceError, landweber
+
+    solve_forward, calls = landweber.solve_forward, []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ConvergenceError("forced failure", residual=1.0)
+        return solve_forward(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("forced failure", residual=1.0)
+
+    out = tmp_path / "table.csv"
+    argv = ["table", "--n", "9", "--deltas", "1e-2,1e-3", "--out", str(out)]
+    monkeypatch.setattr(landweber, "solve_forward", fail)
+    assert main(argv) == 1
+    assert [row["N"] for row in read_table_csv(out)] == [-1, -1]
+    monkeypatch.setattr(landweber, "solve_forward", fail_first)
+    assert main(argv) == 0
+    assert [row["N"] for row in read_table_csv(out)][0] == -1
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--deltas", "0"])
+    assert exit_info.value.code == 2
+
+
 def test_table_landweber_flags_reach_config(tmp_path, monkeypatch):
     from bouligand_landweber import cli
 
@@ -186,6 +215,22 @@ def test_verify_oracle_suite(tmp_path):
     summary = json.loads((tmp_path / "oracle.json").read_text())
     assert summary["passed"] is True
     assert summary["max_diff"] <= 1e-10
+
+
+def test_verify_exits_1_when_a_verdict_fails(tmp_path, monkeypatch):
+    # a negative tolerance fails every oracle trial: "passed": false, exit 1;
+    # the suites without a verdict still exit 0, and a usage error stays at 2
+    from bouligand_landweber import verification
+
+    monkeypatch.setattr(verification, "ORACLE_TOL", -1.0)
+    out = tmp_path / "oracle.csv"
+    argv = ["verify", "--oracle-sizes", "3", "--oracle-trials", "2", "--out", str(out)]
+    assert main([*argv, "--suite", "oracle"]) == 1
+    assert json.loads((tmp_path / "oracle.json").read_text())["passed"] is False
+    assert main([*argv, "--suite", "adjoint", "--adjoint-n", "9", "--adjoint-trials", "2"]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--oracle-trials", "0"])
+    assert exit_info.value.code == 2
 
 
 def _options_file(tmp_path, lines):

@@ -372,14 +372,53 @@ def _drop_rate_column(text):
         (lambda text: text.replace(",7,", ",7.5,"), r"table\.csv, line 2: N: invalid literal"),
         (lambda text: text.replace("discrepancy", "bogus"), r"table\.csv, line 2: reason: must"),
         (lambda text: text.replace("\n", "\n\n", 1), r"table\.csv, line 2: blank line"),
+        # rows that no campaign writes
+        (lambda text: text.replace(",7,", ",-7,"),
+         r"table\.csv, line 2: N: must be an integer >= -1, got -7"),
+        (lambda text: text.replace("forward-failure", "discrepancy"),
+         r"table\.csv, line 3: N = -1 needs reason 'forward-failure'"),
+        (lambda text: text.replace(",19,", ",-5,"),
+         r"table\.csv, line 2: ssn_total: must be an integer >= 0, got -5"),
+        (lambda text: text.replace("0.01,", "0,"),
+         r"table\.csv, line 2: delta: must be finite and positive, got 0\.0"),
+        (lambda text: text.replace("0.01,", "-0.01,"),
+         r"table\.csv, line 2: delta: must be finite and positive, got -0\.01"),
+        (lambda text: text.replace("0.001,", "inf,"),
+         r"table\.csv, line 3: delta: must be finite and positive, got inf"),
+        (lambda text: text.replace("0.001,", "nan,"),
+         r"table\.csv, line 3: delta: must be finite and positive, got nan"),
+        (lambda text: text.replace("0.29999999999999999", "-0.3"),
+         r"table\.csv, line 2: rel_error: must not be negative, got -0\.3"),
+        (lambda text: text.replace("4.7999999999999998", "-1.0"),
+         r"table\.csv, line 2: rate: must not be negative, got -1\.0"),
+        (lambda text: text.replace("0.29999999999999999", "nan"),
+         r"table\.csv, line 2: rel_error must be nan exactly where N = -1"),
+        (lambda text: text.replace("4.7999999999999998", "nan"),
+         r"table\.csv, line 2: rate must be nan exactly where N = -1"),
+        (lambda text: text.replace("-1,nan,nan", "-1,0.5,nan"),
+         r"table\.csv, line 3: rel_error must be nan exactly where N = -1"),
     ],
-    ids=["missing-column", "cut-row", "delta-text", "N-float", "reason-unknown", "blank-line"],
+    ids=[
+        "missing-column", "cut-row", "delta-text", "N-float", "reason-unknown", "blank-line",
+        "N-below-minus-one", "failed-cell-other-reason", "ssn-total-negative", "delta-zero",
+        "delta-negative", "delta-inf", "delta-nan", "rel-error-negative", "rate-negative",
+        "rel-error-nan-where-ran", "rate-nan-where-ran", "rel-error-where-failed",
+    ],
 )
 def test_read_table_csv_rejects_damaged_files(tmp_path, damage, message):
     path = write_table_csv(tmp_path / "table.csv", _TABLE_ROWS)
     path.write_text(damage(path.read_text()))
     with pytest.raises(ValueError, match=message):
         read_table_csv(path)
+
+
+def test_read_table_csv_reads_a_cell_that_ran_and_a_failed_cell(tmp_path):
+    # the undamaged rows of the parametrization above: N = -1 with NaN error
+    # and rate is a failed cell, and loads
+    back = read_table_csv(write_table_csv(tmp_path / "table.csv", _TABLE_ROWS))
+    assert back[0] == _TABLE_ROWS[0]
+    assert (back[1]["N"], back[1]["reason"]) == (-1, "forward-failure")
+    assert np.isnan(back[1]["rel_error"]) and np.isnan(back[1]["rate"])
 
 
 _RECORD_SCRIPT = """

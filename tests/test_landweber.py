@@ -306,6 +306,88 @@ def test_kept_products_keep_the_run_bit_for_bit(problem33, case):
     assert record.final.values.tobytes() == u.tobytes()
 
 
+def _steps_by_hand(problem, y_data, cfg, u0, u_exact, start_solution=None):
+    """run()'s record and stopping rule around lw.step, driven from the first Iterate.
+
+    Returns the residuals, the errors, the Newton counts and every Iterate.
+    """
+    data, M = y_data.values, problem.M
+    if start_solution is None:
+        sol = solve_forward(problem, u0)
+    else:  # solved by the caller: no Newton step of this run
+        sol = dataclasses.replace(start_solution, ssn_iterations=0)
+    iterates = [lw.Iterate.at(problem, data, u0.values.copy(), sol)]
+    residuals, errors, counts = [], [], []
+    certificate = error_certificate(problem.mesh)
+    while True:
+        it = iterates[-1]
+        residuals.append(it.residual)
+        errors.append(m_norm(M, u_exact.values - it.u) / m_norm(M, u_exact))
+        counts.append(it.solution.ssn_iterations)
+        if it.residual <= cfg.tau * cfg.delta or len(residuals) > cfg.max_iter:
+            return residuals, errors, counts, iterates
+        tol = lw.FORWARD_ERROR_FRACTION * min(residuals) / certificate
+        iterates.append(lw.step(problem, it, data, cfg.constant_step, tol))
+
+
+def _case(problem, case):
+    """(y_data, cfg, u0, start_solution) of a noisy run from u_bar, a noise-free
+    run from zero, or the noisy run given the solution of its start."""
+    _, y_exact, u_bar = exact_fields(problem.mesh)
+    if case == "noise-free":
+        zero = GridFunction(problem.mesh, np.zeros_like(u_bar.values))
+        return y_exact, LandweberConfig(max_iter=40), zero, None
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem.M)
+    start = solve_forward(problem, u_bar) if case == "start-solution" else None
+    return y_noisy, LandweberConfig(delta=delta), u_bar, start
+
+
+@pytest.mark.parametrize("directions", [0, 1, lw.PREDICTION_DIRECTIONS])
+@pytest.mark.parametrize("case", ["noisy", "noise-free", "start-solution"])
+def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, directions):
+    # lw.step, driven from the first Iterate with run()'s stopping rule, gives
+    # run()'s record and final iterate bit for bit; each Iterate's window
+    # holds the increments its solve used, at most PREDICTION_DIRECTIONS
+    # (none at 0: a window of the last 0 pairs is empty, not all of them)
+    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", directions)
+    u_exact = exact_fields(problem33.mesh)[0]
+    y_data, cfg, u0, start = _case(problem33, case)
+    record = run(problem33, y_data, cfg, u0, u_exact, start_solution=start)
+    residuals, errors, counts, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact, start)
+    assert record.reason == ("max-iterations" if case == "noise-free" else "discrepancy")
+    assert record.residual_norms.tobytes() == np.array(residuals).tobytes()
+    assert record.rel_errors.tobytes() == np.array(errors).tobytes()
+    assert record.ssn_counts.tolist() == counts
+    assert (counts[0] == 0) == (case == "start-solution")
+    assert record.final.values.tobytes() == iterates[-1].u.tobytes()
+    windows = [len(it.window) for it in iterates]
+    assert windows == [min(max(n - 1, 0), directions) for n in range(len(iterates))]
+    assert all(it.previous is before.solution for before, it in zip(iterates, iterates[1:]))
+
+
+def _iterate_bits(it):
+    """Every array and number of an Iterate, as bytes and values."""
+    arrays = [it.u, it.r, it.M_r, it.solution.y.values, it.solution.A_y]
+    arrays += [it.previous.y.values, it.previous.A_y, *(a for pair in it.window for a in pair)]
+    return [a.tobytes() for a in arrays] + [it.residual, it.solution.ssn_iterations]
+
+
+def test_step_is_a_function_of_its_iterate(problem33):
+    # the same Iterate stepped twice gives the same bits, those of the run,
+    # and keeps its own arrays, so iterations can step in lockstep or in threads
+    u_exact = exact_fields(problem33.mesh)[0]
+    y_data, cfg, u0, _ = _case(problem33, "noisy")
+    residuals, _, _, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact)
+    it = iterates[5]
+    assert len(it.window) == lw.PREDICTION_DIRECTIONS
+    before = _iterate_bits(it)
+    tol = lw.FORWARD_ERROR_FRACTION * min(residuals[:6]) / error_certificate(problem33.mesh)
+    w = cfg.constant_step
+    first, second = [lw.step(problem33, it, y_data.values, w, tol) for _ in range(2)]
+    assert _iterate_bits(first) == _iterate_bits(second) == _iterate_bits(iterates[6])
+    assert _iterate_bits(it) == before
+
+
 def _cold_start_reference(problem, y_data, cfg, u0):
     """Landweber loop with every forward solve started from zero, and run()'s step.
 
