@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from dataclasses import fields
+from numbers import Integral
 from pathlib import Path
 
 from .experiments import (
@@ -41,6 +41,13 @@ from .experiments import (
 from .forward import ForwardProblem, solve_forward
 from .landweber import FLOAT_CELL, INT_CELL, LandweberConfig, write_json, write_rows
 from .mesh_fem import build_mesh, read_grid_function, write_grid_function
+from .sparse_linalg import (
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
+    NONNEGATIVE_INTEGER,
+    POSITIVE_INTEGER,
+    require_scalar,
+)
 from .verification import adjoint_check, oracle_sweep, tcc_survey
 
 # The LandweberConfig fields a user may set; delta is measured from the data.
@@ -56,17 +63,18 @@ ADJOINT_COLUMNS = (
 )
 
 
-def _checked(cast, ok, requirement: str):
-    """An argparse type: `cast` of the text, a usage error unless ok(value)."""
+def _checked(cast, kind, bound, requirement: str):
+    """An argparse type: `cast` of the text, checked by `require_scalar`."""
 
     def convert(text):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
-        return value
+        try:
+            return require_scalar("value", value, kind, bound, requirement)
+        except ValueError as exc:  # argparse shows the message of its own error type only
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
 
@@ -83,12 +91,12 @@ def _list_of(convert):
     return convert_list
 
 
-MESH_SIZE = _checked(int, lambda v: v >= 3, "an integer >= 3")
-ORACLE_SIZE = _checked(int, lambda v: 3 <= v <= 6, "between 3 and 6 (at most 16 unknowns)")
-COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-NONNEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
-POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and positive")
-NONNEGATIVE = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+MESH_SIZE = _checked(int, Integral, lambda v: v >= 3, "be an integer >= 3")
+ORACLE_SIZE = _checked(int, Integral, lambda v: 3 <= v <= 6, "lie in [3, 6], at most 16 unknowns")
+COUNT = _checked(int, *POSITIVE_INTEGER)
+NONNEGATIVE_INT = _checked(int, *NONNEGATIVE_INTEGER)
+POSITIVE = _checked(float, *FINITE_POSITIVE)
+NONNEGATIVE = _checked(float, *FINITE_NONNEGATIVE)
 
 
 def _file_line_args(line: str) -> list[str]:

@@ -50,6 +50,7 @@ from .landweber import (
     write_rows,
 )
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
+from .sparse_linalg import FINITE_NONNEGATIVE, FINITE_POSITIVE, require_scalar, require_seed
 
 DEFAULT_BETA = 0.005
 DEFAULT_RHO = LandweberConfig.rho
@@ -97,8 +98,8 @@ def exact_fields(
     order with O(m) sine calls and, per node, the operations of the pointwise
     call. u* is evaluated once; u_bar is built from it.
     """
-    if not 0.0 < beta < 0.5:
-        raise ValueError(f"beta must lie in (0, 0.5), got {beta}")
+    beta = require_scalar("beta", beta, Real, lambda v: 0.0 < v < 0.5, "lie in (0, 0.5)")
+    rho = require_scalar("rho", rho, *FINITE_POSITIVE)  # the rule of LandweberConfig.rho
     x = (np.arange(mesh.m) + 1) * mesh.h  # either axis, as in Mesh.interior_coords
     x1, x2 = x, x[:, None]
     u_star = exact_source(x1, x2, beta)
@@ -107,28 +108,6 @@ def exact_fields(
         GridFunction(mesh, exact_state(x1, x2, beta).ravel(), "state"),
         GridFunction(mesh, _guess_from(u_star, x1, x2, rho).ravel(), "source"),
     )
-
-
-def _noise_value(value):
-    """A noise amplitude or target as given; a bool or a non-real raises ValueError.
-
-    A bool is an int to Python, so float(True) would read as a level of 1.0;
-    it is rejected here as `LandweberConfig` rejects it in its real fields.
-    """
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"noise amplitude/target must be a real number, got {value!r}")
-    return value
-
-
-def require_seed(seed) -> int:
-    """A random seed as a plain int: an integer >= 0 (NumPy's included), never a bool.
-
-    Anything else raises ValueError naming `seed`; True would otherwise run
-    as seed 1.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -140,12 +119,12 @@ class NoiseSpec:
     value: float = 0.0
 
     def __post_init__(self):
-        # a plain int, as a table row records it
+        # a plain int and a plain float, as a table row records them
         object.__setattr__(self, "seed", require_seed(self.seed))
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if not 0.0 <= _noise_value(self.value) < math.inf:
-            raise ValueError(f"noise amplitude/target must be finite and >= 0, got {self.value}")
+        value = require_scalar("noise amplitude/target", self.value, *FINITE_NONNEGATIVE)
+        object.__setattr__(self, "value", value)
 
 
 def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]:
@@ -217,11 +196,10 @@ def run_noisy(
 
 
 TABLE_COLUMNS = (
-    ("delta", FLOAT_CELL,
-     _cell_parser(float, lambda v: 0.0 < v < math.inf, "be finite and positive")),
-    ("seed", INT_CELL, int),
+    ("delta", FLOAT_CELL, _cell_parser(float, *FINITE_POSITIVE)),
+    ("seed", INT_CELL, lambda cell: require_seed(int(cell))),
     # -1 for a cell whose first forward solve failed
-    ("N", INT_CELL, _cell_parser(int, lambda v: v >= -1, "be an integer >= -1")),
+    ("N", INT_CELL, _cell_parser(int, Integral, lambda v: v >= -1, "be an integer >= -1")),
     ("rel_error", FLOAT_CELL, _residual_norm),  # nan, like rate, for a failed cell
     ("rate", FLOAT_CELL, _residual_norm),
     # the cell's Newton steps; a cell after the first made none for F(u0)
@@ -246,9 +224,7 @@ def run_table(
     later cell, whose row counts 0 Newton steps for it in `ssn_total`.
     Each cell's record is otherwise bit for bit the one of `run_noisy`.
     """
-    deltas = [float(_noise_value(d)) for d in deltas]
-    if any(d <= 0.0 for d in deltas):
-        raise ValueError("all noise targets must be positive")
+    deltas = [require_scalar("noise target", d, *FINITE_POSITIVE) for d in deltas]
     noises = [NoiseSpec(seed=seed, mode="rescale", value=d) for seed in seeds for d in deltas]
     cfg, problem, fields = _campaign(n_h, cfg)
     norm_exact = m_norm(problem.M, fields[0])

@@ -38,8 +38,8 @@ import json
 import logging
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields, replace
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,16 @@ from .forward import (
     solve_forward,
 )
 from .mesh_fem import GridFunction, field_values, m_norm
-from .sparse_linalg import TINY_RHS, ConvergenceError, dot, norm
+from .sparse_linalg import (
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
+    NONNEGATIVE_INTEGER,
+    TINY_RHS,
+    ConvergenceError,
+    dot,
+    norm,
+    require_scalar,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +83,20 @@ FORWARD_ERROR_FRACTION = 1e-7
 PREDICTION_DIRECTIONS = 3
 
 
+# (kind, bound, requirement) of each LandweberConfig field; each bound fails NaN
+_CONFIG_BOUNDS = {
+    "mu": (Real, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "tau": (Real, lambda v: 1.0 < v < math.inf, "be finite and exceed 1"),
+    "rho": FINITE_POSITIVE,
+    # constant_step's lbar**2 raises OverflowError where it overflows, and its
+    # division ZeroDivisionError where it underflows to 0
+    "lbar": (Real, lambda v: 0.0 < v and 0.0 < v * v < math.inf,
+             "be positive with a finite nonzero square"),
+    "max_iter": NONNEGATIVE_INTEGER,
+    "delta": FINITE_NONNEGATIVE,
+}
+
+
 @dataclass(frozen=True)
 class LandweberConfig:
     """Parameters of one Landweber run.
@@ -81,7 +104,11 @@ class LandweberConfig:
     The step size is the constant w = (2 - 2 mu) / lbar^2.  rho is the ball
     radius of the theory; the campaigns and the CLI build the starting point
     u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2) from it.  max_iter = 0
-    evaluates the starting point only.
+    evaluates the starting point only.  Each field passes `require_scalar`
+    with its row of _CONFIG_BOUNDS.  lbar must have a square that is finite
+    and nonzero, from about 1.6e-162 to 1.3e154, so that the step can be
+    evaluated; below about 1.3e-154 the step is infinite, and `run` ends
+    with 'divergence' at its first update.
     """
 
     mu: float = 0.1
@@ -92,30 +119,10 @@ class LandweberConfig:
     delta: float = 0.0
 
     def __post_init__(self):
-        # numbers, never bools, stored as plain floats and a plain int, as JSON records need
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integral = f.name == "max_iter"
-            if isinstance(value, bool) or not isinstance(value, Integral if integral else Real):
-                kind = "an integer >= 0" if integral else "a real number"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-            try:
-                value = int(value) if integral else float(value)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-            object.__setattr__(self, f.name, value)
-        # written so that NaN fails every bound
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
-        if not 1.0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and exceed 1, got {self.tau}")
-        for name in ("rho", "lbar"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
+        # stored as plain floats and a plain int, as JSON records need
+        for name, (kind, bound, requirement) in _CONFIG_BOUNDS.items():
+            value = require_scalar(name, getattr(self, name), kind, bound, requirement)
+            object.__setattr__(self, name, value)
 
     @property
     def constant_step(self) -> float:
@@ -146,8 +153,7 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
     evaluated as (2 - 2 mu) (L / lbar)^2, which stays finite at L = lbar even
     where Lam itself overflows.
     """
-    if not 0.0 < L < math.inf:  # written so that NaN fails
-        raise ValueError(f"norm bound L must be finite and positive, got {L}")
+    L = require_scalar("norm bound L", L, *FINITE_POSITIVE)
     lam_l2 = (2.0 - 2.0 * cfg.mu) * (L / cfg.lbar) ** 2
     choice = 2.0 * (cfg.mu + 1.0) / cfg.tau - (2.0 - 2.0 * cfg.mu - lam_l2)
     choice_aux = -1.0 + cfg.mu + 5.0 * lam_l2
@@ -155,10 +161,8 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
 
 
 def empirical_rate(err_abs: float, delta: float) -> float:
-    """Empirical convergence rate ||u_exact - u||_M / sqrt(delta)."""
-    if delta <= 0.0:
-        raise ValueError(f"rate undefined for noise level {delta}")
-    return err_abs / np.sqrt(delta)
+    """Empirical convergence rate ||u_exact - u||_M / sqrt(delta); undefined at delta = 0."""
+    return err_abs / np.sqrt(require_scalar("delta", delta, *FINITE_POSITIVE))
 
 
 # A CSV record file declares each column once, as (name, format, parse):
@@ -213,24 +217,22 @@ def read_rows(path, columns) -> list[dict]:
     return rows
 
 
-def _cell_parser(cast, ok, requirement: str):
-    """A cell parser: `cast` of the cell, a ValueError saying what it must be unless ok(value)."""
-
-    def parse(cell):
-        value = cast(cell)
-        if not ok(value):
-            raise ValueError(f"must {requirement}, got {value!r}")
-        return value
-
-    return parse
+def _cell_parser(cast, kind, bound, requirement: str):
+    """A cell parser: `cast` of the cell, checked by `require_scalar`."""
+    return lambda cell: require_scalar("value", cast(cell), kind, bound, requirement)
 
 
-# a stored reason
-parse_reason = _cell_parser(str, lambda v: v in REASONS, f"be one of {', '.join(REASONS)}")
+def parse_reason(cell) -> str:
+    """A stored reason: one of REASONS, else ValueError."""
+    if cell not in REASONS:
+        raise ValueError(f"must be one of {', '.join(REASONS)}, got {cell!r}")
+    return cell
+
+
 # a stored residual norm; NaN passes, as `run` records one where dot(r, M r) is NaN
-_residual_norm = _cell_parser(float, lambda v: not v < 0.0, "not be negative")
+_residual_norm = _cell_parser(float, Real, lambda v: not v < 0.0, "not be negative")
 # a stored Newton count, 0 where the caller solved the start
-_newton_count = _cell_parser(int, lambda v: v >= 0, "be an integer >= 0")
+_newton_count = _cell_parser(int, *NONNEGATIVE_INTEGER)
 
 
 RECORD_COLUMNS = (

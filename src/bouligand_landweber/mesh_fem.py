@@ -25,14 +25,14 @@ taken with the interior mass matrix coincide with boundary-inclusive ones.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse_linalg import dot
+from .sparse_linalg import dot, require_scalar
 
 ROLES = ("state", "source", "data")
 
@@ -49,13 +49,10 @@ class Mesh:
     n_h: int
 
     def __post_init__(self):
-        n_h = self.n_h
-        whole = isinstance(n_h, numbers.Integral) or (
-            isinstance(n_h, numbers.Real) and float(n_h).is_integer()
-        )
-        if isinstance(n_h, bool) or not whole or n_h < 3:
-            raise ValueError(f"invalid mesh: n_h={n_h} (need an integer n_h >= 3)")
-        object.__setattr__(self, "n_h", int(n_h))
+        # the bound sees the float, so that 3.0 passes and NaN fails
+        whole = lambda v: v >= 3 and v.is_integer()
+        require_scalar("n_h", self.n_h, Real, whole, "be an integer >= 3")
+        object.__setattr__(self, "n_h", int(self.n_h))
 
     @property
     def h(self) -> float:

@@ -27,13 +27,16 @@ exactly as the textbook formulas do: at n_h = 257 one solve peaks at about
 5.6 vectors of the system's size (x, r, p, z, Ap, one scratch vector and
 the preconditioner's buffers, the returned x included).  No table or buffer
 outlives the preconditioner or the solve that made it.
+
+This bottom module also holds `require_scalar`, the one check every number
+that enters the package passes, with the tolerance and seed checks built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -110,14 +113,42 @@ def poisson_preconditioner(m_side: int, dtype=np.float64) -> Callable[[np.ndarra
     return solve
 
 
-def require_tolerance(name: str, value) -> None:
-    """Check a tolerance: a finite real number >= 0, else ValueError naming `name`.
+def require_scalar(name: str, value, kind, bound, requirement: str):
+    """`value` as a plain int (`kind` Integral) or float (`kind` Real) where bound holds.
 
-    A bool is an int to Python, so True would read as 1.0; it is rejected
-    here as `LandweberConfig` rejects it in its real fields.
+    Every number that enters the package passes here.  Anything else raises
+    ValueError "<name> must <requirement>, got <value!r>": a value not of
+    `kind`, a bool (an int to Python, so True would read as 1), and a value
+    that fails `bound`, which sees the plain number.  An integer beyond the
+    float range reads as inf there rather than raising OverflowError.  A
+    bound that must reject NaN is written so that NaN fails it, as
+    `0.0 <= v < math.inf` does and `not v < 0.0` does not.
     """
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if not isinstance(value, bool) and isinstance(value, kind):
+        try:
+            number = int(value) if kind is Integral else float(value)
+        except OverflowError:
+            number = math.inf
+        if bound(number):
+            return number
+    raise ValueError(f"{name} must {requirement}, got {value!r}")
+
+
+# (kind, bound, requirement) of the rules most numbers follow; each bound fails NaN
+FINITE_NONNEGATIVE = (Real, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+FINITE_POSITIVE = (Real, lambda v: 0.0 < v < math.inf, "be finite and positive")
+NONNEGATIVE_INTEGER = (Integral, lambda v: v >= 0, "be an integer >= 0")
+POSITIVE_INTEGER = (Integral, lambda v: v >= 1, "be an integer >= 1")
+
+
+def require_tolerance(name: str, value) -> float:
+    """A tolerance: a finite real number >= 0, else ValueError naming `name`."""
+    return require_scalar(name, value, *FINITE_NONNEGATIVE)
+
+
+def require_seed(seed) -> int:
+    """A random seed as a plain int: an integer >= 0 (NumPy's included), else ValueError."""
+    return require_scalar("seed", seed, *NONNEGATIVE_INTEGER)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

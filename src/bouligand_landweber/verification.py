@@ -19,14 +19,11 @@ the subderivative.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
-from .experiments import require_seed
 from .forward import ForwardProblem, PositivePart, solve_forward
 from .mesh_fem import (
     GridFunction,
@@ -37,6 +34,7 @@ from .mesh_fem import (
     require_finite,
     values_of,
 )
+from .sparse_linalg import FINITE_POSITIVE, POSITIVE_INTEGER, require_scalar, require_seed
 
 
 ORACLE_TOL = 1e-10  # max-norm agreement of Newton with enumeration per source
@@ -54,14 +52,6 @@ class TCCEstimate:
     ratio: float
     mismatch: float
     radius: float
-
-
-def _require_count(name: str, count: int) -> None:
-    """A count is an integer (NumPy's included), not a bool, and at least 1."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def mismatch_measure(D: np.ndarray, y, y_hat) -> float:
@@ -163,10 +153,9 @@ def tcc_survey(
     error, as a ball too small for the perturbation to survive rounding does.
     `seed` is an integer >= 0, as `NoiseSpec` takes it.
     """
-    _require_count("n_pairs", n_pairs)
+    n_pairs = require_scalar("n_pairs", n_pairs, *POSITIVE_INTEGER)
     seed = require_seed(seed)
-    if not 0.0 < ball_radius < math.inf:
-        raise ValueError(f"ball_radius must be finite and positive, got {ball_radius}")
+    ball_radius = require_scalar("ball_radius", ball_radius, *FINITE_POSITIVE)
     if mode not in ("nodal", "bump"):
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -246,7 +235,7 @@ def oracle_sweep(n_h: int, trials: int = 100, seed: int = 0) -> OracleReport:
     meshes with at most 16 interior unknowns.  `seed` is an integer >= 0,
     as `NoiseSpec` takes it.
     """
-    _require_count("trials", trials)
+    trials = require_scalar("trials", trials, *POSITIVE_INTEGER)
     seed = require_seed(seed)
     mesh = build_mesh(n_h)
     if mesh.n_interior > 16:
@@ -283,7 +272,7 @@ def adjoint_check(problem: ForwardProblem, trials: int = 50, seed: int = 0) -> A
 
     `seed` is an integer >= 0, as `NoiseSpec` takes it.
     """
-    _require_count("trials", trials)
+    trials = require_scalar("trials", trials, *POSITIVE_INTEGER)
     seed = require_seed(seed)
     rng = np.random.default_rng(seed)
     M = problem.M

@@ -388,6 +388,8 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         ([], ["verify", "--suite", "tcc", "--tcc-radius", "0"], "--tcc-radius"),
         ([], ["verify", "--oracle-sizes", "3,8"], "--oracle-sizes"),
         ([], ["noise-free", "--n", "2"], "--n"),
+        ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--lbar", "1e200"], "lbar"),
+        ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--lbar", "1e-200"], "lbar"),
         (["--suite=stability"], ["verify"], "--suite"),
     ],
     ids=[
@@ -404,6 +406,8 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         "flag-tcc-radius",
         "flag-oracle-sizes",
         "flag-n",
+        "flag-lbar-square-overflows",
+        "flag-lbar-square-underflows",
         "config-suite",
     ],
 )

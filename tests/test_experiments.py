@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -55,6 +56,21 @@ def test_exact_fields_roles(problem17):
     assert u_bar.role == "source"
     with pytest.raises(ValueError, match="beta"):
         exact_fields(problem17.mesh, beta=0.7)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"beta": True}, r"^beta must lie in \(0, 0\.5\), got True"),
+        ({"rho": True}, "^rho must be finite and positive, got True"),
+        ({"rho": math.nan}, "^rho must be finite and positive, got nan"),
+    ],
+    ids=["beta-bool", "rho-bool", "rho-nan"],
+)
+def test_exact_fields_rejects_bad_scalars(problem9, kwargs, message):
+    # True would run as 1; a NaN rho would fail only later, in a field check that does not name it
+    with pytest.raises(ValueError, match=message):
+        exact_fields(problem9.mesh, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -138,7 +154,7 @@ def test_noise_spec_rejects_non_finite(value):
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1e-2", None])
 def test_noise_spec_rejects_a_value_that_is_not_a_real_number(value):
     # a bool is an int to Python; stored, True would be a target of 1.0
-    with pytest.raises(ValueError, match="noise amplitude/target must be a real number"):
+    with pytest.raises(ValueError, match="noise amplitude/target must be finite and >= 0, got"):
         NoiseSpec(seed=0, mode="rescale", value=value)
 
 
@@ -305,7 +321,7 @@ def test_run_table_rejects_a_bool_delta_before_any_cell(deltas, monkeypatch):
     from bouligand_landweber import experiments
 
     monkeypatch.setattr(experiments, "_campaign", lambda *a: pytest.fail("campaign built"))
-    with pytest.raises(ValueError, match="noise amplitude/target must be a real number"):
+    with pytest.raises(ValueError, match="noise target must be finite and positive, got"):
         run_table(9, deltas, seeds=(0,))
 
 
@@ -374,35 +390,38 @@ def _drop_rate_column(text):
         (lambda text: text.replace("\n", "\n\n", 1), r"table\.csv, line 2: blank line"),
         # rows that no campaign writes
         (lambda text: text.replace(",7,", ",-7,"),
-         r"table\.csv, line 2: N: must be an integer >= -1, got -7"),
+         r"table\.csv, line 2: N: value must be an integer >= -1, got -7"),
         (lambda text: text.replace("forward-failure", "discrepancy"),
          r"table\.csv, line 3: N = -1 needs reason 'forward-failure'"),
         (lambda text: text.replace(",19,", ",-5,"),
-         r"table\.csv, line 2: ssn_total: must be an integer >= 0, got -5"),
+         r"table\.csv, line 2: ssn_total: value must be an integer >= 0, got -5"),
         (lambda text: text.replace("0.01,", "0,"),
-         r"table\.csv, line 2: delta: must be finite and positive, got 0\.0"),
+         r"table\.csv, line 2: delta: value must be finite and positive, got 0\.0"),
         (lambda text: text.replace("0.01,", "-0.01,"),
-         r"table\.csv, line 2: delta: must be finite and positive, got -0\.01"),
+         r"table\.csv, line 2: delta: value must be finite and positive, got -0\.01"),
         (lambda text: text.replace("0.001,", "inf,"),
-         r"table\.csv, line 3: delta: must be finite and positive, got inf"),
+         r"table\.csv, line 3: delta: value must be finite and positive, got inf"),
         (lambda text: text.replace("0.001,", "nan,"),
-         r"table\.csv, line 3: delta: must be finite and positive, got nan"),
+         r"table\.csv, line 3: delta: value must be finite and positive, got nan"),
         (lambda text: text.replace("0.29999999999999999", "-0.3"),
-         r"table\.csv, line 2: rel_error: must not be negative, got -0\.3"),
+         r"table\.csv, line 2: rel_error: value must not be negative, got -0\.3"),
         (lambda text: text.replace("4.7999999999999998", "-1.0"),
-         r"table\.csv, line 2: rate: must not be negative, got -1\.0"),
+         r"table\.csv, line 2: rate: value must not be negative, got -1\.0"),
         (lambda text: text.replace("0.29999999999999999", "nan"),
          r"table\.csv, line 2: rel_error must be nan exactly where N = -1"),
         (lambda text: text.replace("4.7999999999999998", "nan"),
          r"table\.csv, line 2: rate must be nan exactly where N = -1"),
         (lambda text: text.replace("-1,nan,nan", "-1,0.5,nan"),
          r"table\.csv, line 3: rel_error must be nan exactly where N = -1"),
+        (lambda text: text.replace("0.001,0,", "0.001,-1,"),
+         r"table\.csv, line 3: seed: seed must be an integer >= 0, got -1"),
     ],
     ids=[
         "missing-column", "cut-row", "delta-text", "N-float", "reason-unknown", "blank-line",
         "N-below-minus-one", "failed-cell-other-reason", "ssn-total-negative", "delta-zero",
         "delta-negative", "delta-inf", "delta-nan", "rel-error-negative", "rate-negative",
         "rel-error-nan-where-ran", "rate-nan-where-ran", "rel-error-where-failed",
+        "seed-negative",
     ],
 )
 def test_read_table_csv_rejects_damaged_files(tmp_path, damage, message):

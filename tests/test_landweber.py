@@ -68,7 +68,7 @@ def test_check_parameters_limiting_case():
 
 
 def test_check_parameters_requires_positive_norm_bound():
-    for L in (0.0, -0.05, float("nan"), float("inf")):
+    for L in (0.0, -0.05, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="norm bound L must be finite and positive"):
             check_parameters(LandweberConfig(), L=L)
 
@@ -87,7 +87,7 @@ def test_config_validation():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field", ["tau", "rho", "lbar", "delta"])
 def test_config_rejects_non_finite(field, value):
-    with pytest.raises(ValueError, match=field if field != "delta" else "noise level"):
+    with pytest.raises(ValueError, match=f"^{field} must"):
         LandweberConfig(**{field: value})
 
 
@@ -102,7 +102,7 @@ def test_config_max_iter_must_be_an_integer(value):
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize("field", ["mu", "tau", "rho", "lbar", "max_iter", "delta"])
 def test_config_rejects_bools(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be (a real number|an integer >= 0), got"):
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {value!r}$"):
         LandweberConfig(**{field: value})
 
 
@@ -913,7 +913,7 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         (_set_json(parameter_check={**_CHECK, "choice": "a"}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "choice_aux": float("inf")}), _BAD_CHECK),
         (_set_json(parameter_check={**_CHECK, "satisfied": [True, True]}), _BAD_CHECK),
-        (_update_config(mu="a"), _BAD_CONFIG + "mu must be a real number, got 'a'"),
+        (_update_config(mu="a"), _BAD_CONFIG + r"mu must lie in \[0, 1\), got 'a'"),
         (_update_config(mu=2.0), _BAD_CONFIG + r"mu must lie in \[0, 1\), got 2\.0"),
         (_update_config(bogus=1), _BAD_CONFIG + ".*unexpected keyword argument 'bogus'"),
         (_set_json(delta=1.0), _derived("delta", r"0\.0") + r"1\.0"),
@@ -922,9 +922,12 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         (_set_json(parameter_check=_CHECK), _BAD_CHECK),
         (_set_json(parameter_check=_CHECK_AT_OTHER_BOUND), _BAD_CHECK),
         (_update_config(max_iter=True), _BAD_CONFIG + "max_iter must be an integer >= 0, got True"),
-        (_update_config(tau=10**400), _BAD_CONFIG + "tau must be finite and exceed 1, got inf"),
-        (_negative_newton_count, r"run\.csv, line 3: ssn_iters: must be an integer >= 0, got -5"),
-        (_negative_residual, r"run\.csv, line 3: residual_M: must not be negative, got -0\.0"),
+        (_update_config(tau=10**400),
+         _BAD_CONFIG + "tau must be finite and exceed 1, got 10{400}$"),
+        (_negative_newton_count,
+         r"run\.csv, line 3: ssn_iters: value must be an integer >= 0, got -5"),
+        (_negative_residual,
+         r"run\.csv, line 3: residual_M: value must not be negative, got -0\.0"),
     ],
     ids=[
         "cut-row",

@@ -4,6 +4,7 @@ The examples are derandomized, so every run checks the same inputs.
 """
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -243,7 +244,8 @@ configs = st.builds(
     mu=st.floats(0.0, 1.0, exclude_max=True),
     tau=st.floats(1.0, exclude_min=True, allow_infinity=False),
     rho=positive,
-    lbar=positive,
+    # every lbar LandweberConfig accepts: those whose square is a finite nonzero float
+    lbar=st.floats(2.0**-537.5, math.sqrt(sys.float_info.max)),
     max_iter=st.integers(0, 10**6),
     delta=st.floats(0.0, allow_infinity=False, allow_subnormal=True),
 )
