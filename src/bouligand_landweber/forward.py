@@ -36,6 +36,11 @@ set, and the step ends if they differ.  A step that moves the set is never
 the last (Hintermueller-Ito-Kunisch 2002): the step that ends the loop was
 solved to the floor above, so the stop keeps its meaning.  Cold solves
 make exactly the CG calls they made before the exit existed.
+
+Each Newton system K = A + D diag(s) is preconditioned by the two-level
+fast-Poisson map of `sparse_linalg`, with the coarse block of its own
+shift, built once per system: the lowest sine modes of K are solved
+exactly and the rest by A's inverse.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .sparse_linalg import (
     TINY_RHS,
     ConvergenceError,
     SpdSystem,
+    coarse_block_builder,
     dot,
     norm,
     poisson_preconditioner,
@@ -105,6 +111,9 @@ class ForwardProblem:
 
     A and M are the DIA matrices of `mesh_fem.assemble`; the solvers apply
     them with `@` only, so a CSR matrix of the same shape also works.
+    `precond(r, coarse=None)` is the fast-Poisson preconditioner, and
+    `coarse_block` maps a Newton system's shift to the coarse block that
+    makes it the two-level map of that system.
     """
 
     mesh: Mesh
@@ -112,7 +121,8 @@ class ForwardProblem:
     M: sp.dia_matrix
     D: np.ndarray
     nonlinearity: PositivePart
-    precond: Callable[[np.ndarray], np.ndarray]
+    precond: Callable[..., np.ndarray]
+    coarse_block: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         n = self.mesh.n_interior
@@ -125,12 +135,20 @@ class ForwardProblem:
 
         The preconditioner `poisson_preconditioner` runs in float32 from
         SINGLE_PRECISION_MIN_SIDE interior points per side on, and in
-        float64, the exact inverse, below.
+        float64, the exact inverse, below; the coarse blocks of its
+        two-level form come from `coarse_block_builder`.
         """
         A, M, D = assemble(mesh)
         dtype = np.float32 if mesh.m >= SINGLE_PRECISION_MIN_SIDE else np.float64
-        precond = poisson_preconditioner(mesh.m, dtype)
-        return cls(mesh=mesh, A=A, M=M, D=D, nonlinearity=PositivePart(), precond=precond)
+        return cls(
+            mesh=mesh,
+            A=A,
+            M=M,
+            D=D,
+            nonlinearity=PositivePart(),
+            precond=poisson_preconditioner(mesh.m, dtype),
+            coarse_block=coarse_block_builder(mesh.m),
+        )
 
 
 @dataclass
@@ -319,12 +337,19 @@ def solve_forward(
 
     for iters in range(1, SSN_MAX_ITER + 1):
         system = SpdSystem(problem.A, problem.D * active)
+        coarse = problem.coarse_block(system.shift)
+
+        def precond(r):
+            # problem.precond is read at each call, so a wrapper put on the
+            # field after build sees every CG iteration
+            return problem.precond(r, coarse)
+
         # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
         if y0 is None:
-            y -= solve_spd(system, H, problem.precond, atol=atol)
+            y -= solve_spd(system, H, precond, atol=atol)
         else:
             early_exit = (MOVING_SET_FORCING * residual, set_moves)
-            y -= solve_spd(system, H, problem.precond, atol=atol, early_exit=early_exit)
+            y -= solve_spd(system, H, precond, atol=atol, early_exit=early_exit)
         new_active = moved.pop() if moved else f.newton_coeff(y)
         A_y = problem.A @ y
         H = _residual(problem, y, A_y, b)

@@ -108,7 +108,9 @@ class LandweberConfig:
     with its row of _CONFIG_BOUNDS.  lbar must have a square that is finite
     and nonzero, from about 1.6e-162 to 1.3e154, so that the step can be
     evaluated; below about 1.3e-154 the step is infinite, and `run` ends
-    with 'divergence' at its first update.
+    with 'divergence' at its first update.  A step that underflows to 0
+    (mu within about 1e-16 of 1 with lbar near 1.3e154), whose steps would
+    never move, is a ValueError naming mu and lbar.
     """
 
     mu: float = 0.1
@@ -123,6 +125,11 @@ class LandweberConfig:
         for name, (kind, bound, requirement) in _CONFIG_BOUNDS.items():
             value = require_scalar(name, getattr(self, name), kind, bound, requirement)
             object.__setattr__(self, name, value)
+        if self.constant_step == 0.0:
+            raise ValueError(
+                f"mu and lbar must give a nonzero step (2 - 2 mu) / lbar^2, "
+                f"got mu={self.mu!r} and lbar={self.lbar!r}"
+            )
 
     @property
     def constant_step(self) -> float:

@@ -390,6 +390,12 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         ([], ["noise-free", "--n", "2"], "--n"),
         ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--lbar", "1e200"], "lbar"),
         ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--lbar", "1e-200"], "lbar"),
+        (
+            [],
+            ["invert", "--n", "9", "--delta-target", "1e-2", "--mu", "0.9999999999999999",
+             "--lbar", "1.34e154"],
+            "mu and lbar",
+        ),
         (["--suite=stability"], ["verify"], "--suite"),
     ],
     ids=[
@@ -408,6 +414,7 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         "flag-n",
         "flag-lbar-square-overflows",
         "flag-lbar-square-underflows",
+        "flag-step-underflows",
         "config-suite",
     ],
 )

@@ -167,6 +167,42 @@ def test_build_chooses_preconditioner_by_grid_side(m, dtype):
     assert np.array_equal(problem.precond(v), sparse_linalg.poisson_preconditioner(m, dtype)(v))
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_each_cg_iteration_calls_problem_precond_once(problem33, monkeypatch, warm):
+    # the benchmark counts CG iterations by wrapping the precond field of a
+    # built problem: each iteration of a Newton solve must be one call of
+    # that field, read at solve time, with the coarse block of its system
+    calls, applications, matvecs, solves = [], [], [], []
+    pre, matvec = problem33.precond, sparse_linalg.SpdSystem.matvec
+
+    def wrapped(*args, **kwargs):  # as a wrapper that knows no argument sees it
+        calls.append(args[1:])
+        return pre(*args, **kwargs)
+
+    def counting_solve(system, b, preconditioner, **kwargs):
+        def counted(r):
+            applications.append(1)
+            return preconditioner(r)
+
+        solves.append(problem33.coarse_block(system.shift))
+        return sparse_linalg.solve_spd(system, b, counted, **kwargs)
+
+    def counted_matvec(system, v, scratch=None):
+        matvecs.append(1)
+        return matvec(system, v, scratch)
+
+    monkeypatch.setattr(forward, "solve_spd", counting_solve)
+    monkeypatch.setattr(sparse_linalg.SpdSystem, "matvec", counted_matvec)
+    problem = dataclasses.replace(problem33, precond=wrapped)
+    u = 3.0 * np.sin(np.arange(problem.mesh.n_interior, dtype=float))
+    y0 = solve_forward(problem33, 0.9 * u).y if warm else None
+    calls.clear(), applications.clear(), matvecs.clear(), solves.clear()
+    solve_forward(problem, u, y0=y0)
+    # one true-residual product per solve, one product per CG iteration
+    assert len(calls) == len(applications) == len(matvecs) - len(solves) > 0
+    assert all(any(np.array_equal(coarse, c) for c in solves) for (coarse,) in calls)
+
+
 def test_positive_part_conventions():
     f = PositivePart()
     t = np.array([-2.0, -1e-15, 0.0, 1e-15, 3.0])

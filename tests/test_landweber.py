@@ -117,6 +117,14 @@ def test_config_stores_plain_floats_and_an_int():
     assert cfg == LandweberConfig(mu=0.0, tau=2.0, rho=5.0, lbar=0.05, max_iter=3, delta=0.0)
 
 
+def test_config_rejects_a_step_that_underflows_to_zero():
+    # (2 - 2 mu) / lbar^2 rounds to 0.0 here, and every step would leave u where it is
+    with pytest.raises(ValueError, match="^mu and lbar must give a nonzero step"):
+        LandweberConfig(mu=0.9999999999999999, lbar=1.34e154)
+    # the infinite step of a tiny lbar stays a config: its run ends as divergence
+    assert LandweberConfig(lbar=1e-160).constant_step == math.inf
+
+
 def test_constant_step_default_value():
     assert LandweberConfig().constant_step == pytest.approx(720.0, rel=1e-12)
 
@@ -173,9 +181,9 @@ def test_moving_set_exit_keeps_the_run(problem33, monkeypatch, seed, target):
     applications = []
     pre = problem33.precond
 
-    def counted(r):
+    def counted(r, *coarse):
         applications.append(1)
-        return pre(r)
+        return pre(r, *coarse)
 
     problem = dataclasses.replace(problem33, precond=counted)
     early, _ = _noisy_run(problem, seed=seed, target=target)

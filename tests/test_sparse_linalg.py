@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dstn
 from scipy.sparse.linalg import spsolve
 
 from bouligand_landweber import (
@@ -13,7 +16,7 @@ from bouligand_landweber import (
     solve_spd,
     sparse_linalg,
 )
-from bouligand_landweber.sparse_linalg import CG_TOL, TINY_RHS
+from bouligand_landweber.sparse_linalg import CG_TOL, COARSE_SIDE, TINY_RHS, coarse_block_builder
 from conftest import peak_vectors
 
 PRECISIONS = [
@@ -213,6 +216,126 @@ def test_single_precision_solve_reaches_cg_tol_at_any_scale(scale):
     b = scale * (M @ np.sin(np.arange(mesh.n_interior, dtype=float)))
     x = solve_spd(system, b, poisson_preconditioner(mesh.m, np.float32))
     assert np.linalg.norm(system.matvec(x) - b) <= CG_TOL * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e-30, 1.0, 1e30, 1e60, 1e100])
+def test_two_level_solve_reaches_cg_tol_at_any_scale(scale):
+    # the same systems with the coarse block of their shift: the block acts
+    # between the transforms, on the residual scaled by its power of two
+    mesh = build_mesh(33)
+    A, M, D = assemble(mesh)
+    system = SpdSystem(A, D * (np.arange(mesh.n_interior) % 3 == 0))
+    b = scale * (M @ np.sin(np.arange(mesh.n_interior, dtype=float)))
+    x = solve_spd(system, b, _two_level(mesh.m, system.shift, np.float32))
+    assert np.linalg.norm(system.matvec(x) - b) <= CG_TOL * np.linalg.norm(b)
+
+
+def _mask(kind: str, m: int) -> np.ndarray:
+    """An active set over the m x m interior grid, as a bool mask in row-major order."""
+    i, j = np.divmod(np.arange(m * m), m)
+    if kind == "random":
+        return np.random.default_rng(m).uniform(size=m * m) < 0.5
+    if kind == "checkerboard":
+        return (i + j) % 2 == 0
+    return np.full(m * m, kind == "full")
+
+
+MASKS = ["random", "empty", "full", "checkerboard"]
+
+
+def _two_level(m, shift, dtype=np.float64):
+    """The two-level map of A + diag(shift) as a function of one vector."""
+    pre, coarse = poisson_preconditioner(m, dtype), coarse_block_builder(m)(shift)
+    return lambda r: pre(r, coarse)
+
+
+def _coarse_modes(m):
+    """The lowest k x k DST-I modes as columns, mode (a, b) at a k + b, from scipy's transform."""
+    k = min(COARSE_SIDE, m)
+    Z = np.empty((m * m, k * k))
+    for col, (a, b) in enumerate(np.ndindex(k, k)):
+        unit = np.zeros((m, m))
+        unit[a, b] = 1.0
+        Z[:, col] = dstn(unit, type=1, norm="ortho").ravel()
+    return Z
+
+
+@pytest.mark.parametrize("kind", MASKS)
+@pytest.mark.parametrize("m", [1, 3, 15, 31, 127])
+def test_two_level_map_is_spd(m, kind):
+    # symmetric to rounding and positive definite, in the dtype production
+    # runs at this side: on the whole space up to m = 15, and above on the
+    # span of the coarse modes and a few random vectors, by their Gram matrix
+    dtype = np.float32 if m >= 31 else np.float64
+    _, _, D = assemble(build_mesh(m + 2))
+    pre = _two_level(m, D * _mask(kind, m), dtype)
+    if m <= 15:
+        probes = np.eye(m * m)
+    else:
+        random = np.random.default_rng(m).standard_normal((4, m * m))
+        probes = np.vstack([_coarse_modes(m).T, random])
+    images = np.vstack([pre(v) for v in probes])
+    gram = probes @ images.T
+    tol = 20 * np.finfo(dtype).eps * np.abs(gram).max()
+    assert np.abs(gram - gram.T).max() <= tol
+    assert np.linalg.eigvalsh(0.5 * (gram + gram.T)).min() > tol
+
+
+@pytest.mark.parametrize("kind", MASKS)
+@pytest.mark.parametrize("n_h", [3, 4, 5, 6])
+def test_two_level_map_with_every_mode_coarse_is_the_exact_inverse(n_h, kind):
+    # at m <= COARSE_SIDE every sine mode is coarse, so in float64 the map is K^{-1}
+    mesh = build_mesh(n_h)
+    assert mesh.m <= COARSE_SIDE
+    A, _, D = assemble(mesh)
+    shift = D * _mask(kind, mesh.m)
+    K = SpdSystem(A, shift)
+    pre = _two_level(mesh.m, shift)
+    for v in np.eye(mesh.n_interior):
+        assert np.abs(K.matvec(pre(v)) - v).max() <= 1e-14
+
+
+@pytest.mark.parametrize("shift_kind", ["mask", "nonuniform", "zero"])
+@pytest.mark.parametrize("m", [1, 3, 15, 31, 127])
+def test_coarse_block_is_the_inverse_galerkin_matrix(m, shift_kind):
+    # the dense oracle: C = Z_c^T diag(shift) Z_c + Lambda_c
+    k = min(COARSE_SIDE, m)
+    _, _, D = assemble(build_mesh(m + 2))
+    shift = {
+        "mask": D * _mask("random", m),
+        "nonuniform": D * np.random.default_rng(1).uniform(0.0, 2.0, m * m),
+        "zero": np.zeros(m * m),
+    }[shift_kind]
+    Z = _coarse_modes(m)
+    c = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, k + 1) / (m + 1))
+    galerkin = Z.T @ (shift[:, None] * Z) + np.diag(np.add.outer(c, c).ravel())
+    coarse = coarse_block_builder(m)(shift)
+    assert coarse.shape == (k * k, k * k) and np.array_equal(coarse, coarse.T)
+    assert np.abs(coarse @ galerkin - np.eye(k * k)).max() <= 1e-13
+
+
+def _one_level_reference(m, dtype, r):
+    """The DST-I inverse as written before the coarse block existed."""
+    k = np.arange(1, m + 1)
+    c = 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+    lam = np.empty((m, m), dtype)
+    np.add(c[:, None], c[None, :], out=lam, casting="same_kind")
+    e = min(max(math.frexp(max(r.max(), -r.min()))[1], -1021), 1023)
+    scaled = np.empty((m, m), dtype)
+    np.multiply(r.reshape(m, m), 2.0**-e, out=scaled, casting="same_kind")
+    spectral = dstn(scaled, type=1, norm="ortho", overwrite_x=True)
+    spectral /= lam
+    scaled = dstn(spectral, type=1, norm="ortho", overwrite_x=True)
+    return np.multiply(scaled, 2.0**e, dtype=np.float64).ravel()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("m", [1, 15, 127])
+def test_without_coarse_block_the_map_keeps_its_bits(m, dtype):
+    pre = poisson_preconditioner(m, dtype)
+    v = np.sin(np.arange(m * m, dtype=float)) * 1e3
+    expected = _one_level_reference(m, dtype, v).tobytes()
+    assert pre(v).tobytes() == pre(v, None).tobytes() == expected
 
 
 def _counting(pre, applications):
