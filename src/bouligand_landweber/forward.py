@@ -35,7 +35,8 @@ Newton iterate that CG's current iterate gives is compared with the step's
 set, and the step ends if they differ.  A step that moves the set is never
 the last (Hintermueller-Ito-Kunisch 2002): the step that ends the loop was
 solved to the floor above, so the stop keeps its meaning.  Cold solves
-make exactly the CG calls they made before the exit existed.
+are offered no exit.  Either way the next step's set is that of the
+iterate the step returned, so the loop carries only its current iterate.
 
 Each Newton system K = A + D diag(s) is preconditioned by the two-level
 fast-Poisson map of `sparse_linalg`, with the coarse block of its own
@@ -282,10 +283,12 @@ def solve_forward(
     From a given y0, each Newton step offers `solve_spd` its early exit at
     MOVING_SET_FORCING times the step's residual ||H||_2.  Once CG gets
     there, the set {y >= 0} of the Newton iterate its current iterate gives
-    is evaluated; if it differs from the step's set, the step ends there and
-    that mask is the next step's set.  A step that took the exit cannot end
-    the loop, so the returned state comes from a step solved to the FORCING
-    floor.  Without y0 every CG solve runs to that floor.
+    is evaluated; if it differs from the step's set, the step ends there.
+    Every step's next set is {y >= 0} of the iterate its solve returned,
+    whether or not the exit was taken.  A step that took the exit cannot
+    end the loop, so the returned state comes from a step solved to the
+    FORCING floor.  Without y0 no exit is offered, and every CG solve runs
+    to that floor.
     """
     require_tolerance("tol", tol)
     f = problem.nonlinearity
@@ -325,15 +328,10 @@ def solve_forward(
     stop = max(FORWARD_RTOL * norm_b, tol)
     atol = FORCING * stop
     residual = norm(H)
-    moved = []  # the next iterate's set, where a warm step's CG exit found that it moves
 
     def set_moves(dy):
-        """Whether the iterate y - dy leaves the step's active set; keeps the new set if so."""
-        mask = f.newton_coeff(y - dy)
-        if np.array_equal(mask, active):
-            return False
-        moved.append(mask)
-        return True
+        """Whether the iterate y - dy leaves the step's active set."""
+        return not np.array_equal(f.newton_coeff(y - dy), active)
 
     for iters in range(1, SSN_MAX_ITER + 1):
         system = SpdSystem(problem.A, problem.D * active)
@@ -344,13 +342,10 @@ def solve_forward(
             # field after build sees every CG iteration
             return problem.precond(r, coarse)
 
+        early_exit = None if y0 is None else (MOVING_SET_FORCING * residual, set_moves)
         # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
-        if y0 is None:
-            y -= solve_spd(system, H, precond, atol=atol)
-        else:
-            early_exit = (MOVING_SET_FORCING * residual, set_moves)
-            y -= solve_spd(system, H, precond, atol=atol, early_exit=early_exit)
-        new_active = moved.pop() if moved else f.newton_coeff(y)
+        y -= solve_spd(system, H, precond, atol=atol, early_exit=early_exit)
+        new_active = f.newton_coeff(y)
         A_y = problem.A @ y
         H = _residual(problem, y, A_y, b)
         residual = norm(H)

@@ -455,10 +455,11 @@ class Iterate:
     """One iterate u_n and what the step from it uses; :func:`step` never modifies one.
 
     `solution` is F(u_n), carrying A y_n; `r` is y_data - y_n, `M_r` its
-    product M r_n and `residual` ||r_n||_M.  `previous` is F(u_{n-1}), None
-    at the start, and `window` holds the (g, A g) pairs of the state
-    increments the solve of F(u_n) started from, at most
-    PREDICTION_DIRECTIONS of them.
+    product M r_n and `residual` ||r_n||_M.  `window` holds the (g, A g)
+    pairs of the state increments the solve of F(u_n) started from, at most
+    PREDICTION_DIRECTIONS of them, and `increment` is the newest one,
+    y_n - y_{n-1} (None at the start), which the next step appends to it.
+    F(u_n) is the only forward solution an iterate keeps.
     """
 
     u: np.ndarray
@@ -466,16 +467,16 @@ class Iterate:
     r: np.ndarray
     M_r: np.ndarray
     residual: float
-    previous: ForwardSolution | None
+    increment: np.ndarray | None
     window: tuple
 
     @classmethod
-    def at(cls, problem: ForwardProblem, data, u, solution, previous=None, window=()) -> "Iterate":
+    def at(cls, problem: ForwardProblem, data, u, solution, increment=None, window=()) -> "Iterate":
         """The iterate u with its forward solution, against the data values."""
         r = data - solution.y.values
         # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
         M_r = problem.M @ r
-        return cls(u, solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), previous, window)
+        return cls(u, solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), increment, window)
 
 
 def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> Iterate:
@@ -517,29 +518,31 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
     side carries a relative error of at most kappa, a forcing term like
     that of the subderivative solve.  The first solve, of u0, has no
     earlier residual and keeps the relative stop: a floor
-    kappa * tau * delta / C there saves 4 of the 413 preconditioner
-    applications of the n_h = 257 campaign (benchmark seed 3), and none at
-    delta = 0.
+    kappa * tau * delta / C there would save 2 of the 13 preconditioner
+    applications of the n_h = 257 campaign's shared start at delta = 1e-2
+    (benchmark seed 3), none at delta <= 1e-3 or delta = 0, and would
+    keep the cells from sharing that solve.
 
     A failed solve raises its ConvergenceError, and an update that is not
     finite raises FloatingPointError.  The step works on plain arrays, keeps
     no state between calls and modifies no array of `it`, so the same `it`
-    always gives the same bits.
+    always gives the same bits.  Its linearized operator and update are
+    freed before the forward solve allocates.
     """
     op = build_linearized(problem, it.solution.y)
     update = apply_subderivative(op, problem.M, it.r, rtol=SUBDERIVATIVE_RTOL, M_w=it.M_r)
     u = it.u + w * update.values
+    del op, update
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("the update is not finite")
     window = deque(it.window, maxlen=PREDICTION_DIRECTIONS)
-    if it.previous is not None:
-        g = it.solution.y.values - it.previous.y.values
-        window.append((g, problem.A @ g))
+    if it.increment is not None:
+        window.append((it.increment, problem.A @ it.increment))
     sol = solve_forward(
         problem, u, y0=it.solution.y, directions=[g for g, _ in window], tol=tol,
         A_y0=it.solution.A_y, A_directions=[A_g for _, A_g in window],
     )
-    return Iterate.at(problem, data, u, sol, it.solution, tuple(window))
+    return Iterate.at(problem, data, u, sol, sol.y.values - it.solution.y.values, tuple(window))
 
 
 def run(

@@ -261,17 +261,22 @@ def write_grid_function(path, gf: GridFunction) -> None:
 def read_grid_function(path) -> GridFunction:
     """Read a grid function written by :func:`write_grid_function`.
 
-    A malformed file raises ValueError naming the path.
+    A malformed file raises ValueError naming the path: a header other than
+    `n_h=<int>,role=<role>` (an unknown key included), a blank line (with
+    its line number), or a value that does not parse.
     """
     with open(path) as fh:
         header = fh.readline().strip()
-        items = [item.split("=", 1) for item in header.split(",")]
-        fields = dict(item for item in items if len(item) == 2)
-        if len(fields) != len(items) or "n_h" not in fields or "role" not in fields:
-            raise ValueError(f"{path}: malformed grid function header: {header!r}")
-        try:
-            mesh = build_mesh(int(fields["n_h"]))
-            vals = np.array([float(line) for line in fh if line.strip()])
-            return GridFunction(mesh, vals, fields["role"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        lines = fh.readlines()
+    items = [item.split("=", 1) for item in header.split(",")]
+    fields = dict(item for item in items if len(item) == 2)
+    if len(fields) != len(items) or fields.keys() != {"n_h", "role"}:
+        raise ValueError(f"{path}: malformed grid function header: {header!r}")
+    for number, line in enumerate(lines, start=2):
+        if not line.strip():
+            raise ValueError(f"{path}, line {number}: blank line")
+    try:
+        mesh = build_mesh(int(fields["n_h"]))
+        return GridFunction(mesh, np.array([float(line) for line in lines]), fields["role"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

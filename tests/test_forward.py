@@ -8,15 +8,17 @@ import pytest
 from bouligand_landweber import (
     ForwardProblem,
     ForwardSolveError,
+    LandweberConfig,
     PositivePart,
     brute_force_forward,
     build_mesh,
     forward_residual,
     m_norm,
+    run,
     solve_forward,
 )
 from bouligand_landweber import forward, sparse_linalg
-from bouligand_landweber.experiments import exact_fields
+from bouligand_landweber.experiments import NoiseSpec, add_noise, exact_fields
 from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
 from conftest import CountingMatrix, peak_vectors
 
@@ -230,7 +232,9 @@ def test_forcing_keeps_newton_steps_and_active_sets(problem33, monkeypatch):
     floors = []
 
     def counting_solve(kind):
-        def solve(system, b, pre, atol=0.0):
+        def solve(system, b, pre, atol=0.0, early_exit=None):
+            assert early_exit is None  # cold solves are offered no exit
+
             def counted(r):
                 applications[kind] += 1
                 return pre(r)
@@ -484,6 +488,19 @@ def test_solve_forward_working_set(problem257):
     assert peak_vectors(lambda: solve_forward(problem257, u_bar), n) <= 10.2
 
 
+def test_run_working_set(problem65):
+    # one noisy run from u_bar at n_h = 65 (delta 1e-4, seed 3, 21 steps):
+    # tracemalloc measured 28.3 vectors of 8 n bytes, record and final
+    # iterate included (numpy 2.4, scipy 1.17); the bound fails the 32.6 of
+    # an iterate that keeps F(u_{n-1}) and a step that holds its linearized
+    # operator and update through the forward solve
+    n = problem65.mesh.n_interior
+    _, y_exact, u_bar = exact_fields(problem65.mesh)
+    y_data, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-4), problem65.M)
+    cfg = LandweberConfig(delta=delta)
+    assert peak_vectors(lambda: run(problem65, y_data, cfg, u_bar), n) <= 30.0
+
+
 def _cold_sources(problem):
     """u*, u_bar, the zero source and a source below TINY_RHS, each solved from zero."""
     u_star, _, u_bar = exact_fields(problem.mesh)
@@ -577,36 +594,50 @@ def test_warm_solves_end_with_a_step_solved_to_its_floor(problem33, monkeypatch)
     # along u_bar -> u* in ten warm solves, each Newton step whose active set
     # moves may stop its CG at MOVING_SET_FORCING of its residual, but such a
     # step never ends the loop: the last CG solve of every warm solve runs to
-    # its floor.  The cold first solve never passes the exit.  The next set
-    # is the mask the exit computed, so {y >= 0} is evaluated once per
-    # iterate plus once per refused exit
+    # its floor.  The cold first solve is offered no exit.  Each Newton
+    # system has the shift D {y >= 0} of the state it starts from, the one
+    # the last step returned, so {y >= 0} is evaluated once per iterate plus
+    # once per exit asked
     counting = _CountingNonlinearity(problem33.nonlinearity)
     problem = dataclasses.replace(problem33, nonlinearity=counting)
-    steps = []
+    steps, shifts, states = [], [], []
 
-    def recording_solve(system, b, pre, atol=0.0, **early):
+    def recording_solve(system, b, pre, atol=0.0, early_exit=None):
         verdicts = []
-        if early:
-            tol, test = early["early_exit"]
-            early["early_exit"] = (tol, lambda x: verdicts.append(test(x)) or verdicts[-1])
-        x = sparse_linalg.solve_spd(system, b, pre, atol=atol, **early)
+        offered = early_exit is not None
+        if offered:
+            tol, test = early_exit
+            early_exit = (tol, lambda x: verdicts.append(test(x)) or verdicts[-1])
+        x = sparse_linalg.solve_spd(system, b, pre, atol=atol, early_exit=early_exit)
         floor = max(sparse_linalg.CG_TOL * np.linalg.norm(b), atol)
-        steps.append((bool(early), verdicts, np.linalg.norm(system.matvec(x) - b) <= floor))
+        steps.append((offered, verdicts, np.linalg.norm(system.matvec(x) - b) <= floor))
+        shifts.append(system.shift.copy())
         return x
 
+    residual = forward._residual
+
+    def recording_residual(problem, y, A_y, b):
+        states.append(y.copy())  # the start, then each Newton iterate
+        return residual(problem, y, A_y, b)
+
     monkeypatch.setattr(forward, "solve_spd", recording_solve)
+    monkeypatch.setattr(forward, "_residual", recording_residual)
     u_star, _, u_bar = exact_fields(problem.mesh)
     y, taken = None, 0
     for t in np.linspace(0.0, 1.0, 11):
         u = u_bar.values + t * (u_star.values - u_bar.values)
-        steps.clear()
+        for recorded in (steps, shifts, states):
+            recorded.clear()
         counting.calls["newton"] = 0
         sol = solve_forward(problem, u, y0=y)
         assert [offered for offered, _, _ in steps] == [y is not None] * sol.ssn_iterations
         _, verdicts, at_floor = steps[-1]
         assert verdicts in ([], [False]) and at_floor
-        refused = sum(v == [False] for _, v, _ in steps)
-        assert counting.calls["newton"] == sol.ssn_iterations + 1 + refused
+        asked = sum(len(v) for _, v, _ in steps)
+        assert counting.calls["newton"] == sol.ssn_iterations + 1 + asked
+        assert len(states) == len(shifts) + 1
+        for shift, state in zip(shifts, states):
+            assert np.array_equal(shift, problem.D * (state >= 0.0))
         assert np.array_equal(sol.active_pattern, sol.y.values >= 0.0)
         assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem.M @ u)
         taken += sum(v == [True] for _, v, _ in steps)

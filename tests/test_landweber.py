@@ -356,7 +356,8 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
     # lw.step, driven from the first Iterate with run()'s stopping rule, gives
     # run()'s record and final iterate bit for bit; each Iterate's window
     # holds the increments its solve used, at most PREDICTION_DIRECTIONS
-    # (none at 0: a window of the last 0 pairs is empty, not all of them)
+    # (none at 0: a window of the last 0 pairs is empty, not all of them),
+    # and its increment is y_n - y_{n-1}, the newest of the next window
     monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", directions)
     u_exact = exact_fields(problem33.mesh)[0]
     y_data, cfg, u0, start = _case(problem33, case)
@@ -370,13 +371,18 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
     assert record.final.values.tobytes() == iterates[-1].u.tobytes()
     windows = [len(it.window) for it in iterates]
     assert windows == [min(max(n - 1, 0), directions) for n in range(len(iterates))]
-    assert all(it.previous is before.solution for before, it in zip(iterates, iterates[1:]))
+    assert iterates[0].increment is None
+    for before, it in zip(iterates, iterates[1:]):
+        increment = it.solution.y.values - before.solution.y.values
+        assert it.increment.tobytes() == increment.tobytes()
+    for it, after in zip(iterates[1:], iterates[2:]):
+        assert directions == 0 or after.window[-1][0] is it.increment
 
 
 def _iterate_bits(it):
     """Every array and number of an Iterate, as bytes and values."""
     arrays = [it.u, it.r, it.M_r, it.solution.y.values, it.solution.A_y]
-    arrays += [it.previous.y.values, it.previous.A_y, *(a for pair in it.window for a in pair)]
+    arrays += [it.increment, *(a for pair in it.window for a in pair)]
     return [a.tobytes() for a in arrays] + [it.residual, it.solution.ssn_iterations]
 
 

@@ -302,6 +302,23 @@ def test_read_grid_function_rejects_nan_line(tmp_path):
         read_grid_function(path)
 
 
+@pytest.mark.parametrize(
+    "text, defect",
+    [
+        ("n_h=4,role=source,units=mm\n0\n0\n0\n0\n",
+         r": malformed grid function header: 'n_h=4,role=source,units=mm'$"),
+        ("n_h=4,role=source\n0\n0\n\n0\n0\n", r", line 4: blank line$"),
+    ],
+    ids=["unknown-key", "blank-line"],
+)
+def test_read_grid_function_rejects_what_it_would_ignore(tmp_path, text, defect):
+    # each file loads but for its defect: n_h = 4 has 4 interior values
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{defect}"):
+        read_grid_function(path)
+
+
 def test_grid_function_csv_roundtrip(tmp_path):
     mesh = build_mesh(7)
     rng = np.random.default_rng(5)
