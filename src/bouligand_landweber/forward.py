@@ -158,6 +158,8 @@ class ForwardSolution:
 
     `A_y` is the stiffness product A y of the state, which the last
     residual formed; a warm solve from this state takes it as `A_y0`.
+    `u` is the source the state solves: a copy of the caller's values,
+    bit for bit, that no later change to the caller's array reaches.
     """
 
     y: GridFunction
@@ -165,6 +167,7 @@ class ForwardSolution:
     ssn_iterations: int
     final_residual: float
     A_y: np.ndarray
+    u: np.ndarray
 
 
 def _residual(problem: ForwardProblem, y: np.ndarray, A_y: np.ndarray, b: np.ndarray):
@@ -268,7 +271,8 @@ def solve_forward(
     solved from zero, scaled up by a power of two together with `tol`, so
     that neither the Newton stop nor CG work with underflowing norms; only
     u = 0 gives y = 0.  `u`, `y0` and `directions` are never modified: the
-    iteration updates its own copy of the state in place.
+    iteration updates its own copy of the state in place, and the solution
+    keeps its own copy of `u` (unscaled where the solve was scaled).
 
     A caller that already holds the stiffness products passes them, and
     they are not formed again: `A_y0` = A y0 (the `A_y` of the solution
@@ -315,6 +319,7 @@ def solve_forward(
             y=GridFunction(problem.mesh, y, "state"),
             final_residual=math.ldexp(sol.final_residual, e),
             A_y=problem.A @ y,  # scaling back may round into subnormals
+            u=u.copy(),
         )
     if y0 is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
@@ -356,6 +361,7 @@ def solve_forward(
                 ssn_iterations=iters,
                 final_residual=residual,
                 A_y=A_y,
+                u=u.copy(),  # once CG's buffers are freed, so the peak does not grow
             )
         del A_y  # only the returned state's product is kept past a CG solve
         active = new_active

@@ -19,10 +19,11 @@ Two scalar parameter conditions from the convergence theory are evaluated
 by :func:`check_parameters`, never enforced: with the default experiment
 parameters both are violated, yet the iteration behaves well.
 
-Runs from the same start, as the cells of a table are, share F(u0): a
-record keeps the forward solution of its u0, and `run(...,
-start_solution=...)` starts from it instead of solving again, with the
-same bits and 0 Newton steps recorded at n = 0.
+Each forward solution keeps the source it solves, so an iterate u_n is
+its solution's `u`.  Runs from the same start, as the cells of a table
+are, share F(u0): a record keeps the forward solution of its u0, and
+`run(..., start_solution=...)` starts from it instead of solving again,
+with the same bits and 0 Newton steps recorded at n = 0.
 
 A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
@@ -45,23 +46,14 @@ from pathlib import Path
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
-from .forward import (
-    FORWARD_RTOL,
-    ForwardProblem,
-    ForwardSolution,
-    error_certificate,
-    forward_residual,
-    solve_forward,
-)
+from .forward import ForwardProblem, ForwardSolution, error_certificate, solve_forward
 from .mesh_fem import GridFunction, field_values, m_norm
 from .sparse_linalg import (
     FINITE_NONNEGATIVE,
     FINITE_POSITIVE,
     NONNEGATIVE_INTEGER,
-    TINY_RHS,
     ConvergenceError,
     dot,
-    norm,
     require_scalar,
 )
 
@@ -107,10 +99,10 @@ class LandweberConfig:
     evaluates the starting point only.  Each field passes `require_scalar`
     with its row of _CONFIG_BOUNDS.  lbar must have a square that is finite
     and nonzero, from about 1.6e-162 to 1.3e154, so that the step can be
-    evaluated; below about 1.3e-154 the step is infinite, and `run` ends
-    with 'divergence' at its first update.  A step that underflows to 0
-    (mu within about 1e-16 of 1 with lbar near 1.3e154), whose steps would
-    never move, is a ValueError naming mu and lbar.
+    evaluated, and the step must be finite and nonzero, else a ValueError
+    names mu and lbar: below about 1e-154 the step is infinite, so the
+    first update would overflow, and a step that underflows to 0 (mu within
+    about 1e-16 of 1 with lbar near 1.3e154) would never move.
     """
 
     mu: float = 0.1
@@ -125,9 +117,9 @@ class LandweberConfig:
         for name, (kind, bound, requirement) in _CONFIG_BOUNDS.items():
             value = require_scalar(name, getattr(self, name), kind, bound, requirement)
             object.__setattr__(self, name, value)
-        if self.constant_step == 0.0:
+        if not 0.0 < self.constant_step < math.inf:
             raise ValueError(
-                f"mu and lbar must give a nonzero step (2 - 2 mu) / lbar^2, "
+                f"mu and lbar must give a finite nonzero step (2 - 2 mu) / lbar^2, "
                 f"got mu={self.mu!r} and lbar={self.lbar!r}"
             )
 
@@ -157,8 +149,8 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
 
     with Lam the constant step size.  Both must be negative for the
     convergence theory; the result is reported, never enforced.  Lam L^2 is
-    evaluated as (2 - 2 mu) (L / lbar)^2, which stays finite at L = lbar even
-    where Lam itself overflows.
+    evaluated as (2 - 2 mu) (L / lbar)^2, which is exactly 2 - 2 mu at
+    L = lbar, however large Lam is.
     """
     L = require_scalar("norm bound L", L, *FINITE_POSITIVE)
     lam_l2 = (2.0 - 2.0 * cfg.mu) * (L / cfg.lbar) ** 2
@@ -286,8 +278,9 @@ class RunRecord:
     `ssn_counts[n]` counts the Newton steps the run made for F(u_n); it is
     0 at n = 0 where the caller passed the start's solution.  Next to the
     final iterate, `start_solution` keeps the forward solution of u0, for
-    another run from the same start (None where that solve failed).
-    Neither is saved, and both are None after `load`.
+    another run from the same start (None where that solve failed); its
+    `u` is u0, bit for bit, and is the final iterate where the run stopped
+    at n = 0.  Neither is saved, and both are None after `load`.
     """
 
     residual_norms: np.ndarray
@@ -415,54 +408,20 @@ class RunRecord:
         return record
 
 
-def _require_start_solution(problem: ForwardProblem, sol: ForwardSolution, u0) -> None:
-    """ValueError naming `start_solution` unless sol solves u0 as a first forward solve would.
-
-    Its state must lie on the problem's mesh, and its residual at u0,
-    recomputed by `forward_residual`, must meet the stop FORWARD_RTOL *
-    ||M u0||_2 of a solve without floor.
-
-    `solve_forward` solves a nonzero u0 with ||M u0||_2 below TINY_RHS as
-    2^-e u0 and scales the state back, so the check scales both by 2^-e
-    too: unscaled, the residual and the stop underflow.  Scaling back
-    rounds each state entry that falls below the normal range to a
-    multiple of 2^-1074, so the check allows the stop plus what that
-    rounding, at most 2^-1075 per entry, can add to the residual: F is
-    Lipschitz with ||A||_2 + max D <= 8 + max D (Gershgorin).
-    """
-    if sol.y.mesh != problem.mesh:
-        raise ValueError(
-            f"start_solution lies on the mesh n_h={sol.y.mesh.n_h}, "
-            f"not on the problem's n_h={problem.mesh.n_h}"
-        )
-    y, norm_b, rounding = sol.y.values, norm(problem.M @ u0), 0.0
-    if norm_b < TINY_RHS and u0.any():
-        e = math.frexp(np.abs(u0).max())[1]
-        y, u0 = np.ldexp(y, -e), np.ldexp(u0, -e)
-        norm_b = norm(problem.M @ u0)
-        rounding = (8.0 + problem.D.max()) * math.sqrt(y.size) * math.ldexp(1.0, -1075 - e)
-    residual = forward_residual(problem, y, u0)
-    stop = FORWARD_RTOL * norm_b + rounding
-    if not residual <= stop:
-        raise ValueError(
-            f"start_solution does not solve u0: its residual {residual:.3e} "
-            f"exceeds the stop {stop:.3e} of a first solve"
-        )
-
-
 @dataclass(frozen=True)
 class Iterate:
-    """One iterate u_n and what the step from it uses; :func:`step` never modifies one.
+    """One iterate and what the step from it uses; :func:`step` never modifies one.
 
-    `solution` is F(u_n), carrying A y_n; `r` is y_data - y_n, `M_r` its
-    product M r_n and `residual` ||r_n||_M.  `window` holds the (g, A g)
-    pairs of the state increments the solve of F(u_n) started from, at most
-    PREDICTION_DIRECTIONS of them, and `increment` is the newest one,
-    y_n - y_{n-1} (None at the start), which the next step appends to it.
-    F(u_n) is the only forward solution an iterate keeps.
+    `solution` is F(u_n), carrying its source u_n and A y_n; `r` is
+    y_data - y_n, `M_r` its product M r_n and `residual` ||r_n||_M.
+    `window` holds the (g, A g) pairs of the state increments the solve of
+    F(u_n) started from, at most PREDICTION_DIRECTIONS of them, and
+    `increment` is the newest one, y_n - y_{n-1} (None at the start), which
+    the next step appends to it where PREDICTION_DIRECTIONS > 0.  F(u_n) is
+    the only forward solution an iterate keeps, and its `u` the only copy
+    of u_n.
     """
 
-    u: np.ndarray
     solution: ForwardSolution
     r: np.ndarray
     M_r: np.ndarray
@@ -471,12 +430,12 @@ class Iterate:
     window: tuple
 
     @classmethod
-    def at(cls, problem: ForwardProblem, data, u, solution, increment=None, window=()) -> "Iterate":
-        """The iterate u with its forward solution, against the data values."""
+    def at(cls, problem: ForwardProblem, data, solution, increment=None, window=()) -> "Iterate":
+        """The iterate of a forward solution, against the data values."""
         r = data - solution.y.values
         # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
         M_r = problem.M @ r
-        return cls(u, solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), increment, window)
+        return cls(solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), increment, window)
 
 
 def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> Iterate:
@@ -499,10 +458,10 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
 
     Each stiffness and mass product is formed once and kept until its last
     use: A g of each increment, formed when a solve first uses it, serves
-    the PREDICTION_DIRECTIONS predictions that use g; A y_n starts the
-    solve's residual; M r_n serves both ||r_n||_M and the step's right-hand
-    side.  Every record keeps the bits it has with each product formed
-    afresh.
+    the PREDICTION_DIRECTIONS predictions that use g (at 0 no increment is
+    kept, and none costs a product); A y_n starts the solve's residual;
+    M r_n serves both ||r_n||_M and the step's right-hand side.  Every
+    record keeps the bits it has with each product formed afresh.
 
     The solve stops at the absolute residual floor `tol` where that exceeds
     its own relative stop.  F(u) enters the iteration only through the
@@ -531,18 +490,19 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
     """
     op = build_linearized(problem, it.solution.y)
     update = apply_subderivative(op, problem.M, it.r, rtol=SUBDERIVATIVE_RTOL, M_w=it.M_r)
-    u = it.u + w * update.values
+    with np.errstate(over="ignore"):  # an overflow is the non-finite update below
+        u = it.solution.u + w * update.values
     del op, update
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("the update is not finite")
     window = deque(it.window, maxlen=PREDICTION_DIRECTIONS)
-    if it.increment is not None:
+    if it.increment is not None and PREDICTION_DIRECTIONS > 0:
         window.append((it.increment, problem.A @ it.increment))
     sol = solve_forward(
         problem, u, y0=it.solution.y, directions=[g for g, _ in window], tol=tol,
         A_y0=it.solution.A_y, A_directions=[A_g for _, A_g in window],
     )
-    return Iterate.at(problem, data, u, sol, sol.y.values - it.solution.y.values, tuple(window))
+    return Iterate.at(problem, data, sol, sol.y.values - it.solution.y.values, tuple(window))
 
 
 def run(
@@ -567,14 +527,21 @@ def run(
     `start_solution`, the forward solution of u0 that an earlier run from
     the same start kept as its record's `start_solution`, takes the place
     of the first solve: the record counts 0 Newton steps at n = 0 and
-    keeps the bits it has without it.  It is checked first (see
-    `_require_start_solution`): a solution of another source or on another
-    mesh raises ValueError.
+    keeps the bits it has without it.  It is checked first: a solution on
+    another mesh, or whose `u` is not u0 bit for bit, raises ValueError.
+    The run keeps no copy of u0: each iterate is the `u` of its solution.
     """
     data = field_values(problem.mesh, "y_data", y_data)
-    u = field_values(problem.mesh, "u0", u0).copy()
+    u0 = field_values(problem.mesh, "u0", u0)
     if start_solution is not None:
-        _require_start_solution(problem, start_solution, u)
+        if start_solution.y.mesh != problem.mesh:
+            raise ValueError(
+                f"start_solution lies on the mesh n_h={start_solution.y.mesh.n_h}, "
+                f"not on the problem's n_h={problem.mesh.n_h}"
+            )
+        # bit for bit: the solution of a source within rounding of u0 gives other records
+        if not np.array_equal(start_solution.u.view(np.int64), u0.view(np.int64)):
+            raise ValueError("start_solution solves another source than u0")
     exact = None if u_exact is None else field_values(problem.mesh, "u_exact", u_exact)
     if exact is not None:
         norm_exact = m_norm(problem.M, exact)
@@ -587,15 +554,15 @@ def run(
     it = None
     try:
         if start_solution is None:
-            start_solution = sol = solve_forward(problem, u)
+            start_solution = sol = solve_forward(problem, u0)
         else:
             sol = replace(start_solution, ssn_iterations=0)  # solved by the caller
-        it = Iterate.at(problem, data, u, sol)
+        it = Iterate.at(problem, data, sol)
         while True:
             residuals.append(it.residual)
             ssn_counts.append(it.solution.ssn_iterations)
             if exact is not None:
-                errors.append(m_norm(problem.M, exact - it.u) / norm_exact)
+                errors.append(m_norm(problem.M, exact - it.solution.u) / norm_exact)
             if it.residual <= cfg.tau * cfg.delta:
                 reason = REASON_DISCREPANCY
                 break
@@ -619,6 +586,6 @@ def run(
         ssn_counts=np.array(ssn_counts, dtype=int),
         reason=reason,
         config=cfg,
-        final=GridFunction(problem.mesh, u if it is None else it.u, "source"),
+        final=GridFunction(problem.mesh, u0.copy() if it is None else it.solution.u, "source"),
         start_solution=start_solution,
     )

@@ -396,6 +396,7 @@ def test_verify_keys_as_flags_and_config(tmp_path):
              "--lbar", "1.34e154"],
             "mu and lbar",
         ),
+        ([], ["invert", "--n", "9", "--delta-target", "1e-2", "--lbar", "1e-160"], "mu and lbar"),
         (["--suite=stability"], ["verify"], "--suite"),
     ],
     ids=[
@@ -415,6 +416,7 @@ def test_verify_keys_as_flags_and_config(tmp_path):
         "flag-lbar-square-overflows",
         "flag-lbar-square-underflows",
         "flag-step-underflows",
+        "flag-step-overflows",
         "config-suite",
     ],
 )

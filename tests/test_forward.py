@@ -322,6 +322,26 @@ def test_tiny_source_with_a_huge_floor_is_solved(problem17):
     assert np.all(np.isfinite(sol.y.values)) and np.any(sol.y.values != 0.0)
 
 
+@pytest.mark.parametrize("kind", ["source", "zero", "tiny", "warm"])
+def test_solution_keeps_its_own_copy_of_its_source(problem17, kind):
+    # the solution's u has the caller's bits but not its memory; below
+    # TINY_RHS it is the unscaled source, not the scaled one the Newton loop solved
+    u_bar = exact_fields(problem17.mesh)[2].values
+    u = {
+        "source": u_bar, "zero": np.zeros_like(u_bar), "warm": 1.01 * u_bar,
+        "tiny": _sign_changing_source(problem17, 1e-165),
+    }[kind]
+    tiny = np.linalg.norm(problem17.M @ u) < sparse_linalg.TINY_RHS and u.any()
+    assert tiny == (kind == "tiny")
+    y0 = solve_forward(problem17, u_bar).y if kind == "warm" else None
+    given = u.copy()
+    sol = solve_forward(problem17, given, y0=y0)
+    assert not np.shares_memory(sol.u, given)
+    assert sol.u.tobytes() == u.tobytes()
+    given += 1.0  # the caller's later change does not reach the solution
+    assert sol.u.tobytes() == u.tobytes()
+
+
 def test_zero_floor_is_the_default_stop(problem17):
     u = _sign_changing_source(problem17, 30.0)
     a, b = solve_forward(problem17, u, tol=0.0), solve_forward(problem17, u)

@@ -119,10 +119,11 @@ def test_config_stores_plain_floats_and_an_int():
 
 def test_config_rejects_a_step_that_underflows_to_zero():
     # (2 - 2 mu) / lbar^2 rounds to 0.0 here, and every step would leave u where it is
-    with pytest.raises(ValueError, match="^mu and lbar must give a nonzero step"):
+    with pytest.raises(ValueError, match="^mu and lbar must give a finite nonzero step"):
         LandweberConfig(mu=0.9999999999999999, lbar=1.34e154)
-    # the infinite step of a tiny lbar stays a config: its run ends as divergence
-    assert LandweberConfig(lbar=1e-160).constant_step == math.inf
+    # (2 - 2 mu) / lbar^2 overflows to inf here, and the first update would overflow
+    with pytest.raises(ValueError, match="^mu and lbar must give a finite nonzero step"):
+        LandweberConfig(lbar=1e-160)
 
 
 def test_constant_step_default_value():
@@ -234,6 +235,19 @@ def test_run_deterministic(problem33):
     assert np.array_equal(rec1.final.values, rec2.final.values)
 
 
+def _count_matvecs(monkeypatch) -> list:
+    """A list that grows by one at each `SpdSystem.matvec`, the products CG forms."""
+    matvecs = []
+    matvec = sparse_linalg.SpdSystem.matvec
+
+    def counted_matvec(system, v, scratch=None):
+        matvecs.append(1)
+        return matvec(system, v, scratch)
+
+    monkeypatch.setattr(sparse_linalg.SpdSystem, "matvec", counted_matvec)
+    return matvecs
+
+
 def test_run_forms_each_product_once(problem33, monkeypatch):
     # outside CG, a run of N steps and S Newton steps forms A y once per
     # Newton iterate (the cold start from zero needs none), once for each
@@ -246,14 +260,7 @@ def test_run_forms_each_product_once(problem33, monkeypatch):
     u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
     A, M = CountingMatrix(problem33.A), CountingMatrix(problem33.M)
-    matvecs = []
-    matvec = sparse_linalg.SpdSystem.matvec
-
-    def counted_matvec(system, v, scratch=None):
-        matvecs.append(1)
-        return matvec(system, v, scratch)
-
-    monkeypatch.setattr(sparse_linalg.SpdSystem, "matvec", counted_matvec)
+    matvecs = _count_matvecs(monkeypatch)
     problem = dataclasses.replace(problem33, A=A, M=M)
     record = run(problem, y_noisy, LandweberConfig(delta=delta), u_bar, u_exact)
     N, S = record.stopping_index, record.total_ssn
@@ -261,6 +268,22 @@ def test_run_forms_each_product_once(problem33, monkeypatch):
     assert A.products - len(matvecs) == 2 * N + S - 2
     assert M.products == 3 * (N + 1) + 1
     assert A.products + M.products <= 216 + 46
+
+
+def test_run_without_prediction_forms_no_increment_product(problem33, monkeypatch):
+    # at PREDICTION_DIRECTIONS = 0 no window keeps an increment, so none
+    # costs its A g: outside CG, the run forms A y once per Newton step and
+    # nothing more.  Here 307 products in all; forming and dropping the A g
+    # of each of the 19 increments took 326
+    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", 0)
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    A = CountingMatrix(problem33.A)
+    matvecs = _count_matvecs(monkeypatch)
+    problem = dataclasses.replace(problem33, A=A)
+    record = run(problem, y_exact, LandweberConfig(max_iter=20), u_bar, u_exact)
+    assert (record.stopping_index, record.reason) == (20, "max-iterations")
+    assert A.products - len(matvecs) == record.total_ssn
+    assert A.products == 307
 
 
 def _fresh_products_reference(problem, y_data, cfg, u0, u_exact):
@@ -324,13 +347,13 @@ def _steps_by_hand(problem, y_data, cfg, u0, u_exact, start_solution=None):
         sol = solve_forward(problem, u0)
     else:  # solved by the caller: no Newton step of this run
         sol = dataclasses.replace(start_solution, ssn_iterations=0)
-    iterates = [lw.Iterate.at(problem, data, u0.values.copy(), sol)]
+    iterates = [lw.Iterate.at(problem, data, sol)]
     residuals, errors, counts = [], [], []
     certificate = error_certificate(problem.mesh)
     while True:
         it = iterates[-1]
         residuals.append(it.residual)
-        errors.append(m_norm(M, u_exact.values - it.u) / m_norm(M, u_exact))
+        errors.append(m_norm(M, u_exact.values - it.solution.u) / m_norm(M, u_exact))
         counts.append(it.solution.ssn_iterations)
         if it.residual <= cfg.tau * cfg.delta or len(residuals) > cfg.max_iter:
             return residuals, errors, counts, iterates
@@ -368,7 +391,7 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
     assert record.rel_errors.tobytes() == np.array(errors).tobytes()
     assert record.ssn_counts.tolist() == counts
     assert (counts[0] == 0) == (case == "start-solution")
-    assert record.final.values.tobytes() == iterates[-1].u.tobytes()
+    assert record.final.values.tobytes() == iterates[-1].solution.u.tobytes()
     windows = [len(it.window) for it in iterates]
     assert windows == [min(max(n - 1, 0), directions) for n in range(len(iterates))]
     assert iterates[0].increment is None
@@ -381,7 +404,7 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
 
 def _iterate_bits(it):
     """Every array and number of an Iterate, as bytes and values."""
-    arrays = [it.u, it.r, it.M_r, it.solution.y.values, it.solution.A_y]
+    arrays = [it.solution.u, it.r, it.M_r, it.solution.y.values, it.solution.A_y]
     arrays += [it.increment, *(a for pair in it.window for a in pair)]
     return [a.tobytes() for a in arrays] + [it.residual, it.solution.ssn_iterations]
 
@@ -552,10 +575,17 @@ def test_divergence_ends_run(problem65):
     assert record.check_discrepancy()
 
 
-def test_overflowing_update_ends_run(problem17):
-    # lbar = 1e-160 makes the step infinite, so u_1 is not finite
+def _overflowing_update(monkeypatch, problem):
+    """Stand in for the subderivative apply with 1e308 per node, which the step 720 overflows."""
+    update = GridFunction(problem.mesh, np.full(problem.mesh.n_interior, 1e308))
+    monkeypatch.setattr(lw, "apply_subderivative", lambda *args, **kwargs: update)
+
+
+def test_overflowing_update_ends_run(problem17, monkeypatch):
+    # an update of 1e308 per node times the step 720 is not finite, so u_1 is not
+    _overflowing_update(monkeypatch, problem17)
     u_exact, y_exact, u_bar = exact_fields(problem17.mesh)
-    cfg = LandweberConfig(lbar=1e-160, max_iter=5)
+    cfg = LandweberConfig(max_iter=5)
     record = run(problem17, y_exact, cfg, u_bar, u_exact)
     assert record.reason == "divergence"
     assert record.stopping_index == 0
@@ -620,11 +650,12 @@ def test_record_roundtrip_without_exact(tmp_path, problem17):
     assert np.array_equal(back.residual_norms, record.residual_norms)
 
 
-def test_record_roundtrip_of_overflowing_step(tmp_path, problem9):
-    # lbar = 1e-160 makes the step overflow; the stored parameter check must
-    # still be finite, so the summary is strict JSON that load accepts
+def test_record_roundtrip_of_overflowing_step(tmp_path, problem9, monkeypatch):
+    # the update overflows; the stored summary must still be strict JSON
+    # that load accepts
+    _overflowing_update(monkeypatch, problem9)
     u_exact, y_exact, u_bar = exact_fields(problem9.mesh)
-    cfg = LandweberConfig(lbar=1e-160, max_iter=3)
+    cfg = LandweberConfig(max_iter=3)
     record = run(problem9, y_exact, cfg, u_bar, u_exact)
     assert record.reason == "divergence"
     base = tmp_path / "run"
@@ -739,7 +770,7 @@ def test_run_from_its_start_solution_keeps_the_record(problem33, kind):
 @pytest.mark.parametrize("scale", [1e-165, 1e-310, 1e-320, 5e-324])
 def test_run_accepts_the_solve_of_a_tiny_start(problem33, scale):
     # below TINY_RHS the state is solved scaled and scaled back, which rounds
-    # its entries below the normal range; the check allows that rounding
+    # its entries below the normal range; the solution keeps the unscaled u0
     _, y_exact, u_bar = exact_fields(problem33.mesh)
     u0 = scale * u_bar.values
     start = solve_forward(problem33, u0)
@@ -757,14 +788,43 @@ def test_run_rejects_a_start_solution_of_another_source_or_mesh(problem17, probl
     u_exact, y_exact, _ = exact_fields(problem33.mesh)
     cfg = LandweberConfig(max_iter=1)
     u_bar, zero, tiny = (_start(problem33, kind) for kind in ("source", "zero", "tiny"))
-    not_u0 = r"^start_solution does not solve u0: its residual .* exceeds the stop"
-    for u0, other in [(u_bar, 1.001 * u_bar), (zero, u_bar), (u_bar, zero), (tiny, 2.0 * tiny)]:
+    not_u0 = "^start_solution solves another source than u0$"
+    for u0, other in [
+        (u_bar, 1.001 * u_bar), (zero, u_bar), (u_bar, zero), (tiny, 2.0 * tiny),
+        # within rounding of u0, yet its record would differ from a plain run's
+        (u_bar, u_bar * (1.0 + 1e-12)),
+    ]:
         start = forward.solve_forward(problem33, other)
         with pytest.raises(ValueError, match=not_u0):
             run(problem33, y_exact, cfg, u0, u_exact, start_solution=start)
     start = forward.solve_forward(problem17, _start(problem17, "source"))
     with pytest.raises(ValueError, match="^start_solution lies on the mesh n_h=17, not on the"):
         run(problem33, y_exact, cfg, u_bar, u_exact, start_solution=start)
+
+
+def test_run_accepts_the_solution_of_a_bit_equal_copy_of_u0(problem33, monkeypatch):
+    # the check compares bits, not arrays: another array, or a list, of u0's
+    # values is u0, and the run reuses the solution as given
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
+    _, y_exact, u_bar = exact_fields(problem33.mesh)
+    start = forward.solve_forward(problem33, u_bar.values.copy())
+    cfg = LandweberConfig(max_iter=0)
+    for u0 in (u_bar, u_bar.values.copy(), list(u_bar.values)):
+        record = run(problem33, y_exact, cfg, u0, start_solution=start)
+        assert record.ssn_counts.tolist() == [0]
+        assert record.final.values.tobytes() == u_bar.values.tobytes()
+
+
+def test_run_rejects_the_solution_of_a_source_changed_since(problem33, monkeypatch):
+    # the caller's array, changed in place after its solve, is another u0
+    # than the one the solution solves
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
+    _, y_exact, u_bar = exact_fields(problem33.mesh)
+    u0 = u_bar.values.copy()
+    start = forward.solve_forward(problem33, u0)
+    u0 *= 1.001
+    with pytest.raises(ValueError, match="^start_solution"):
+        run(problem33, y_exact, LandweberConfig(max_iter=0), u0, start_solution=start)
 
 
 @pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])

@@ -239,16 +239,24 @@ def test_dot_and_norm_match_exact_sums(pair):
 
 
 positive = st.floats(0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True)
-configs = st.builds(
-    LandweberConfig,
-    mu=st.floats(0.0, 1.0, exclude_max=True),
-    tau=st.floats(1.0, exclude_min=True, allow_infinity=False),
-    rho=positive,
-    # every lbar LandweberConfig accepts: those whose square is a finite nonzero float
-    lbar=st.floats(2.0**-537.5, math.sqrt(sys.float_info.max)),
-    max_iter=st.integers(0, 10**6),
-    delta=st.floats(0.0, allow_infinity=False, allow_subnormal=True),
-)
+
+
+@st.composite
+def configs(draw):
+    mu = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # every lbar LandweberConfig accepts at this mu: those whose square is a
+    # finite nonzero float and whose step (2 - 2 mu) / lbar^2 is too
+    lbar = draw(st.floats(2.0**-537.5, math.sqrt(sys.float_info.max)).filter(
+        lambda v: 0.0 < (2.0 - 2.0 * mu) / v**2 < math.inf
+    ))
+    return LandweberConfig(
+        mu=mu,
+        tau=draw(st.floats(1.0, exclude_min=True, allow_infinity=False)),
+        rho=draw(positive),
+        lbar=lbar,
+        max_iter=draw(st.integers(0, 10**6)),
+        delta=draw(st.floats(0.0, allow_infinity=False, allow_subnormal=True)),
+    )
 
 
 @st.composite
@@ -265,7 +273,7 @@ def _run_records(draw):
         rel_errors=draw(st.one_of(st.none(), column)),
         ssn_counts=draw(arrays(np.int64, rows, elements=st.integers(0, 100))),
         reason=draw(st.sampled_from(["discrepancy", "max-iterations", "divergence"])),
-        config=draw(configs),
+        config=draw(configs()),
     )
 
 
