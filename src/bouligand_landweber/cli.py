@@ -42,7 +42,6 @@ from .forward import ForwardProblem, solve_forward
 from .landweber import FLOAT_CELL, INT_CELL, LandweberConfig, write_json, write_rows
 from .mesh_fem import build_mesh, read_grid_function, write_grid_function
 from .sparse_linalg import (
-    FINITE_NONNEGATIVE,
     FINITE_POSITIVE,
     NONNEGATIVE_INTEGER,
     POSITIVE_INTEGER,
@@ -96,7 +95,11 @@ ORACLE_SIZE = _checked(int, Integral, lambda v: 3 <= v <= 6, "lie in [3, 6], at 
 COUNT = _checked(int, *POSITIVE_INTEGER)
 NONNEGATIVE_INT = _checked(int, *NONNEGATIVE_INTEGER)
 POSITIVE = _checked(float, *FINITE_POSITIVE)
-NONNEGATIVE = _checked(float, *FINITE_NONNEGATIVE)
+# at noise level 0 the discrepancy threshold tau * delta is 0 too, and only
+# --max-iter could end the run; exact data is the noise-free command's
+NOISE_LEVEL = _checked(
+    float, *FINITE_POSITIVE[:2], "be finite and positive (for exact data, run noise-free)"
+)
 
 
 def _file_line_args(line: str) -> list[str]:
@@ -129,8 +132,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=MESH_SIZE, default=129)
     p.add_argument("--start", choices=STARTS, default="source")
     noise = p.add_mutually_exclusive_group(required=True)
-    noise.add_argument("--delta-target", type=NONNEGATIVE)
-    noise.add_argument("--sigma", type=NONNEGATIVE)
+    noise.add_argument("--delta-target", type=NOISE_LEVEL)
+    noise.add_argument("--sigma", type=NOISE_LEVEL)
     p.add_argument("--seed", type=NONNEGATIVE_INT, default=0)
     p.add_argument("--out", required=True)
 

@@ -14,21 +14,24 @@ of the exact state in the M-norm.  For M u = 0 the solution is y = 0, which
 is also where the iteration starts then.
 
 A caller that solves for a sequence of nearby sources, as the Landweber
-loop does, passes the last few state increments as `directions`.  The
-Newton iteration then starts from the Galerkin prediction of its first
-step within their span (projection onto earlier solutions, Fischer 1998),
-provided that lowers the residual; the active set of the prediction is
-closer to the solution's, so fewer Newton steps follow.  The stop, and so
-the solution, does not depend on the start.  Such a caller also passes the
-stiffness products it holds, A y0 (each solution keeps that of its state)
-and A g of each increment, and the solve does not form them again; the
+loop does, passes the solution of the preceding source as `previous`.
+The Newton iteration then starts from its state, moved to the Galerkin
+prediction of the first step within the span of the last
+PREDICTION_DIRECTIONS state increments (projection onto earlier
+solutions, Fischer 1998), provided that lowers the residual; the active
+set of the prediction is closer to the solution's, so fewer Newton steps
+follow.  The stop, and so the solution, does not depend on the start.
+The window of increments is this module's: each solution keeps its own
+increment over `previous` and the (g, A g) pairs its solve used, and the
+next solve appends that increment with its A g.  So each stiffness
+product, A y of a state and A g of an increment, is formed once, and the
 bits of every result stay those of products formed afresh.
 
 Since only that stop decides the final accuracy, each increment is solved
 inexactly (inexact Newton with a forcing term, Dembo-Eisenstat-Steihaug
 1982): CG stops at max(CG_TOL * ||H||_2, FORCING * max(FORWARD_RTOL *
 ||M u||_2, tol)), so the increment's own error is a fraction FORCING of
-what the stop allows.  A warm solve (y0 given) also offers CG one earlier
+what the stop allows.  A warm solve (`previous` given) offers CG one earlier
 exit at MOVING_SET_FORCING * ||H||_2, a forcing term relative to the
 step's own residual (Eisenstat-Walker 1996).  There the active set of the
 Newton iterate that CG's current iterate gives is compared with the step's
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,6 +75,10 @@ FORCING = 1e-4  # each increment's CG floor as a fraction of the Newton stop
 # a warm step's CG exit, relative to its residual ||H||_2, taken once the set moves
 MOVING_SET_FORCING = 1e-3
 SSN_MAX_ITER = 100
+# state increments spanning each warm Newton start's prediction; 0 starts from
+# the previous state.  At n_h = 257 one increment saves no Newton solve and
+# costs more CG work, and four save one solve more than three
+PREDICTION_DIRECTIONS = 3
 # Grids with fewer interior points per side keep the exact float64
 # preconditioner: there the float32 transforms save no time, and CG's
 # finite termination under the exact inverse keeps tiny systems solved far
@@ -157,9 +164,14 @@ class ForwardSolution:
     """Converged state, its active set {y >= 0} as a bool mask, and iteration diagnostics.
 
     `A_y` is the stiffness product A y of the state, which the last
-    residual formed; a warm solve from this state takes it as `A_y0`.
+    residual formed; a warm solve from this solution takes it for the
+    residual of its start.
     `u` is the source the state solves: a copy of the caller's values,
     bit for bit, that no later change to the caller's array reaches.
+    `increment` is y - previous.y over the solution the solve started
+    from (None for a cold solve), and `window` the at most
+    PREDICTION_DIRECTIONS (g, A g) pairs of increments its solve used,
+    oldest first; a solve from this solution appends `increment` to them.
     """
 
     y: GridFunction
@@ -168,6 +180,8 @@ class ForwardSolution:
     final_residual: float
     A_y: np.ndarray
     u: np.ndarray
+    increment: np.ndarray | None
+    window: tuple
 
 
 def _residual(problem: ForwardProblem, y: np.ndarray, A_y: np.ndarray, b: np.ndarray):
@@ -205,30 +219,27 @@ def error_certificate(mesh: Mesh) -> float:
     return h / (8.0 * math.sin(0.5 * math.pi * h) ** 2)
 
 
-def _predicted_start(problem: ForwardProblem, y0, H0, b, directions, A_directions=None):
-    """The Galerkin prediction of the first Newton step from y0 within span(directions).
+def _predicted_start(problem: ForwardProblem, y0, H0, b, window):
+    """The Galerkin prediction of the first Newton step from y0 within the span of a window.
 
-    With G the stacked directions and K = A + D diag(newton_coeff(y0)) the
-    first Newton system, solves (G^T K G) a = -G^T H0 for the residual H0 at
-    y0 and returns the start y0 + G a with its residual, or (y0, H0) when
-    the k x k system is singular, a is not finite or the residual norm does
-    not fall.  `A_directions` holds the products A g of the directions, in
-    their order; where it is None they are formed here.  K g is summed as
-    shift * g + A g, which has the bits of K applied to g since IEEE
-    addition commutes.  Costs k (k + 3) / 2 dot products and one residual,
-    whose A y is the only stiffness product when A_directions is given,
-    and k more where it is None.
+    `window` holds (g, A g) pairs of directions g and their stiffness
+    products.  With G the stacked directions and K = A + D
+    diag(newton_coeff(y0)) the first Newton system, solves (G^T K G) a =
+    -G^T H0 for the residual H0 at y0 and returns the start y0 + G a with
+    its residual, or (y0, H0) when the k x k system is singular, a is not
+    finite or the residual norm does not fall.  K g is summed as shift * g
+    + A g, which has the bits of K applied to g since IEEE addition
+    commutes.  Costs k (k + 3) / 2 dot products and one residual, whose
+    A y is the only stiffness product.
     """
     shift = problem.D * problem.nonlinearity.newton_coeff(y0)
-    if A_directions is None:
-        A_directions = [problem.A @ g for g in directions]
-    k = len(directions)
+    k = len(window)
     gram, rhs = np.empty((k, k)), np.empty(k)
-    for i, (g, A_g) in enumerate(zip(directions, A_directions, strict=True)):
+    for i, (g, A_g) in enumerate(window):
         Kg = shift * g
         Kg += A_g
         for j in range(i + 1):
-            gram[i, j] = gram[j, i] = dot(directions[j], Kg)
+            gram[i, j] = gram[j, i] = dot(window[j][0], Kg)
         rhs[i] = -dot(g, H0)
     try:
         a = np.linalg.solve(gram, rhs)
@@ -237,7 +248,7 @@ def _predicted_start(problem: ForwardProblem, y0, H0, b, directions, A_direction
     if not np.all(np.isfinite(a)):
         return y0, H0
     y = y0.copy()
-    for a_i, g in zip(a, directions):
+    for a_i, (g, _) in zip(a, window):
         y += a_i * g
     H = _residual(problem, y, problem.A @ y, b)
     if norm(H) < norm(H0):
@@ -246,66 +257,75 @@ def _predicted_start(problem: ForwardProblem, y0, H0, b, directions, A_direction
 
 
 def solve_forward(
-    problem: ForwardProblem,
-    u,
-    y0=None,
-    directions=(),
-    tol: float = 0.0,
-    *,
-    A_y0=None,
-    A_directions=None,
+    problem: ForwardProblem, u, previous: ForwardSolution | None = None, tol: float = 0.0
 ) -> ForwardSolution:
-    """Solve the nonlinear system by semi-smooth Newton, starting from y0 (default 0).
+    """Solve the nonlinear system by semi-smooth Newton, from zero or from `previous`.
 
     The iteration stops once the active set repeats and the residual is at
     most max(FORWARD_RTOL * ||M u||_2, tol); the floor `tol` (finite, >= 0,
     not a bool, else ValueError) bounds the state's M-norm error by
-    `error_certificate(mesh) * tol` where it exceeds the relative stop.
-    `directions` (recent state increments, say y_n - y_{n-1}) move a given
-    start y0 to the Galerkin prediction of the first Newton step within
-    their span when that lowers the residual (see `_predicted_start`);
-    without y0, or for u = 0, they are unused.  A `u`, `y0` or direction
-    that is not one finite value per interior node raises ValueError naming
-    the argument; a `u` whose ||M u||_2 overflows raises ForwardSolveError
+    `error_certificate(mesh) * tol` where it exceeds the relative stop.  A
+    `u` that is not one finite value per interior node raises ValueError
+    naming it; a `u` whose ||M u||_2 overflows raises ForwardSolveError
     before any Newton step.  A nonzero `u` with ||M u||_2 below TINY_RHS is
     solved from zero, scaled up by a power of two together with `tol`, so
     that neither the Newton stop nor CG work with underflowing norms; only
-    u = 0 gives y = 0.  `u`, `y0` and `directions` are never modified: the
+    u = 0 gives y = 0.  Neither `u` nor `previous` is modified: the
     iteration updates its own copy of the state in place, and the solution
     keeps its own copy of `u` (unscaled where the solve was scaled).
 
-    A caller that already holds the stiffness products passes them, and
-    they are not formed again: `A_y0` = A y0 (the `A_y` of the solution
-    that y0 came from) and `A_directions`, the products A g of the
-    directions in their order.  Where they are None, the solve forms them
-    itself.  They are taken as given, unchecked: they only move the start,
-    since the stop tests a residual formed afresh, and a non-finite A_y0
-    ends in the ValueError of `solve_spd`.  A start from zero needs no
-    product: A 0 = 0.  The returned solution carries A y of its state as
-    `A_y`.
+    `previous`, the solution of the preceding source, makes the solve warm;
+    one on another mesh raises ValueError naming it.  The solve owns the
+    prediction window: its own is previous.window with previous.increment
+    appended, that increment's A g formed here, cut to the last
+    PREDICTION_DIRECTIONS pairs (at 0 none is kept and no A g formed).  The
+    Newton iteration starts from previous.y, whose residual takes
+    previous.A_y, moved to the Galerkin prediction within the span of the
+    window where that lowers the residual (see `_predicted_start`).  The
+    tiny-source and u = 0 paths start from zero, but their solutions keep
+    the window and the increment all the same.  A start from zero forms no
+    product before the first Newton step: A 0 = 0.  The returned solution
+    carries A y of its state as `A_y`, its increment y - previous.y (None
+    without `previous`) and its window.
 
-    From a given y0, each Newton step offers `solve_spd` its early exit at
+    From `previous`, each Newton step offers `solve_spd` its early exit at
     MOVING_SET_FORCING times the step's residual ||H||_2.  Once CG gets
     there, the set {y >= 0} of the Newton iterate its current iterate gives
     is evaluated; if it differs from the step's set, the step ends there.
     Every step's next set is {y >= 0} of the iterate its solve returned,
     whether or not the exit was taken.  A step that took the exit cannot
     end the loop, so the returned state comes from a step solved to the
-    FORCING floor.  Without y0 no exit is offered, and every CG solve runs
+    FORCING floor.  A cold solve offers no exit, and every CG solve runs
     to that floor.
     """
     require_tolerance("tol", tol)
+    if previous is not None and previous.y.mesh != problem.mesh:
+        raise ValueError(
+            f"previous lies on the mesh n_h={previous.y.mesh.n_h}, "
+            f"not on the problem's n_h={problem.mesh.n_h}"
+        )
     f = problem.nonlinearity
     u = field_values(problem.mesh, "u", u)
-    if y0 is not None:
-        y0 = field_values(problem.mesh, "y0", y0)
-    directions = [field_values(problem.mesh, "directions", g) for g in directions]
     b = problem.M @ u
     norm_b = norm(b)
     if not math.isfinite(norm_b):
         raise ForwardSolveError(
             f"source too large: ||M u||_2 overflows to {norm_b}", residual=norm_b
         )
+    window = ()
+    if previous is not None and previous.increment is not None and PREDICTION_DIRECTIONS > 0:
+        g = previous.increment
+        window = (*previous.window, (g, problem.A @ g))[-PREDICTION_DIRECTIONS:]
+
+    def solution(y, **diagnostics) -> ForwardSolution:
+        return ForwardSolution(
+            y=GridFunction(problem.mesh, y, "state"),
+            u=u.copy(),  # once CG's buffers are freed, so the peak does not grow
+            increment=None if previous is None else y - previous.y.values,
+            window=window,
+            **diagnostics,
+        )
+
     if norm_b < TINY_RHS and u.any():
         # F(2^k u) = 2^k F(u), and the Newton iteration scales exactly with
         # it; a floor whose scaled value would overflow, which every finite
@@ -314,21 +334,21 @@ def solve_forward(
         scaled_tol = math.ldexp(min(tol, math.ldexp(sys.float_info.max, e)), -e)
         sol = solve_forward(problem, np.ldexp(u, -e), tol=scaled_tol)
         y = np.ldexp(sol.y.values, e)
-        return replace(
-            sol,
-            y=GridFunction(problem.mesh, y, "state"),
+        return solution(
+            y,
+            active_pattern=sol.active_pattern,
+            ssn_iterations=sol.ssn_iterations,
             final_residual=math.ldexp(sol.final_residual, e),
             A_y=problem.A @ y,  # scaling back may round into subnormals
-            u=u.copy(),
         )
-    if y0 is None or norm_b == 0.0:
+    if previous is None or norm_b == 0.0:
         y = np.zeros(problem.mesh.n_interior)
         H = _residual(problem, y, y, b)  # A 0 = 0: the zero state is its own product
     else:
-        y = y0.copy()
-        H = _residual(problem, y, problem.A @ y if A_y0 is None else A_y0, b)
-        if directions:
-            y, H = _predicted_start(problem, y, H, b, directions, A_directions)
+        y = previous.y.values.copy()
+        H = _residual(problem, y, previous.A_y, b)
+        if window:
+            y, H = _predicted_start(problem, y, H, b, window)
     active = f.newton_coeff(y)
     stop = max(FORWARD_RTOL * norm_b, tol)
     atol = FORCING * stop
@@ -347,7 +367,7 @@ def solve_forward(
             # field after build sees every CG iteration
             return problem.precond(r, coarse)
 
-        early_exit = None if y0 is None else (MOVING_SET_FORCING * residual, set_moves)
+        early_exit = None if previous is None else (MOVING_SET_FORCING * residual, set_moves)
         # CG is sign-symmetric, so y - K^{-1} H has the bits of y + K^{-1} (-H)
         y -= solve_spd(system, H, precond, atol=atol, early_exit=early_exit)
         new_active = f.newton_coeff(y)
@@ -355,13 +375,8 @@ def solve_forward(
         H = _residual(problem, y, A_y, b)
         residual = norm(H)
         if residual <= stop and np.array_equal(new_active, active):
-            return ForwardSolution(
-                y=GridFunction(problem.mesh, y, "state"),
-                active_pattern=new_active,
-                ssn_iterations=iters,
-                final_residual=residual,
-                A_y=A_y,
-                u=u.copy(),  # once CG's buffers are freed, so the peak does not grow
+            return solution(
+                y, active_pattern=new_active, ssn_iterations=iters, final_residual=residual, A_y=A_y
             )
         del A_y  # only the returned state's product is kept past a CG solve
         active = new_active

@@ -38,7 +38,6 @@ import csv
 import json
 import logging
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 from numbers import Real
 from pathlib import Path
@@ -69,10 +68,6 @@ SUBDERIVATIVE_RTOL = 1e-8  # the step's CG floor relative to ||M r_n||_2
 # bound on each forward solve's M-norm state error relative to the smallest
 # residual recorded before it; 0 keeps the relative Newton stop everywhere
 FORWARD_ERROR_FRACTION = 1e-7
-# state increments spanning each Newton start's prediction; 0 starts from the
-# previous state.  At n_h = 257 one increment saves no Newton solve and costs
-# more CG work, and four save one solve more than three
-PREDICTION_DIRECTIONS = 3
 
 
 # (kind, bound, requirement) of each LandweberConfig field; each bound fails NaN
@@ -412,30 +407,25 @@ class RunRecord:
 class Iterate:
     """One iterate and what the step from it uses; :func:`step` never modifies one.
 
-    `solution` is F(u_n), carrying its source u_n and A y_n; `r` is
-    y_data - y_n, `M_r` its product M r_n and `residual` ||r_n||_M.
-    `window` holds the (g, A g) pairs of the state increments the solve of
-    F(u_n) started from, at most PREDICTION_DIRECTIONS of them, and
-    `increment` is the newest one, y_n - y_{n-1} (None at the start), which
-    the next step appends to it where PREDICTION_DIRECTIONS > 0.  F(u_n) is
-    the only forward solution an iterate keeps, and its `u` the only copy
-    of u_n.
+    `solution` is F(u_n), carrying its source u_n, A y_n and the
+    prediction window of its solve (`forward.solve_forward` keeps it); `r`
+    is y_data - y_n, `M_r` its product M r_n and `residual` ||r_n||_M.
+    F(u_n) is the only forward solution an iterate keeps, and its `u` the
+    only copy of u_n.
     """
 
     solution: ForwardSolution
     r: np.ndarray
     M_r: np.ndarray
     residual: float
-    increment: np.ndarray | None
-    window: tuple
 
     @classmethod
-    def at(cls, problem: ForwardProblem, data, solution, increment=None, window=()) -> "Iterate":
+    def at(cls, problem: ForwardProblem, data, solution) -> "Iterate":
         """The iterate of a forward solution, against the data values."""
         r = data - solution.y.values
         # M r serves both ||r||_M, summed as m_norm sums it, and the step's right-hand side
         M_r = problem.M @ r
-        return cls(solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)), increment, window)
+        return cls(solution, r, M_r, math.sqrt(max(dot(r, M_r), 0.0)))
 
 
 def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> Iterate:
@@ -450,18 +440,19 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
     default.
 
     Consecutive states move in a low-dimensional subspace, so the solve of
-    F(u_{n+1}) gets the last PREDICTION_DIRECTIONS state increments
-    g = y_k - y_{k-1} and starts its Newton iteration from the Galerkin
-    prediction within their span (`forward.solve_forward`), falling back to
-    y_n where that does not lower the residual.  The Newton stop is
-    unchanged, so only the number of Newton steps depends on the start.
+    F(u_{n+1}) is given F(u_n) as `previous`: `forward.solve_forward`
+    starts its Newton iteration from y_n, moved to the Galerkin prediction
+    within the span of the last `forward.PREDICTION_DIRECTIONS` state
+    increments where that lowers the residual.  The window of increments
+    and their A g is the forward solve's; the step holds none of it.  The
+    Newton stop is unchanged, so only the number of Newton steps depends on
+    the start.
 
     Each stiffness and mass product is formed once and kept until its last
-    use: A g of each increment, formed when a solve first uses it, serves
-    the PREDICTION_DIRECTIONS predictions that use g (at 0 no increment is
-    kept, and none costs a product); A y_n starts the solve's residual;
-    M r_n serves both ||r_n||_M and the step's right-hand side.  Every
-    record keeps the bits it has with each product formed afresh.
+    use: the forward solutions keep A y_n and the A g of each increment
+    (see `forward.solve_forward`); M r_n serves both ||r_n||_M and the
+    step's right-hand side.  Every record keeps the bits it has with each
+    product formed afresh.
 
     The solve stops at the absolute residual floor `tol` where that exceeds
     its own relative stop.  F(u) enters the iteration only through the
@@ -495,14 +486,7 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
     del op, update
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("the update is not finite")
-    window = deque(it.window, maxlen=PREDICTION_DIRECTIONS)
-    if it.increment is not None and PREDICTION_DIRECTIONS > 0:
-        window.append((it.increment, problem.A @ it.increment))
-    sol = solve_forward(
-        problem, u, y0=it.solution.y, directions=[g for g, _ in window], tol=tol,
-        A_y0=it.solution.A_y, A_directions=[A_g for _, A_g in window],
-    )
-    return Iterate.at(problem, data, sol, sol.y.values - it.solution.y.values, tuple(window))
+    return Iterate.at(problem, data, solve_forward(problem, u, previous=it.solution, tol=tol))
 
 
 def run(
@@ -529,6 +513,8 @@ def run(
     of the first solve: the record counts 0 Newton steps at n = 0 and
     keeps the bits it has without it.  It is checked first: a solution on
     another mesh, or whose `u` is not u0 bit for bit, raises ValueError.
+    A warm solution's increment and window are dropped, so the first step
+    predicts from no earlier chain of states.
     The run keeps no copy of u0: each iterate is the `u` of its solution.
     """
     data = field_values(problem.mesh, "y_data", y_data)
@@ -556,7 +542,8 @@ def run(
         if start_solution is None:
             start_solution = sol = solve_forward(problem, u0)
         else:
-            sol = replace(start_solution, ssn_iterations=0)  # solved by the caller
+            # solved by the caller; like the run's own first solve, it starts no window
+            sol = replace(start_solution, ssn_iterations=0, increment=None, window=())
         it = Iterate.at(problem, data, sol)
         while True:
             residuals.append(it.residual)

@@ -372,6 +372,23 @@ def test_verify_keys_as_flags_and_config(tmp_path):
     assert flag.with_suffix(".json").read_bytes() == config.with_suffix(".json").read_bytes()
 
 
+@pytest.mark.parametrize("option", ["--delta-target", "--sigma"])
+def test_invert_rejects_noise_level_zero(tmp_path, capsys, monkeypatch, option):
+    # at delta = 0 the threshold tau * delta is 0, so a discrepancy-stopped
+    # run could end only at max-iterations: a usage error pointing at the
+    # exact-data command, before any problem is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built for a bad value")
+
+    monkeypatch.setattr(ForwardProblem, "build", no_build)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["invert", "--n", "9", option, "0", "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: value must be finite and positive" in err
+    assert "noise-free" in err
+
+
 @pytest.mark.parametrize(
     "lines,argv,named",
     [

@@ -251,9 +251,9 @@ def _recording_cells(monkeypatch):
         counts["newton"] += 1
         return solve_spd(*args, **kwargs)
 
-    def counting_solve(problem, u, y0=None, *args, **kwargs):
-        counts["cold"] += y0 is None
-        return solve_forward(problem, u, y0, *args, **kwargs)
+    def counting_solve(problem, u, previous=None, tol=0.0):
+        counts["cold"] += previous is None
+        return solve_forward(problem, u, previous, tol)
 
     monkeypatch.setattr(experiments, "run", recording_run)
     monkeypatch.setattr(forward, "solve_spd", counting_spd)
@@ -296,7 +296,7 @@ def test_run_table_solves_afresh_after_a_failed_start(monkeypatch):
     solve_forward, calls = landweber.solve_forward, []
 
     def fail_first(*args, **kwargs):
-        calls.append(kwargs.get("y0"))
+        calls.append(kwargs.get("previous"))
         if len(calls) == 1:
             raise ConvergenceError("forced failure", residual=1.0)
         return solve_forward(*args, **kwargs)
@@ -304,7 +304,7 @@ def test_run_table_solves_afresh_after_a_failed_start(monkeypatch):
     monkeypatch.setattr(landweber, "solve_forward", fail_first)
     rows = run_table(17, [1e-2, 1e-3, 1e-4], seeds=(0,))
     assert [row["reason"] for row in rows] == ["forward-failure"] + ["discrepancy"] * 2
-    assert sum(y0 is None for y0 in calls) == 2  # the failed solve and the second cell's
+    assert sum(previous is None for previous in calls) == 2  # the failed solve and the second cell's
     alone = run_noisy(17, NoiseSpec(seed=0, value=1e-4))
     assert rows[2]["ssn_total"] == alone.total_ssn - alone.ssn_counts[0]
 

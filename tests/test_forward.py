@@ -131,7 +131,7 @@ def test_warm_start_reaches_same_solution(problem17):
     rng = np.random.default_rng(21)
     u = rng.standard_normal(problem17.mesh.n_interior)
     cold = solve_forward(problem17, u)
-    warm = solve_forward(problem17, u, y0=cold.y)
+    warm = solve_forward(problem17, u, previous=cold)
     assert warm.ssn_iterations <= cold.ssn_iterations
     assert np.max(np.abs(warm.y.values - cold.y.values)) <= 1e-10
 
@@ -140,7 +140,8 @@ def test_zero_source_from_nonzero_start(problem17):
     # ||M u||_2 = 0 leaves no room for round-off; the solution y = 0 is exact
     rng = np.random.default_rng(5)
     n = problem17.mesh.n_interior
-    sol = solve_forward(problem17, np.zeros(n), y0=rng.standard_normal(n))
+    previous = solve_forward(problem17, rng.standard_normal(n))
+    sol = solve_forward(problem17, np.zeros(n), previous=previous)
     assert np.array_equal(sol.y.values, np.zeros(n))
     assert sol.ssn_iterations == 1
     assert sol.final_residual == 0.0
@@ -197,9 +198,9 @@ def test_each_cg_iteration_calls_problem_precond_once(problem33, monkeypatch, wa
     monkeypatch.setattr(sparse_linalg.SpdSystem, "matvec", counted_matvec)
     problem = dataclasses.replace(problem33, precond=wrapped)
     u = 3.0 * np.sin(np.arange(problem.mesh.n_interior, dtype=float))
-    y0 = solve_forward(problem33, 0.9 * u).y if warm else None
+    previous = solve_forward(problem33, 0.9 * u) if warm else None
     calls.clear(), applications.clear(), matvecs.clear(), solves.clear()
-    solve_forward(problem, u, y0=y0)
+    solve_forward(problem, u, previous=previous)
     # one true-residual product per solve, one product per CG iteration
     assert len(calls) == len(applications) == len(matvecs) - len(solves) > 0
     assert all(any(np.array_equal(coarse, c) for c in solves) for (coarse,) in calls)
@@ -257,20 +258,20 @@ def test_forcing_keeps_newton_steps_and_active_sets(problem33, monkeypatch):
     assert applications["forced"] < applications["exact"]
 
 
-@pytest.mark.parametrize(
-    "name,u,y0",
-    [
-        ("u", np.zeros(48), None),
-        ("u", np.full(49, np.nan), None),
-        ("y0", np.ones(49), np.zeros(50)),
-        ("y0", np.ones(49), np.full(49, np.inf)),
-        ("y0", np.zeros(49), np.ones((7, 7))),
-    ],
-    ids=["u-size", "u-nan", "y0-size", "y0-inf", "y0-2d"],
-)
-def test_solve_forward_rejects_bad_fields(problem9, name, u, y0):
-    with pytest.raises(ValueError, match=rf"^(dimension mismatch: )?{name} "):
-        solve_forward(problem9, u, y0=y0)
+@pytest.mark.parametrize("u", [np.zeros(48), np.full(49, np.nan)], ids=["u-size", "u-nan"])
+def test_solve_forward_rejects_bad_fields(problem9, u):
+    with pytest.raises(ValueError, match=r"^(dimension mismatch: )?u "):
+        solve_forward(problem9, u)
+
+
+@pytest.mark.parametrize("kind", ["source", "zero", "tiny"])
+def test_solve_forward_rejects_a_previous_on_another_mesh(problem9, problem17, kind):
+    # checked where it enters, before any path: the tiny-source and u = 0
+    # paths solve from zero, yet keep the window and increment of previous
+    u = {"source": np.ones(49), "zero": np.zeros(49), "tiny": np.full(49, 1e-165)}[kind]
+    previous = solve_forward(problem17, np.ones(problem17.mesh.n_interior))
+    with pytest.raises(ValueError, match=r"^previous lies on the mesh n_h=17, not on .* n_h=9$"):
+        solve_forward(problem9, u, previous=previous)
 
 
 def test_overflowing_source_fails_before_newton(problem9, monkeypatch):
@@ -333,13 +334,36 @@ def test_solution_keeps_its_own_copy_of_its_source(problem17, kind):
     }[kind]
     tiny = np.linalg.norm(problem17.M @ u) < sparse_linalg.TINY_RHS and u.any()
     assert tiny == (kind == "tiny")
-    y0 = solve_forward(problem17, u_bar).y if kind == "warm" else None
+    previous = solve_forward(problem17, u_bar) if kind == "warm" else None
     given = u.copy()
-    sol = solve_forward(problem17, given, y0=y0)
+    sol = solve_forward(problem17, given, previous=previous)
     assert not np.shares_memory(sol.u, given)
     assert sol.u.tobytes() == u.tobytes()
     given += 1.0  # the caller's later change does not reach the solution
     assert sol.u.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["source", "zero", "tiny"])
+def test_every_warm_path_keeps_the_window(problem17, kind):
+    # the tiny-source and u = 0 paths solve from zero, but their solutions
+    # keep the window all the same: previous.window with previous.increment
+    # appended, that very array, and the increment y - previous.y
+    u_bar = exact_fields(problem17.mesh)[2].values
+    chain = [solve_forward(problem17, u_bar)]
+    for scale in (1.01, 1.02):
+        chain.append(solve_forward(problem17, scale * u_bar, previous=chain[-1]))
+    first, second, previous = chain
+    u = {
+        "source": 1.03 * u_bar, "zero": np.zeros_like(u_bar),
+        "tiny": _sign_changing_source(problem17, 1e-165),
+    }[kind]
+    sol = solve_forward(problem17, u, previous=previous)
+    assert first.increment is None and first.window == () and second.window == ()
+    assert len(previous.window) == 1 and previous.window[0][0] is second.increment
+    assert len(sol.window) == 2 and sol.window[0] is previous.window[0]
+    assert sol.window[1][0] is previous.increment
+    assert sol.window[1][1].tobytes() == (problem17.A @ previous.increment).tobytes()
+    assert sol.increment.tobytes() == (sol.y.values - previous.y.values).tobytes()
 
 
 def test_zero_floor_is_the_default_stop(problem17):
@@ -394,12 +418,26 @@ def test_error_certificate_is_h_over_the_smallest_stiffness_eigenvalue(n_h):
 
 
 def _nearby_solve(problem, seed):
-    """A source u, the state y0 of a perturbed source, and the solve of u from y0."""
+    """A source u, the cold solve `previous` of a perturbed source, and the solve of u from it."""
     rng = np.random.default_rng(seed)
     n = problem.mesh.n_interior
     u = 3.0 * rng.standard_normal(n)
-    y0 = solve_forward(problem, u + 0.1 * rng.standard_normal(n)).y.values
-    return u, y0, solve_forward(problem, u, y0=y0)
+    previous = solve_forward(problem, u + 0.1 * rng.standard_normal(n))
+    return u, previous, solve_forward(problem, u, previous=previous)
+
+
+def _with_directions(problem, previous, directions):
+    """`previous` as though its solve had predicted along `directions`: the last
+    becomes its increment, the others its window, each with its A g."""
+    *older, newest = directions
+    window = tuple((g, problem.A @ g) for g in older)
+    return dataclasses.replace(previous, increment=newest, window=window)
+
+
+def _start_residual(problem, u, y0):
+    """b = M u and the residual H0 at y0, as a warm solve forms them."""
+    b = problem.M @ u
+    return b, problem.A @ y0 + problem.D * np.maximum(y0, 0.0) - b
 
 
 @pytest.mark.parametrize(
@@ -413,15 +451,19 @@ def _nearby_solve(problem, seed):
 )
 def test_degenerate_directions_keep_the_solve(problem33, make_directions):
     # a singular or overflowing Galerkin system falls back to the start y0:
-    # no exception or warning, the same active set, the same Newton stop,
-    # and the same solve bit for bit
-    u, y0, plain = _nearby_solve(problem33, seed=40)
+    # no exception or warning, the start itself, and a solve with the same
+    # active set, the same Newton stop and the same bits as without directions
+    u, previous, plain = _nearby_solve(problem33, seed=40)
     g = np.random.default_rng(41).standard_normal(problem33.mesh.n_interior)
+    directions = make_directions(problem33.mesh.n_interior, g)
+    y0 = previous.y.values
+    b, H0 = _start_residual(problem33, u, y0)
+    window = [(d, problem33.A @ d) for d in directions]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_forward(
-            problem33, u, y0=y0, directions=make_directions(problem33.mesh.n_interior, g)
-        )
+        y, H = forward._predicted_start(problem33, y0, H0, b, window)
+        sol = solve_forward(problem33, u, _with_directions(problem33, previous, directions))
+    assert y is y0 and H is H0
     assert np.array_equal(sol.active_pattern, plain.active_pattern)
     assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
     assert sol.y.values.tobytes() == plain.y.values.tobytes()
@@ -431,19 +473,19 @@ def test_prediction_is_used_only_where_it_lowers_the_residual(problem33):
     # along random directions the Galerkin prediction lowers the residual for
     # some and not for others; only the former move the start, and the
     # latter leave the solve bit for bit as without directions
-    u, y0, plain = _nearby_solve(problem33, seed=40)
-    b = problem33.M @ u
-    H0 = problem33.A @ y0 + problem33.D * np.maximum(y0, 0.0) - b
+    u, previous, plain = _nearby_solve(problem33, seed=40)
+    y0 = previous.y.values
+    b, H0 = _start_residual(problem33, u, y0)
     moved = []
     for seed in range(10):
         g = np.random.default_rng(seed).standard_normal(problem33.mesh.n_interior)
-        y, H = forward._predicted_start(problem33, y0, H0, b, [g])
+        y, H = forward._predicted_start(problem33, y0, H0, b, [(g, problem33.A @ g)])
         moved.append(y is not y0)
         if moved[-1]:
             assert np.array_equal(H, problem33.A @ y + problem33.D * np.maximum(y, 0.0) - b)
             assert np.linalg.norm(H) < np.linalg.norm(H0)
         else:
-            sol = solve_forward(problem33, u, y0=y0, directions=[g])
+            sol = solve_forward(problem33, u, _with_directions(problem33, previous, [g]))
             assert sol.y.values.tobytes() == plain.y.values.tobytes()
     assert any(moved) and not all(moved)
 
@@ -457,45 +499,33 @@ def test_direction_along_the_increment_predicts_the_state(problem33):
     n = problem33.mesh.n_interior
     u = 3.0 * rng.standard_normal(n)
     u_hat = u + rng.standard_normal(n)
-    y0 = solve_forward(problem33, u).y.values
+    previous = solve_forward(problem33, u)
     exact = solve_forward(problem33, u_hat)
-    plain = solve_forward(problem33, u_hat, y0=y0)
-    predicted = solve_forward(problem33, u_hat, y0=y0, directions=[exact.y.values - y0])
+    plain = solve_forward(problem33, u_hat, previous=previous)
+    along = _with_directions(problem33, previous, [exact.y.values - previous.y.values])
+    predicted = solve_forward(problem33, u_hat, previous=along)
     assert predicted.ssn_iterations == 1 < plain.ssn_iterations
     assert np.array_equal(predicted.active_pattern, exact.active_pattern)
     assert np.max(np.abs(predicted.y.values - exact.y.values)) <= 1e-10
 
 
-@pytest.mark.parametrize("bad", [np.zeros(48), np.full(49, np.nan)], ids=["size", "nan"])
-def test_solve_forward_rejects_bad_directions(problem9, bad):
-    with pytest.raises(ValueError, match="^directions "):
-        solve_forward(problem9, np.ones(49), y0=np.zeros(49), directions=[np.ones(49), bad])
-
-
-@pytest.mark.parametrize(
-    "y0,directions", [(np.zeros(48), ()), (np.zeros(49), [np.full(49, np.inf)])], ids=["y0", "dir"]
-)
-def test_tiny_source_still_checks_its_start(problem9, y0, directions):
-    # the tiny-source path solves from zero, but a bad y0 or direction is
-    # still rejected where it enters
-    with pytest.raises(ValueError, match="^(y0|directions) "):
-        solve_forward(problem9, np.full(49, 1e-165), y0=y0, directions=directions)
-
-
 def test_solve_forward_leaves_its_inputs_unchanged(problem33):
-    # the Newton loop updates its own state in place; u, y0 and the
-    # directions keep every bit, from zero, from y0, and from the prediction
-    u, y0, _ = _nearby_solve(problem33, seed=40)
+    # the Newton loop updates its own state in place; u and every array of
+    # previous keep every bit, from zero, from y0, and from the prediction
+    u, previous, _ = _nearby_solve(problem33, seed=40)
+    y0 = previous.y.values
     g = np.random.default_rng(3).standard_normal(problem33.mesh.n_interior)
-    b = problem33.M @ u
-    H0 = problem33.A @ y0 + problem33.D * np.maximum(y0, 0.0) - b
+    b, H0 = _start_residual(problem33, u, y0)
     directions = [g, solve_forward(problem33, 1.1 * u).y.values - y0]
-    assert forward._predicted_start(problem33, y0, H0, b, directions)[0] is not y0
-    before = [v.tobytes() for v in (u, y0, *directions)]
+    window = [(d, problem33.A @ d) for d in directions]
+    assert forward._predicted_start(problem33, y0, H0, b, window)[0] is not y0
+    given = _with_directions(problem33, previous, directions)
+    arrays = (u, y0, previous.A_y, previous.u, *directions, given.window[0][1])
+    before = [v.tobytes() for v in arrays]
     solve_forward(problem33, u)
-    solve_forward(problem33, u, y0=y0)
-    solve_forward(problem33, u, y0=y0, directions=directions)
-    assert [v.tobytes() for v in (u, y0, *directions)] == before
+    solve_forward(problem33, u, previous=previous)
+    solve_forward(problem33, u, previous=given)
+    assert [v.tobytes() for v in arrays] == before
 
 
 def test_solve_forward_working_set(problem257):
@@ -530,7 +560,10 @@ def _cold_sources(problem):
 
 def test_cold_solve_forms_no_product_before_its_first_newton_step(problem33, monkeypatch):
     # the zero start's residual takes A 0 = 0 without forming it, on the
-    # tiny-source path too; a start from y0 forms A y0 unless it is passed
+    # tiny-source path too.  A start from previous takes its A y: from a
+    # cold solution, which has no increment, it forms nothing; from a warm
+    # one, the A g of its increment and the A y of the prediction, and
+    # nothing at PREDICTION_DIRECTIONS = 0
     A = CountingMatrix(problem33.A)
     problem = dataclasses.replace(problem33, A=A)
     before_first_step = []
@@ -541,18 +574,22 @@ def test_cold_solve_forms_no_product_before_its_first_newton_step(problem33, mon
 
     monkeypatch.setattr(forward, "solve_spd", first_step)
 
-    def products_before_first_step(u, **start):
+    def products_before_first_step(u, previous=None):
         before_first_step.clear()
         A.products = 0
-        sol = solve_forward(problem, u, **start)
+        sol = solve_forward(problem, u, previous=previous)
         return before_first_step[0], sol
 
     for u in _cold_sources(problem):
         assert products_before_first_step(u)[0] == 0
     u = _cold_sources(problem)[1]
-    _, sol = products_before_first_step(u)
-    assert products_before_first_step(1.01 * u, y0=sol.y)[0] == 1
-    assert products_before_first_step(1.01 * u, y0=sol.y, A_y0=sol.A_y)[0] == 0
+    _, cold = products_before_first_step(u)
+    products, warm = products_before_first_step(1.01 * u, cold)
+    assert products == 0 and warm.increment is not None
+    assert products_before_first_step(1.02 * u, warm)[0] == 2
+    monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", 0)
+    products, solution = products_before_first_step(1.02 * u, warm)
+    assert products == 0 and solution.window == ()
 
 
 def _solution_hash(sol) -> str:
@@ -642,15 +679,18 @@ def test_warm_solves_end_with_a_step_solved_to_its_floor(problem33, monkeypatch)
 
     monkeypatch.setattr(forward, "solve_spd", recording_solve)
     monkeypatch.setattr(forward, "_residual", recording_residual)
+    # each solve starts from the last state itself, with no prediction
+    monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", 0)
     u_star, _, u_bar = exact_fields(problem.mesh)
-    y, taken = None, 0
+    previous, taken = None, 0
     for t in np.linspace(0.0, 1.0, 11):
         u = u_bar.values + t * (u_star.values - u_bar.values)
         for recorded in (steps, shifts, states):
             recorded.clear()
         counting.calls["newton"] = 0
-        sol = solve_forward(problem, u, y0=y)
-        assert [offered for offered, _, _ in steps] == [y is not None] * sol.ssn_iterations
+        sol = solve_forward(problem, u, previous=previous)
+        expected = [previous is not None] * sol.ssn_iterations
+        assert [offered for offered, _, _ in steps] == expected
         _, verdicts, at_floor = steps[-1]
         assert verdicts in ([], [False]) and at_floor
         asked = sum(len(v) for _, v, _ in steps)
@@ -661,5 +701,5 @@ def test_warm_solves_end_with_a_step_solved_to_its_floor(problem33, monkeypatch)
         assert np.array_equal(sol.active_pattern, sol.y.values >= 0.0)
         assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem.M @ u)
         taken += sum(v == [True] for _, v, _ in steps)
-        y = sol.y.values
+        previous = sol
     assert taken >= 5

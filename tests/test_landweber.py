@@ -275,7 +275,7 @@ def test_run_without_prediction_forms_no_increment_product(problem33, monkeypatc
     # costs its A g: outside CG, the run forms A y once per Newton step and
     # nothing more.  Here 307 products in all; forming and dropping the A g
     # of each of the 19 increments took 326
-    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", 0)
+    monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", 0)
     u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
     A = CountingMatrix(problem33.A)
     matvecs = _count_matvecs(monkeypatch)
@@ -286,24 +286,41 @@ def test_run_without_prediction_forms_no_increment_product(problem33, monkeypatc
     assert A.products == 307
 
 
+def _afresh(problem, sol, increments):
+    """`sol` as the `previous` of a solve, with every stiffness product formed anew.
+
+    Its increment is the newest of `increments` and its window holds the
+    older ones, each with A g formed here; the solve appends the newest.
+    """
+    older, newest = list(increments)[:-1], increments[-1] if increments else None
+    return dataclasses.replace(
+        sol,
+        A_y=problem.A @ sol.y.values,
+        increment=newest,
+        window=tuple((g, problem.A @ g) for g in older),
+    )
+
+
 def _fresh_products_reference(problem, y_data, cfg, u0, u_exact):
     """run()'s loop with every product formed afresh, through the public calls only.
 
-    Each forward solve gets array y0 and directions, each residual norm comes
-    from m_norm and each step from the positional apply_subderivative.
-    Returns the residuals, the errors, the Newton counts and the last iterate.
+    Each forward solve gets a `previous` whose A y and A g are formed anew
+    from the loop's own increments, each residual norm comes from m_norm
+    and each step from the positional apply_subderivative.  Returns the
+    residuals, the errors, the Newton counts and the last iterate.
     """
     M, data = problem.M, y_data.values
     u, norm_exact = u0.values.copy(), m_norm(M, u_exact)
     residuals, errors, counts = [], [], []
-    y_prev, increments = None, deque(maxlen=lw.PREDICTION_DIRECTIONS)
+    sol, increments = None, deque(maxlen=forward.PREDICTION_DIRECTIONS)
     certificate, smallest = error_certificate(problem.mesh), math.inf
     for n in range(cfg.max_iter + 1):
         tol = 0.0 if n == 0 else lw.FORWARD_ERROR_FRACTION * smallest / certificate
-        sol = solve_forward(problem, u, y0=y_prev, directions=list(increments), tol=tol)
+        previous = None if sol is None else _afresh(problem, sol, increments)
+        y_prev = None if sol is None else sol.y.values
+        sol = solve_forward(problem, u, previous, tol)
         if y_prev is not None:
             increments.append(sol.y.values - y_prev)
-        y_prev = sol.y.values
         residual_vec = data - sol.y.values
         residuals.append(m_norm(M, residual_vec))
         smallest = min(smallest, residuals[-1])
@@ -373,15 +390,15 @@ def _case(problem, case):
     return y_noisy, LandweberConfig(delta=delta), u_bar, start
 
 
-@pytest.mark.parametrize("directions", [0, 1, lw.PREDICTION_DIRECTIONS])
+@pytest.mark.parametrize("directions", [0, 1, forward.PREDICTION_DIRECTIONS])
 @pytest.mark.parametrize("case", ["noisy", "noise-free", "start-solution"])
 def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, directions):
     # lw.step, driven from the first Iterate with run()'s stopping rule, gives
-    # run()'s record and final iterate bit for bit; each Iterate's window
+    # run()'s record and final iterate bit for bit; each solution's window
     # holds the increments its solve used, at most PREDICTION_DIRECTIONS
     # (none at 0: a window of the last 0 pairs is empty, not all of them),
     # and its increment is y_n - y_{n-1}, the newest of the next window
-    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", directions)
+    monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", directions)
     u_exact = exact_fields(problem33.mesh)[0]
     y_data, cfg, u0, start = _case(problem33, case)
     record = run(problem33, y_data, cfg, u0, u_exact, start_solution=start)
@@ -392,20 +409,22 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
     assert record.ssn_counts.tolist() == counts
     assert (counts[0] == 0) == (case == "start-solution")
     assert record.final.values.tobytes() == iterates[-1].solution.u.tobytes()
-    windows = [len(it.window) for it in iterates]
-    assert windows == [min(max(n - 1, 0), directions) for n in range(len(iterates))]
-    assert iterates[0].increment is None
-    for before, it in zip(iterates, iterates[1:]):
-        increment = it.solution.y.values - before.solution.y.values
-        assert it.increment.tobytes() == increment.tobytes()
-    for it, after in zip(iterates[1:], iterates[2:]):
-        assert directions == 0 or after.window[-1][0] is it.increment
+    solutions = [it.solution for it in iterates]
+    windows = [len(sol.window) for sol in solutions]
+    assert windows == [min(max(n - 1, 0), directions) for n in range(len(solutions))]
+    assert solutions[0].increment is None
+    for before, sol in zip(solutions, solutions[1:]):
+        increment = sol.y.values - before.y.values
+        assert sol.increment.tobytes() == increment.tobytes()
+    for sol, after in zip(solutions[1:], solutions[2:]):
+        assert directions == 0 or after.window[-1][0] is sol.increment
 
 
 def _iterate_bits(it):
     """Every array and number of an Iterate, as bytes and values."""
-    arrays = [it.solution.u, it.r, it.M_r, it.solution.y.values, it.solution.A_y]
-    arrays += [it.increment, *(a for pair in it.window for a in pair)]
+    sol = it.solution
+    arrays = [sol.u, it.r, it.M_r, sol.y.values, sol.A_y]
+    arrays += [sol.increment, *(a for pair in sol.window for a in pair)]
     return [a.tobytes() for a in arrays] + [it.residual, it.solution.ssn_iterations]
 
 
@@ -416,7 +435,7 @@ def test_step_is_a_function_of_its_iterate(problem33):
     y_data, cfg, u0, _ = _case(problem33, "noisy")
     residuals, _, _, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact)
     it = iterates[5]
-    assert len(it.window) == lw.PREDICTION_DIRECTIONS
+    assert len(it.solution.window) == forward.PREDICTION_DIRECTIONS
     before = _iterate_bits(it)
     tol = lw.FORWARD_ERROR_FRACTION * min(residuals[:6]) / error_certificate(problem33.mesh)
     w = cfg.constant_step
@@ -488,7 +507,7 @@ def test_predicted_newton_start_keeps_the_run(problem33, monkeypatch, seed, targ
     # previous state, no more Newton steps, and errors that agree to 1e-11
     # relative (1.1e-13 measured over these cases)
     predicted, _ = _noisy_run(problem33, seed=seed, target=target)
-    monkeypatch.setattr(lw, "PREDICTION_DIRECTIONS", 0)
+    monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", 0)
     reference, _ = _noisy_run(problem33, seed=seed, target=target)
     assert (predicted.stopping_index, predicted.reason) == (
         reference.stopping_index, reference.reason
@@ -529,8 +548,8 @@ def test_forward_solves_of_a_run_are_within_their_certificate(
     # often not the last one
     calls = []
 
-    def recording_solve(problem, u, y0=None, directions=(), tol=0.0, **products):
-        sol = solve_forward(problem, u, y0=y0, directions=directions, tol=tol, **products)
+    def recording_solve(problem, u, previous=None, tol=0.0):
+        sol = solve_forward(problem, u, previous, tol)
         calls.append((u.copy(), tol, sol))
         return sol
 
@@ -813,6 +832,26 @@ def test_run_accepts_the_solution_of_a_bit_equal_copy_of_u0(problem33, monkeypat
         record = run(problem33, y_exact, cfg, u0, start_solution=start)
         assert record.ssn_counts.tolist() == [0]
         assert record.final.values.tobytes() == u_bar.values.tobytes()
+
+
+def test_run_drops_the_window_of_a_warm_start_solution(problem33):
+    # a solution of u0 solved warm carries the increment and window of its
+    # own chain; the run's first step predicts from none of it, as from the
+    # run's own cold first solve
+    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
+    chain = [forward.solve_forward(problem33, 0.8 * u_bar.values)]
+    for u in (0.9 * u_bar.values, u_bar.values):
+        chain.append(forward.solve_forward(problem33, u, previous=chain[-1]))
+    warm = chain[-1]
+    assert warm.increment is not None and len(warm.window) == 1
+    bare = dataclasses.replace(warm, increment=None, window=())
+    cfg = LandweberConfig(delta=delta)
+    records = [run(problem33, y_noisy, cfg, u_bar, u_exact, start_solution=s) for s in (warm, bare)]
+    assert records[0].residual_norms.tobytes() == records[1].residual_norms.tobytes()
+    assert records[0].ssn_counts.tolist() == records[1].ssn_counts.tolist()
+    assert records[0].final.values.tobytes() == records[1].final.values.tobytes()
+    assert records[0].start_solution is warm
 
 
 def test_run_rejects_the_solution_of_a_source_changed_since(problem33, monkeypatch):
