@@ -31,8 +31,9 @@ from numbers import Integral
 from pathlib import Path
 
 from .experiments import (
+    STARTS,
     NoiseSpec,
-    exact_fields,
+    Setup,
     run_noise_free,
     run_noisy,
     run_table,
@@ -52,7 +53,6 @@ from .verification import adjoint_check, oracle_sweep, tcc_survey
 # The LandweberConfig fields a user may set; delta is measured from the data.
 LANDWEBER_DEFAULTS = {f.name: f.default for f in fields(LandweberConfig) if f.name != "delta"}
 RUN_COMMANDS = ("noise-free", "invert", "table")
-STARTS = ("zero", "source")
 
 # the verify suites' CSV columns, as (name, format, parse); see landweber.write_rows
 ORACLE_COLUMNS = (("n_h", INT_CELL, int), ("trial", INT_CELL, int), ("max_diff", FLOAT_CELL, float))
@@ -199,12 +199,8 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _cmd_forward(args) -> int:
-    problem = ForwardProblem.build(build_mesh(args.n))
-    if args.source == "builtin-exact":
-        u, _, _ = exact_fields(problem.mesh)
-    else:
-        u = args.u
-    sol = solve_forward(problem, u)
+    problem, (u_exact, _, _), _ = Setup(args.n).build()
+    sol = solve_forward(problem, u_exact if args.source == "builtin-exact" else args.u)
     write_grid_function(args.out, sol.y)
     print(
         f"forward: n={args.n}, ssn_iterations={sol.ssn_iterations}, "
@@ -267,8 +263,7 @@ def _verify_oracle(args, out: Path) -> dict:
 
 
 def _verify_tcc(args, out: Path) -> dict:
-    problem = ForwardProblem.build(build_mesh(args.tcc_n))
-    u_exact, _, _ = exact_fields(problem.mesh)
+    problem, (u_exact, _, _), _ = Setup(args.tcc_n).build()
     surveys = [
         tcc_survey(
             problem,

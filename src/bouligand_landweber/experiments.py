@@ -18,6 +18,12 @@ map is not differentiable at u*.  A second starting point
 places the initial error in the range of the subderivative at u*, which
 speeds up the iteration considerably.
 
+`Setup(n_h, start)` names this test problem once: its `build` returns the
+forward problem at mesh size n_h, the exact fields (u*, y*, u_bar) and the
+start u0, zero or u_bar (one of STARTS).  Every campaign, the consistency
+study and the CLI build through it, and the three campaigns run one cell
+loop: one build, then one run per noise, the cells sharing F(u0).
+
 Noise is iid Gaussian per interior node, either with a raw amplitude sigma
 or rescaled so the measured M-norm noise level matches a target exactly.
 The generator is NumPy's default PCG64, seeded per cell, so all campaign
@@ -53,7 +59,6 @@ from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
 from .sparse_linalg import FINITE_NONNEGATIVE, FINITE_POSITIVE, require_scalar, require_seed
 
 DEFAULT_BETA = 0.005
-DEFAULT_RHO = LandweberConfig.rho
 
 
 def exact_state(x1, x2, beta: float = DEFAULT_BETA):
@@ -81,7 +86,7 @@ def _guess_from(u_star, x1, x2, rho: float):
     return u_star - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
 
 
-def source_guess(x1, x2, beta: float = DEFAULT_BETA, rho: float = DEFAULT_RHO):
+def source_guess(x1, x2, beta: float = DEFAULT_BETA, rho: float = LandweberConfig.rho):
     """Starting point u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2)."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -89,7 +94,7 @@ def source_guess(x1, x2, beta: float = DEFAULT_BETA, rho: float = DEFAULT_RHO):
 
 
 def exact_fields(
-    mesh: Mesh, beta: float = DEFAULT_BETA, rho: float = DEFAULT_RHO
+    mesh: Mesh, beta: float = DEFAULT_BETA, rho: float = LandweberConfig.rho
 ) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Nodal interpolants (u*, y*, u_bar) on the given mesh.
 
@@ -143,34 +148,58 @@ def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]
     return noisy, m_norm(M, noisy.values - y.values)
 
 
-def _campaign(n_h: int, cfg: LandweberConfig | None):
-    """(cfg, problem, (u*, y*, u_bar)) for a campaign at mesh size n_h."""
+STARTS = ("zero", "source")
+
+
+@dataclass(frozen=True)
+class Setup:
+    """The test problem at mesh size n_h, started from zero or from u_bar ('source').
+
+    An unknown start raises ValueError when the setup is made, before
+    anything is built.  beta is DEFAULT_BETA and rho, which places u_bar,
+    is the run's `LandweberConfig.rho`: both stay out of the setup, as the
+    noise does, so the cells of a campaign share one.
+    """
+
+    n_h: int
+    start: str = "source"
+
+    def __post_init__(self):
+        if self.start not in STARTS:
+            raise ValueError(f"unknown starting point {self.start!r}, expected 'zero' or 'source'")
+
+    def build(self, rho: float = LandweberConfig.rho):
+        """(problem, (u*, y*, u_bar), u0): the forward problem, its exact fields and the start.
+
+        u_bar lies at `rho` from u*, as `exact_fields` places it.
+        """
+        problem = ForwardProblem.build(build_mesh(self.n_h))
+        fields = exact_fields(problem.mesh, rho=rho)
+        u0 = fields[2]  # u_bar
+        if self.start == "zero":
+            u0 = GridFunction(problem.mesh, np.zeros_like(u0.values), "source")
+        return problem, fields, u0
+
+
+def _runs(setup: Setup, cfg: LandweberConfig | None, noises):
+    """(problem, u*, records): one `run` per noise, each against its own data, on one build.
+
+    A noise of None is exact data with delta 0; otherwise the data is noisy
+    and delta the measured level.  Every cell starts from the setup's u0,
+    so each hands its record's `start_solution` (its own cold solve or the
+    one it was given; None where that failed) to the next.
+    """
     cfg = cfg or LandweberConfig()
-    problem = ForwardProblem.build(build_mesh(n_h))
-    return cfg, problem, exact_fields(problem.mesh, rho=cfg.rho)
-
-
-def _cell(
-    problem, fields, start: str, cfg: LandweberConfig, noise: NoiseSpec | None,
-    start_solution=None,
-):
-    """One run from 'zero' or 'source' (u_bar); noisy data with delta measured, or exact
-    data with delta 0 when noise is None.  `start_solution`, where given, is
-    the forward solution of that start, which `run` then does not solve again."""
-    u_exact, y_exact, u_bar = fields
-    if start == "zero":
-        u0 = GridFunction(u_exact.mesh, np.zeros_like(u_exact.values), "source")
-    elif start == "source":
-        u0 = u_bar
-    else:
-        raise ValueError(f"unknown starting point {start!r}, expected 'zero' or 'source'")
-    if noise is None:
-        y_data, delta = y_exact, 0.0
-    else:
-        y_data, delta = add_noise(y_exact, noise, problem.M)
-    return run(
-        problem, y_data, replace(cfg, delta=delta), u0, u_exact, start_solution=start_solution
-    )
+    problem, (u_exact, y_exact, _), u0 = setup.build(cfg.rho)
+    records, start_solution = [], None
+    for noise in noises:
+        y_data, delta = (y_exact, 0.0) if noise is None else add_noise(y_exact, noise, problem.M)
+        record = run(
+            problem, y_data, replace(cfg, delta=delta), u0, u_exact, start_solution=start_solution
+        )
+        start_solution = record.start_solution
+        records.append(record)
+    return problem, u_exact, records
 
 
 def run_noise_free(
@@ -180,8 +209,9 @@ def run_noise_free(
     cfg: LandweberConfig | None = None,
 ) -> RunRecord:
     """Noise-free campaign: fixed iteration count, discrepancy disabled (delta = 0)."""
-    cfg, problem, fields = _campaign(n_h, cfg)
-    return _cell(problem, fields, start, replace(cfg, max_iter=iters), None)
+    setup = Setup(n_h, start)
+    _, _, [record] = _runs(setup, replace(cfg or LandweberConfig(), max_iter=iters), [None])
+    return record
 
 
 def run_noisy(
@@ -191,8 +221,8 @@ def run_noisy(
     cfg: LandweberConfig | None = None,
 ) -> RunRecord:
     """One noisy reconstruction, stopped by the discrepancy principle at the measured delta."""
-    cfg, problem, fields = _campaign(n_h, cfg)
-    return _cell(problem, fields, start, cfg, noise)
+    _, _, [record] = _runs(Setup(n_h, start), cfg, [noise])
+    return record
 
 
 TABLE_COLUMNS = (
@@ -226,14 +256,11 @@ def run_table(
     """
     deltas = [require_scalar("noise target", d, *FINITE_POSITIVE) for d in deltas]
     noises = [NoiseSpec(seed=seed, mode="rescale", value=d) for seed in seeds for d in deltas]
-    cfg, problem, fields = _campaign(n_h, cfg)
-    norm_exact = m_norm(problem.M, fields[0])
+    problem, u_exact, records = _runs(Setup(n_h, start), cfg, noises)
+    norm_exact = m_norm(problem.M, u_exact)
 
-    rows, start_solution = [], None
-    for noise in noises:
-        record = _cell(problem, fields, start, cfg, noise, start_solution)
-        # the solution given, or the cell's own solve (None where that failed)
-        start_solution = record.start_solution
+    rows = []
+    for noise, record in zip(noises, records):
         err = np.nan if record.rel_errors is None else float(record.rel_errors[-1])
         rows.append(
             {
@@ -282,8 +309,7 @@ def consistency_residuals(n_h_list) -> dict[int, float]:
     """
     out = {}
     for n_h in n_h_list:
-        problem = ForwardProblem.build(build_mesh(n_h))
-        u_exact, y_exact, _ = exact_fields(problem.mesh)
+        problem, (u_exact, y_exact, _), _ = Setup(n_h).build()
         y_h = solve_forward(problem, u_exact).y
         out[n_h] = m_norm(problem.M, y_h.values - y_exact.values)
     return out

@@ -23,7 +23,8 @@ Each forward solution keeps the source it solves, so an iterate u_n is
 its solution's `u`.  Runs from the same start, as the cells of a table
 are, share F(u0): a record keeps the forward solution of its u0, and
 `run(..., start_solution=...)` starts from it instead of solving again,
-with the same bits and 0 Newton steps recorded at n = 0.
+with the same bits and 0 Newton steps recorded at n = 0.  Only a cold
+solve is accepted: a warm one reaches another state in the last bits.
 
 A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
@@ -273,9 +274,11 @@ class RunRecord:
     `ssn_counts[n]` counts the Newton steps the run made for F(u_n); it is
     0 at n = 0 where the caller passed the start's solution.  Next to the
     final iterate, `start_solution` keeps the forward solution of u0, for
-    another run from the same start (None where that solve failed); its
-    `u` is u0, bit for bit, and is the final iterate where the run stopped
-    at n = 0.  Neither is saved, and both are None after `load`.
+    another run from the same start (None where that solve failed): the
+    run's own cold solve or the cold solve it was given, never a warm one,
+    so `run` accepts it.  Its `u` is u0, bit for bit, and is the final
+    iterate where the run stopped at n = 0.  Neither is saved, and both are
+    None after `load`.
     """
 
     residual_norms: np.ndarray
@@ -511,10 +514,11 @@ def run(
     `start_solution`, the forward solution of u0 that an earlier run from
     the same start kept as its record's `start_solution`, takes the place
     of the first solve: the record counts 0 Newton steps at n = 0 and
-    keeps the bits it has without it.  It is checked first: a solution on
-    another mesh, or whose `u` is not u0 bit for bit, raises ValueError.
-    A warm solution's increment and window are dropped, so the first step
-    predicts from no earlier chain of states.
+    keeps the bits it has without it.  It is checked first, before any
+    solve: a solution on another mesh, one solved warm (its `increment` is
+    not None: its state differs from the cold solve's in the last bits, and
+    so would every residual of the record), or one whose `u` is not u0 bit
+    for bit raises ValueError naming it.
     The run keeps no copy of u0: each iterate is the `u` of its solution.
     """
     data = field_values(problem.mesh, "y_data", y_data)
@@ -525,6 +529,8 @@ def run(
                 f"start_solution lies on the mesh n_h={start_solution.y.mesh.n_h}, "
                 f"not on the problem's n_h={problem.mesh.n_h}"
             )
+        if start_solution.increment is not None:
+            raise ValueError("start_solution was solved warm; a run starts from a cold solve of u0")
         # bit for bit: the solution of a source within rounding of u0 gives other records
         if not np.array_equal(start_solution.u.view(np.int64), u0.view(np.int64)):
             raise ValueError("start_solution solves another source than u0")
@@ -541,9 +547,8 @@ def run(
     try:
         if start_solution is None:
             start_solution = sol = solve_forward(problem, u0)
-        else:
-            # solved by the caller; like the run's own first solve, it starts no window
-            sol = replace(start_solution, ssn_iterations=0, increment=None, window=())
+        else:  # solved by the caller
+            sol = replace(start_solution, ssn_iterations=0)
         it = Iterate.at(problem, data, sol)
         while True:
             residuals.append(it.residual)

@@ -204,9 +204,78 @@ def test_run_noise_free_source_start_converges_fast():
     assert np.all(np.diff(record.rel_errors) <= 1e-12)
 
 
-def test_run_noise_free_rejects_unknown_start():
-    with pytest.raises(ValueError, match="starting point"):
+def _fail_on_build(monkeypatch):
+    """Make every ForwardProblem.build fail the test."""
+    from bouligand_landweber import ForwardProblem
+
+    monkeypatch.setattr(ForwardProblem, "build", staticmethod(lambda *a: pytest.fail("built")))
+
+
+UNKNOWN_START = r"^unknown starting point 'warm', expected 'zero' or 'source'$"
+
+
+def test_run_noise_free_rejects_unknown_start(monkeypatch):
+    # checked when the setup is made, before anything is built
+    _fail_on_build(monkeypatch)
+    with pytest.raises(ValueError, match=UNKNOWN_START):
         run_noise_free(17, start="warm", iters=1)
+
+
+def test_run_noisy_rejects_unknown_start(monkeypatch):
+    _fail_on_build(monkeypatch)
+    with pytest.raises(ValueError, match=UNKNOWN_START):
+        run_noisy(17, NoiseSpec(seed=0, value=1e-2), start="warm")
+
+
+def test_run_table_rejects_unknown_start(monkeypatch):
+    _fail_on_build(monkeypatch)
+    with pytest.raises(ValueError, match=UNKNOWN_START):
+        run_table(17, [1e-2], start="warm")
+
+
+@pytest.mark.parametrize("start", ["source", "zero"])
+@pytest.mark.parametrize("rho", [None, 0.3], ids=["default-rho", "rho-0.3"])
+def test_setup_builds_the_problem_fields_and_start_of_the_parts(start, rho):
+    # the problem, the exact fields and u0 of building each part alone, bit for bit
+    from bouligand_landweber import ForwardProblem
+    from bouligand_landweber.experiments import Setup
+
+    rho_kwarg = {} if rho is None else {"rho": rho}  # without one, exact_fields' default
+    problem, fields, u0 = Setup(17, start).build(**rho_kwarg)
+    want = ForwardProblem.build(build_mesh(17))
+    assert problem.mesh == want.mesh
+    for name in ("A", "M"):
+        assert getattr(problem, name).toarray().tobytes() == getattr(want, name).toarray().tobytes()
+    assert problem.D.tobytes() == want.D.tobytes()
+    v = np.linspace(-1.0, 1.0, problem.mesh.m**2)
+    assert problem.precond(v).tobytes() == want.precond(v).tobytes()
+    want_fields = exact_fields(want.mesh, **rho_kwarg)
+    for got, expected in zip(fields, want_fields, strict=True):
+        assert (got.role, got.values.tobytes()) == (expected.role, expected.values.tobytes())
+    expected_u0 = want_fields[2].values if start == "source" else np.zeros(problem.mesh.m**2)
+    assert (u0.role, u0.values.tobytes()) == ("source", expected_u0.tobytes())
+
+
+def test_run_table_builds_once(monkeypatch):
+    # the cells of a campaign differ only in their noise: one build, one set of exact fields
+    from bouligand_landweber import ForwardProblem, experiments
+
+    calls = {"build": 0, "exact_fields": 0}
+    build, fields = ForwardProblem.build, experiments.exact_fields
+
+    def counting_build(mesh):
+        calls["build"] += 1
+        return build(mesh)
+
+    def counting_fields(*args, **kwargs):
+        calls["exact_fields"] += 1
+        return fields(*args, **kwargs)
+
+    monkeypatch.setattr(ForwardProblem, "build", staticmethod(counting_build))
+    monkeypatch.setattr(experiments, "exact_fields", counting_fields)
+    rows = run_table(17, [1e-2, 1e-3], seeds=(0, 1))
+    assert len(rows) == 4
+    assert calls == {"build": 1, "exact_fields": 1}
 
 
 def test_run_table_rows():
@@ -318,9 +387,7 @@ def test_run_table_rejects_nonpositive_delta():
 def test_run_table_rejects_a_bool_delta_before_any_cell(deltas, monkeypatch):
     # float(True) is 1.0: the check comes before the conversion, and before
     # the campaign builds anything
-    from bouligand_landweber import experiments
-
-    monkeypatch.setattr(experiments, "_campaign", lambda *a: pytest.fail("campaign built"))
+    _fail_on_build(monkeypatch)
     with pytest.raises(ValueError, match="noise target must be finite and positive, got"):
         run_table(9, deltas, seeds=(0,))
 
@@ -328,9 +395,7 @@ def test_run_table_rejects_a_bool_delta_before_any_cell(deltas, monkeypatch):
 @pytest.mark.parametrize("seeds", [(1.7,), (0, -1), (True,)])
 def test_run_table_rejects_bad_seed_before_any_cell(seeds, monkeypatch):
     # a seed is not rounded or cast, and the campaign fails before it builds anything
-    from bouligand_landweber import experiments
-
-    monkeypatch.setattr(experiments, "_campaign", lambda *a: pytest.fail("campaign built"))
+    _fail_on_build(monkeypatch)
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         run_table(17, deltas=[1e-2], seeds=seeds)
 
