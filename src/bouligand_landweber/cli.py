@@ -13,8 +13,12 @@ Each option is one flag with its type and default; the Landweber defaults
 blank lines skipped (argparse's `fromfile_prefix_chars`), so options read
 from a file are ordinary flags and a later flag overrides an earlier one.
 Every bad value is argparse's usage error naming the option, raised before
-any problem is built.  The commands only parse; the runs themselves are built by
-`experiments`.
+any problem is built, with one exception: a noise level (`--delta-target`,
+`--sigma`, `--deltas`) whose data measure a delta of 0 or one that is not
+finite is the one usage error raised after the mesh is built, since only
+the data tell.  `experiments` draws every cell's data before the first
+run, so it too comes before any Landweber step.  The commands only parse;
+the runs themselves are built by `experiments`.
 
 The exit status is 2 for a usage error, 1 where `verify` writes a suite
 verdict `"passed": false` or where no cell of a `table` ran (every N = -1),
@@ -96,7 +100,8 @@ COUNT = _checked(int, *POSITIVE_INTEGER)
 NONNEGATIVE_INT = _checked(int, *NONNEGATIVE_INTEGER)
 POSITIVE = _checked(float, *FINITE_POSITIVE)
 # at noise level 0 the discrepancy threshold tau * delta is 0 too, and only
-# --max-iter could end the run; exact data is the noise-free command's
+# --max-iter could end the run; exact data is the noise-free command's.  The
+# delta the data measure is checked by experiments.add_noise
 NOISE_LEVEL = _checked(
     float, *FINITE_POSITIVE[:2], "be finite and positive (for exact data, run noise-free)"
 )
@@ -140,7 +145,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("table", help="campaign over noise levels and seeds")
     p.add_argument("--n", type=MESH_SIZE, default=129)
     p.add_argument("--start", choices=STARTS, default="source")
-    p.add_argument("--deltas", type=_list_of(POSITIVE), default="1e-2,1e-3,1e-4",
+    p.add_argument("--deltas", type=_list_of(NOISE_LEVEL), default="1e-2,1e-3,1e-4",
                    help="comma-separated noise targets")
     p.add_argument("--seeds", type=_list_of(NONNEGATIVE_INT), default="0",
                    help="comma-separated seeds")
@@ -171,7 +176,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _parse_args(argv) -> argparse.Namespace:
     """The parsed flags; the Landweber parameters are checked by building the
     config here and a `forward --source` file is read here (`args.u`), so every
-    bad value is a usage error before any problem is built.
+    bad value is a usage error before any problem is built.  A run command
+    keeps its parser's `error` as `args.error` for the one check that comes
+    later: on parsed arguments, the one ValueError a campaign raises is
+    `add_noise`'s refusal of the delta its data measure, before any step.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
@@ -195,6 +203,7 @@ def _parse_args(argv) -> argparse.Namespace:
             )
         except ValueError as exc:
             commands[args.command].error(str(exc))
+        args.error = commands[args.command].error
     return args
 
 
@@ -222,10 +231,13 @@ def _cmd_noise_free(args) -> int:
 
 def _cmd_invert(args) -> int:
     if args.delta_target is not None:
-        noise = NoiseSpec(seed=args.seed, mode="rescale", value=args.delta_target)
+        option, noise = "--delta-target", NoiseSpec(seed=args.seed, value=args.delta_target)
     else:
-        noise = NoiseSpec(seed=args.seed, mode="raw", value=args.sigma)
-    record = run_noisy(args.n, noise, args.start, cfg=args.cfg)
+        option, noise = "--sigma", NoiseSpec(seed=args.seed, mode="raw", value=args.sigma)
+    try:
+        record = run_noisy(args.n, noise, args.start, cfg=args.cfg)
+    except ValueError as exc:  # a level the data cannot carry
+        args.error(f"argument {option}: {exc}")
     csv_path, json_path = record.save(Path(args.out).with_suffix(""))
     err = record.rel_errors[-1] if record.rel_errors is not None else float("nan")
     print(
@@ -236,7 +248,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = run_table(args.n, args.deltas, start=args.start, seeds=args.seeds, cfg=args.cfg)
+    try:
+        rows = run_table(args.n, args.deltas, start=args.start, seeds=args.seeds, cfg=args.cfg)
+    except ValueError as exc:  # a level the data cannot carry
+        args.error(f"argument --deltas: {exc}")
     path = write_table_csv(args.out, rows)
     print(f"table: {len(rows)} cells -> {path}")
     for row in rows:

@@ -27,7 +27,13 @@ loop: one build, then one run per noise, the cells sharing F(u0).
 Noise is iid Gaussian per interior node, either with a raw amplitude sigma
 or rescaled so the measured M-norm noise level matches a target exactly.
 The generator is NumPy's default PCG64, seeded per cell, so all campaign
-outputs are reproducible.
+outputs are reproducible.  A noise level is finite and positive, and exact
+data is no noise at all (None in the cell loop), not a level of 0.  A run
+stops at tau * delta for the delta the noise measures, so `add_noise`
+refuses data whose measured delta is 0, the noise lost in the rounding of
+y*, or not finite, its M-norm overflowed: each level is checked once, where
+its value becomes known.  A campaign draws every cell's data before its
+first run, so it refuses such a level before any step.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .landweber import (
     write_rows,
 )
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
-from .sparse_linalg import FINITE_NONNEGATIVE, FINITE_POSITIVE, require_scalar, require_seed
+from .sparse_linalg import FINITE_POSITIVE, require_scalar, require_seed
 
 DEFAULT_BETA = 0.005
 
@@ -115,20 +121,24 @@ def exact_fields(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NoiseSpec:
-    """Seeded Gaussian noise, either raw amplitude or rescaled to a target level."""
+    """Seeded Gaussian noise, either raw amplitude or rescaled to a target level.
+
+    The level `value` is finite and positive, else ValueError: exact data
+    is no noise, not a level of 0.  Every field is given by keyword.
+    """
 
     seed: int
     mode: str = "rescale"  # 'raw' (value = sigma) | 'rescale' (value = target delta)
-    value: float = 0.0
+    value: float
 
     def __post_init__(self):
         # a plain int and a plain float, as a table row records them
         object.__setattr__(self, "seed", require_seed(self.seed))
         if self.mode not in ("raw", "rescale"):
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        value = require_scalar("noise amplitude/target", self.value, *FINITE_NONNEGATIVE)
+        value = require_scalar("noise amplitude/target", self.value, *FINITE_POSITIVE)
         object.__setattr__(self, "value", value)
 
 
@@ -137,15 +147,20 @@ def add_noise(y: GridFunction, spec: NoiseSpec, M) -> tuple[GridFunction, float]
 
     In raw mode the draws are scaled by sigma; in rescale mode they are
     scaled so the measured M-norm perturbation equals the target.  The
-    returned delta is always the measured M-norm of the perturbation.
+    returned delta is always the measured M-norm of the perturbation, and
+    finite and positive: a delta of 0 (a level lost in the rounding of y)
+    or not finite (one whose data or M-norm overflows) fails the one
+    scalar check, whose ValueError names the mode, the level, n_h and the
+    measured delta.
     """
-    if spec.value == 0.0:
-        return y.copy(), 0.0
     rng = np.random.default_rng(spec.seed)
     g = rng.standard_normal(y.values.size)
     scale = spec.value if spec.mode == "raw" else spec.value / m_norm(M, g)
-    noisy = GridFunction(y.mesh, y.values + scale * g, role="data")
-    return noisy, m_norm(M, noisy.values - y.values)
+    with np.errstate(over="ignore"):  # an overflow is a delta that is not finite
+        noisy = y.values + scale * g
+    name = f"delta of {spec.mode} noise at level {spec.value!r} on the n_h={y.mesh.n_h} data"
+    delta = require_scalar(name, m_norm(M, noisy - y.values), *FINITE_POSITIVE)
+    return GridFunction(y.mesh, noisy, role="data"), delta
 
 
 STARTS = ("zero", "source")
@@ -185,15 +200,20 @@ def _runs(setup: Setup, cfg: LandweberConfig | None, noises):
     """(problem, u*, records): one `run` per noise, each against its own data, on one build.
 
     A noise of None is exact data with delta 0; otherwise the data is noisy
-    and delta the measured level.  Every cell starts from the setup's u0,
-    so each hands its record's `start_solution` (its own cold solve or the
-    one it was given; None where that failed) to the next.
+    and delta the measured level.  A cfg that sets delta raises ValueError
+    before anything is built, and every cell's data is drawn before the
+    first run, so a level `add_noise` refuses ends the campaign before any
+    step.  Every cell starts from the setup's u0, so each hands its
+    record's `start_solution` (its own cold solve or the one it was given;
+    None where that failed) to the next.
     """
     cfg = cfg or LandweberConfig()
+    if cfg.delta != LandweberConfig.delta:
+        raise ValueError(f"cfg.delta is {cfg.delta!r}, but the campaign takes delta from its data")
     problem, (u_exact, y_exact, _), u0 = setup.build(cfg.rho)
+    data = [(y_exact, 0.0) if n is None else add_noise(y_exact, n, problem.M) for n in noises]
     records, start_solution = [], None
-    for noise in noises:
-        y_data, delta = (y_exact, 0.0) if noise is None else add_noise(y_exact, noise, problem.M)
+    for y_data, delta in data:
         record = run(
             problem, y_data, replace(cfg, delta=delta), u0, u_exact, start_solution=start_solution
         )
@@ -208,9 +228,15 @@ def run_noise_free(
     iters: int = 100,
     cfg: LandweberConfig | None = None,
 ) -> RunRecord:
-    """Noise-free campaign: fixed iteration count, discrepancy disabled (delta = 0)."""
-    setup = Setup(n_h, start)
-    _, _, [record] = _runs(setup, replace(cfg or LandweberConfig(), max_iter=iters), [None])
+    """Noise-free campaign: fixed iteration count, discrepancy disabled (delta = 0).
+
+    The run makes `iters` steps: a cfg that sets max_iter, or delta, raises
+    ValueError before anything is built.
+    """
+    setup, cfg = Setup(n_h, start), cfg or LandweberConfig()
+    if cfg.max_iter != LandweberConfig.max_iter:
+        raise ValueError(f"cfg.max_iter is {cfg.max_iter!r}, but the campaign makes `iters` steps")
+    _, _, [record] = _runs(setup, replace(cfg, max_iter=iters), [None])
     return record
 
 
@@ -220,7 +246,10 @@ def run_noisy(
     start: str = "source",
     cfg: LandweberConfig | None = None,
 ) -> RunRecord:
-    """One noisy reconstruction, stopped by the discrepancy principle at the measured delta."""
+    """One noisy reconstruction, stopped by the discrepancy principle at the measured delta.
+
+    A cfg that sets delta raises ValueError before anything is built.
+    """
     _, _, [record] = _runs(Setup(n_h, start), cfg, [noise])
     return record
 
@@ -253,8 +282,12 @@ def run_table(
     the first cell whose solve of it succeeds hands that solution to every
     later cell, whose row counts 0 Newton steps for it in `ssn_total`.
     Each cell's record is otherwise bit for bit the one of `run_noisy`.
+    Every target and seed passes `NoiseSpec` before anything is built, and
+    every cell's data is drawn before the first run: a bad target, seed or
+    cfg, or a target whose data `add_noise` refuses, raises ValueError
+    before any step.
     """
-    deltas = [require_scalar("noise target", d, *FINITE_POSITIVE) for d in deltas]
+    deltas = list(deltas)  # iterated once per seed
     noises = [NoiseSpec(seed=seed, mode="rescale", value=d) for seed in seeds for d in deltas]
     problem, u_exact, records = _runs(Setup(n_h, start), cfg, noises)
     norm_exact = m_norm(problem.M, u_exact)

@@ -516,9 +516,10 @@ def run(
     of the first solve: the record counts 0 Newton steps at n = 0 and
     keeps the bits it has without it.  It is checked first, before any
     solve: a solution on another mesh, one solved warm (its `increment` is
-    not None: its state differs from the cold solve's in the last bits, and
-    so would every residual of the record), or one whose `u` is not u0 bit
-    for bit raises ValueError naming it.
+    not None) or to a floor (its `tol` is not 0.0), whose state differs
+    from the plain solve's in the last bits and so would every residual of
+    the record, or one whose `u` is not u0 bit for bit raises ValueError
+    naming it.
     The run keeps no copy of u0: each iterate is the `u` of its solution.
     """
     data = field_values(problem.mesh, "y_data", y_data)
@@ -531,6 +532,8 @@ def run(
             )
         if start_solution.increment is not None:
             raise ValueError("start_solution was solved warm; a run starts from a cold solve of u0")
+        if start_solution.tol != 0.0:
+            raise ValueError(f"start_solution was solved to a floor, tol={start_solution.tol!r}")
         # bit for bit: the solution of a source within rounding of u0 gives other records
         if not np.array_equal(start_solution.u.view(np.int64), u0.view(np.int64)):
             raise ValueError("start_solution solves another source than u0")

@@ -99,9 +99,6 @@ class GridFunction:
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.values.copy(), self.role)
-
 
 def values_of(v) -> np.ndarray:
     """Raw value array of a GridFunction or array-like."""

@@ -390,6 +390,53 @@ def test_invert_rejects_noise_level_zero(tmp_path, capsys, monkeypatch, option):
 
 
 @pytest.mark.parametrize(
+    "argv,option,noise",
+    [
+        (["invert", "--delta-target", "1e-170"], "--delta-target", "rescale noise at level 1e-170"),
+        (["invert", "--delta-target", "1e-100"], "--delta-target", "rescale noise at level 1e-100"),
+        (["invert", "--sigma", "1e300"], "--sigma", "raw noise at level 1e+300"),
+        (["table", "--deltas", "1e-170"], "--deltas", "rescale noise at level 1e-170"),
+        (["table", "--deltas", "1e-2,1e-170"], "--deltas", "rescale noise at level 1e-170"),
+        (["table", "--deltas", "1e-2,1e300"], "--deltas", "rescale noise at level 1e+300"),
+    ],
+    ids=["delta-target-lost", "delta-target-1e-100", "sigma-overflows", "deltas-lost",
+         "second-delta-lost", "second-delta-overflows"],
+)
+def test_a_level_the_data_cannot_carry_is_a_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                                       option, noise):
+    # a level whose data measure delta = 0 (the noise is lost in the rounding
+    # of y*) or one that is not finite: a usage error naming the option, after
+    # the mesh is built but before any run, not a run to max-iterations or a
+    # traceback
+    from bouligand_landweber import experiments
+
+    monkeypatch.setattr(experiments, "run", lambda *a, **k: pytest.fail("ran"))
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--n", "9", *flags, "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: delta of {noise} on the n_h=9 data must be finite" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["invert", "--n", "nine", "--delta-target", "1e-2"], "--n: invalid int value: 'nine'"),
+        (["table", "--n", "9", "--deltas", " , "], "--deltas: needs at least one value"),
+    ],
+    ids=["not-an-int", "empty-list"],
+)
+def test_unreadable_value_is_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exit_info.value.code == 2
+    assert f"error: argument {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "lines,argv,named",
     [
         (["--start=warm"], ["table", "--n", "9"], "--start"),

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,11 +112,42 @@ def test_starting_relative_error_matches_quadrature_oracle():
     assert 3.30 <= e0 <= 3.40
 
 
-def test_add_noise_zero_amplitude(problem17):
-    _, y_exact, _ = exact_fields(problem17.mesh)
-    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=1, mode="raw", value=0.0), problem17.M)
-    assert delta == 0.0
-    assert np.array_equal(y_noisy.values, y_exact.values)
+def test_add_noise_zero_amplitude():
+    # exact data is no noise (None in a campaign), not a level of 0: the
+    # level is refused when the spec is made, so add_noise never sees it
+    zero = r"^noise amplitude/target must be finite and positive, got -?0\.0$"
+    for spec in ({"value": 0.0}, {"mode": "raw", "value": 0.0}, {"value": -0.0}):
+        with pytest.raises(ValueError, match=zero):
+            NoiseSpec(seed=1, **spec)
+
+
+def test_noise_spec_takes_its_fields_by_keyword():
+    with pytest.raises(TypeError):
+        NoiseSpec(seed=0)  # a level has no default
+    with pytest.raises(TypeError):
+        NoiseSpec(0, "raw", 1e-3)
+
+
+NOT_CARRIED = r"^delta of {mode} noise at level {level} on the n_h=9 data must be {rule}$"
+
+
+@pytest.mark.parametrize(
+    "mode,level,delta",
+    [
+        ("rescale", 1e-170, "0.0"),  # the noise is lost in the rounding of y*
+        ("rescale", 1e-100, "0.0"),
+        ("raw", 1e-100, "0.0"),
+        ("raw", 1e300, "nan"),  # its M-norm overflows
+        ("rescale", 1e300, "nan"),
+        ("raw", 1.7e308, "nan"),  # the data themselves overflow
+    ],
+)
+def test_add_noise_refuses_a_delta_of_zero_or_not_finite(problem9, mode, level, delta):
+    _, y_exact, _ = exact_fields(problem9.mesh)
+    rule = f"finite and positive, got {delta}"
+    message = NOT_CARRIED.format(mode=mode, level=re.escape(repr(level)), rule=rule)
+    with pytest.raises(ValueError, match=message):
+        add_noise(y_exact, NoiseSpec(seed=0, mode=mode, value=level), problem9.M)
 
 
 def test_add_noise_rescale_hits_target(problem17):
@@ -154,7 +186,7 @@ def test_noise_spec_rejects_non_finite(value):
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1e-2", None])
 def test_noise_spec_rejects_a_value_that_is_not_a_real_number(value):
     # a bool is an int to Python; stored, True would be a target of 1.0
-    with pytest.raises(ValueError, match="noise amplitude/target must be finite and >= 0, got"):
+    with pytest.raises(ValueError, match="noise amplitude/target must be finite and positive, got"):
         NoiseSpec(seed=0, mode="rescale", value=value)
 
 
@@ -385,11 +417,72 @@ def test_run_table_rejects_nonpositive_delta():
 
 @pytest.mark.parametrize("deltas", [[True], [1e-2, np.bool_(True)]], ids=["bool", "numpy-bool"])
 def test_run_table_rejects_a_bool_delta_before_any_cell(deltas, monkeypatch):
-    # float(True) is 1.0: the check comes before the conversion, and before
-    # the campaign builds anything
+    # float(True) is 1.0: NoiseSpec's check comes before the conversion, and
+    # before the campaign builds anything
     _fail_on_build(monkeypatch)
-    with pytest.raises(ValueError, match="noise target must be finite and positive, got"):
+    with pytest.raises(ValueError, match="noise amplitude/target must be finite and positive, got"):
         run_table(9, deltas, seeds=(0,))
+
+
+def _fail_on_run(monkeypatch):
+    """Make every run of a campaign fail the test."""
+    from bouligand_landweber import experiments
+
+    monkeypatch.setattr(experiments, "run", lambda *a, **k: pytest.fail("ran"))
+
+
+@pytest.mark.parametrize("deltas", [[1e-2, 1e-170], [1e-2, 1e300]], ids=["zero", "overflow"])
+def test_run_table_refuses_a_level_its_data_cannot_carry_before_any_run(deltas, monkeypatch):
+    # every cell's data is drawn before the first run: the second target's
+    # refusal comes before the first cell's work
+    _fail_on_run(monkeypatch)
+    with pytest.raises(ValueError, match=r"^delta of rescale noise at level 1e[-+]\d+ on the "):
+        run_table(9, deltas, seeds=(0,))
+
+
+def test_run_noisy_refuses_a_level_its_data_cannot_carry_before_the_run(monkeypatch):
+    _fail_on_run(monkeypatch)
+    with pytest.raises(ValueError, match=r"^delta of raw noise at level 1e\+300 .* got nan$"):
+        run_noisy(9, NoiseSpec(seed=1, mode="raw", value=1e300))
+
+
+def test_run_table_takes_its_targets_from_any_iterable():
+    rows = run_table(9, iter([1e-2, 1e-3]), seeds=(0, 1))
+    assert [(row["seed"], row["delta"] > 5e-3) for row in rows] == [
+        (0, True), (0, False), (1, True), (1, False)
+    ]
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda cfg: run_noisy(9, NoiseSpec(seed=1, value=1e-2), cfg=cfg),
+        lambda cfg: run_table(9, [1e-2], cfg=cfg),
+        lambda cfg: run_noise_free(9, iters=3, cfg=cfg),
+    ],
+    ids=["run_noisy", "run_table", "run_noise_free"],
+)
+def test_campaigns_refuse_a_cfg_delta(campaign, monkeypatch):
+    # every campaign takes delta from its data, so a cfg that sets it is
+    # refused before anything is built instead of being replaced
+    from bouligand_landweber import LandweberConfig
+
+    _fail_on_build(monkeypatch)
+    with pytest.raises(
+        ValueError, match=r"^cfg\.delta is 0\.5, but the campaign takes delta from its data$"
+    ):
+        campaign(LandweberConfig(delta=0.5))
+
+
+def test_run_noise_free_refuses_a_cfg_max_iter(monkeypatch):
+    # the run makes `iters` steps, so a cfg that sets max_iter is refused
+    from bouligand_landweber import LandweberConfig
+
+    _fail_on_build(monkeypatch)
+    with pytest.raises(
+        ValueError, match=r"^cfg\.max_iter is 1, but the campaign makes `iters` steps$"
+    ):
+        run_noise_free(9, iters=3, cfg=LandweberConfig(max_iter=1))
 
 
 @pytest.mark.parametrize("seeds", [(1.7,), (0, -1), (True,)])

@@ -366,6 +366,30 @@ def test_every_warm_path_keeps_the_window(problem17, kind):
     assert sol.increment.tobytes() == (sol.y.values - previous.y.values).tobytes()
 
 
+@pytest.mark.parametrize("kind", ["source", "zero", "tiny", "warm"])
+def test_solution_records_the_floor_it_was_given(problem17, kind):
+    # 0.0 for the plain solve, else the caller's floor; below TINY_RHS the
+    # floor as given, not the one the scaled solve used
+    u_bar = exact_fields(problem17.mesh)[2].values
+    u = {
+        "source": u_bar, "zero": np.zeros_like(u_bar), "warm": 1.01 * u_bar,
+        "tiny": _sign_changing_source(problem17, 1e-165),
+    }[kind]
+    previous = solve_forward(problem17, u_bar) if kind == "warm" else None
+    assert solve_forward(problem17, u, previous=previous).tol == 0.0
+    for tol in (1e-170, 1e-3):
+        assert solve_forward(problem17, u, previous=previous, tol=tol).tol == tol
+
+
+def test_forward_problem_rejects_matrices_of_another_size(problem9):
+    for field in ("A", "M"):
+        smaller = getattr(problem9, field).tocsr()[:-1, :-1]
+        with pytest.raises(ValueError, match="^matrix dimensions do not match the mesh$"):
+            dataclasses.replace(problem9, **{field: smaller})
+    with pytest.raises(ValueError, match="^matrix dimensions do not match the mesh$"):
+        dataclasses.replace(problem9, D=problem9.D[:-1])
+
+
 def test_zero_floor_is_the_default_stop(problem17):
     u = _sign_changing_source(problem17, 30.0)
     a, b = solve_forward(problem17, u, tol=0.0), solve_forward(problem17, u)
@@ -467,6 +491,22 @@ def test_degenerate_directions_keep_the_solve(problem33, make_directions):
     assert np.array_equal(sol.active_pattern, plain.active_pattern)
     assert sol.final_residual <= FORWARD_RTOL * np.linalg.norm(problem33.M @ u)
     assert sol.y.values.tobytes() == plain.y.values.tobytes()
+
+
+def test_prediction_falls_back_on_a_coefficient_that_is_not_finite(problem9):
+    # along a tiny direction the 1 x 1 Galerkin system is not singular (its
+    # entry is subnormal), but against a large residual its coefficient
+    # overflows: the start stays y0, with no exception or warning
+    n = problem9.mesh.n_interior
+    y0, b = np.zeros(n), problem9.M @ np.ones(n)
+    H0 = -1e150 * b
+    g = np.full(n, 1e-160)
+    gram = g @ (problem9.D * g + problem9.A @ g)
+    assert 0.0 < gram < np.finfo(float).tiny and abs(g @ H0) / np.finfo(float).max > gram
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, H = forward._predicted_start(problem9, y0, H0, b, [(g, problem9.A @ g)])
+    assert y is y0 and H is H0
 
 
 def test_prediction_is_used_only_where_it_lowers_the_residual(problem33):

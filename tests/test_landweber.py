@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -849,6 +850,46 @@ def test_run_rejects_a_warm_start_solution(problem33, monkeypatch):
     cfg = LandweberConfig(delta=delta)
     with pytest.raises(ValueError, match="^start_solution was solved warm; a run starts from a "):
         run(problem33, y_noisy, cfg, u_bar, u_exact, start_solution=warm)
+
+
+@pytest.mark.parametrize("kind", ["source", "tiny"])
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-170])
+def test_run_rejects_a_start_solution_solved_to_a_floor(problem33, monkeypatch, kind, tol):
+    # a cold solve of u0 given a floor above its relative stop has another
+    # state than the plain solve's: with it the record's residuals differed
+    # from the plain run's by up to 3.9e-9 relative at tol = 1e-3 and
+    # 1.6e-14 at 1e-9.  Any nonzero floor is rejected, before any solve
+    u_exact, y_exact, _ = exact_fields(problem33.mesh)
+    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
+    u0 = _start(problem33, kind)
+    start = forward.solve_forward(problem33, u0, tol=tol)
+    assert start.increment is None and start.tol == tol
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
+    floor = f"^start_solution was solved to a floor, tol={re.escape(repr(tol))}$"
+    with pytest.raises(ValueError, match=floor):
+        run(problem33, y_noisy, LandweberConfig(delta=delta), u0, u_exact, start_solution=start)
+
+
+def test_run_rejects_an_exact_source_of_zero_norm(problem9, monkeypatch):
+    # relative errors would divide by 0: rejected before any solve
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
+    _, y_exact, u_bar = exact_fields(problem9.mesh)
+    zero = np.zeros_like(u_bar.values)
+    with pytest.raises(ValueError, match="^u_exact has zero norm; relative errors undefined$"):
+        run(problem9, y_exact, LandweberConfig(max_iter=1), u_bar, zero)
+
+
+def test_check_discrepancy_is_false_without_a_residual_or_after_an_earlier_crossing():
+    # no residual recorded (the first solve failed), or a residual before
+    # the last at or below tau * delta, which the run would have stopped at
+    cfg = LandweberConfig(delta=0.1)  # threshold 1.4 * 0.1
+    empty = RunRecord(np.array([]), None, np.array([], dtype=int), "forward-failure", cfg)
+    assert empty.stopping_index == -1 and not empty.check_discrepancy()
+    for reason in ("discrepancy", "max-iterations"):
+        late = RunRecord(np.array([1.0, 0.1, 0.05]), None, np.array([2, 1, 1]), reason, cfg)
+        assert not late.check_discrepancy()
+    stopped = RunRecord(np.array([1.0, 0.5, 0.1]), None, np.array([2, 1, 1]), "discrepancy", cfg)
+    assert stopped.check_discrepancy()
 
 
 def test_run_rejects_the_solution_of_a_source_changed_since(problem33, monkeypatch):

@@ -17,12 +17,15 @@ from bouligand_landweber import (
     ForwardProblem,
     GridFunction,
     LandweberConfig,
+    NoiseSpec,
     PositivePart,
     RunRecord,
+    add_noise,
     apply_subderivative,
     brute_force_forward,
     build_linearized,
     build_mesh,
+    exact_fields,
     m_norm,
     read_grid_function,
     solve_forward,
@@ -294,3 +297,24 @@ def test_run_record_roundtrip_is_bit_exact(record):
     assert np.float64(back.delta).tobytes() == np.float64(record.delta).tobytes()
     assert np.float64(back.tau).tobytes() == np.float64(record.tau).tobytes()
     assert back.parameter_check == record.parameter_check
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    st.sampled_from(["raw", "rescale"]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+    st.integers(0, 2**32),
+)
+def test_add_noise_returns_a_finite_positive_delta_or_refuses(mode, level, seed):
+    # over every positive level, from subnormal to the largest float: the data
+    # carry a finite positive delta, their measured M-norm noise, or the level
+    # is refused with the delta it measured
+    problem = PROBLEMS[5]
+    _, y, _ = exact_fields(problem.mesh)
+    try:
+        data, delta = add_noise(y, NoiseSpec(seed=seed, mode=mode, value=level), problem.M)
+    except ValueError as exc:
+        assert str(exc).startswith(f"delta of {mode} noise at level {level!r} on the n_h=5 data")
+    else:
+        assert 0.0 < delta < math.inf
+        assert delta == m_norm(problem.M, data.values - y.values)

@@ -108,6 +108,52 @@ def test_nonconvergence_error_carries_residual():
     assert err.value.residual == sparse_linalg.norm(b)
 
 
+def test_rhs_of_another_dimension_rejected():
+    A, _, _ = assemble(build_mesh(5))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: system dim 9, b shape \(8,\)$"):
+        _solve(_unshifted(A), np.ones(8))
+
+
+def test_cg_gives_up_after_ten_times_the_dimension():
+    # a preconditioner drawn afresh at each call is no fixed SPD map: CG
+    # loses its conjugacy and is still far from the target after 10 * dim
+    # iterations, which raises with the residual it reached
+    A, M, _ = assemble(build_mesh(9))
+    b = M @ np.ones(49)
+    rng = np.random.default_rng(0)
+    cap = r"^CG did not converge within 490 iterations \(residual \S+, target \S+\)$"
+    with pytest.raises(ConvergenceError, match=cap) as err:
+        solve_spd(_unshifted(A), b, lambda r: r * rng.uniform(0.1, 10.0, r.size))
+    assert err.value.residual > 1e6 * CG_TOL * sparse_linalg.norm(b)
+
+
+def test_cg_stagnates_where_its_recurrence_residual_is_stale(monkeypatch):
+    # a preconditioner that halves its argument, CG's recurrence residual,
+    # changes it between calls: the recurrence falls to the target while the
+    # true residual stays far above it, in each of the three runs.  This is
+    # a stagnation at any rounding floor: the true residual stays a fraction
+    # of ||b||, not a multiple of eps (||K|| ||x|| + ||b||)
+    A, M, _ = assemble(build_mesh(9))
+    b = M @ np.ones(49)
+    runs = []
+
+    def halving(r):
+        z = r.copy()
+        r *= 0.5
+        return z
+
+    def counted(system, *args):
+        runs.append(1)
+        return pcg(system, *args)
+
+    pcg = sparse_linalg._pcg
+    monkeypatch.setattr(sparse_linalg, "_pcg", counted)
+    with pytest.raises(ConvergenceError, match=r"^CG stagnated: true residual ") as err:
+        solve_spd(_unshifted(A), b, halving)
+    assert len(runs) == 3
+    assert err.value.residual > 1e-3 * sparse_linalg.norm(b)
+
+
 @pytest.mark.parametrize(
     "shift, scale",
     [
