@@ -22,7 +22,8 @@ speeds up the iteration considerably.
 forward problem at mesh size n_h, the exact fields (u*, y*, u_bar) and the
 start u0, zero or u_bar (one of STARTS).  Every campaign, the consistency
 study and the CLI build through it, and the three campaigns run one cell
-loop: one build, then one run per noise, the cells sharing F(u0).
+loop: one build, every cell's data, one solve of F(u0), then one run per
+noise from that solution.
 
 Noise is iid Gaussian per interior node, either with a raw amplitude sigma
 or rescaled so the measured M-norm noise level matches a target exactly.
@@ -62,7 +63,7 @@ from .landweber import (
     write_rows,
 )
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
-from .sparse_linalg import FINITE_POSITIVE, require_scalar, require_seed
+from .sparse_linalg import FINITE_POSITIVE, ConvergenceError, require_scalar, require_seed
 
 DEFAULT_BETA = 0.005
 
@@ -203,22 +204,27 @@ def _runs(setup: Setup, cfg: LandweberConfig | None, noises):
     and delta the measured level.  A cfg that sets delta raises ValueError
     before anything is built, and every cell's data is drawn before the
     first run, so a level `add_noise` refuses ends the campaign before any
-    step.  Every cell starts from the setup's u0, so each hands its
-    record's `start_solution` (its own cold solve or the one it was given;
-    None where that failed) to the next.
+    step.  Every cell starts from the setup's u0, so F(u0) is solved once,
+    after the data: the first cell runs from that solution and records its
+    Newton steps, every later cell from a copy that counts none.  Where
+    that solve fails, every cell runs from u0, solves it itself and
+    records what it gets.
     """
     cfg = cfg or LandweberConfig()
     if cfg.delta != LandweberConfig.delta:
         raise ValueError(f"cfg.delta is {cfg.delta!r}, but the campaign takes delta from its data")
     problem, (u_exact, y_exact, _), u0 = setup.build(cfg.rho)
     data = [(y_exact, 0.0) if n is None else add_noise(y_exact, n, problem.M) for n in noises]
-    records, start_solution = [], None
-    for y_data, delta in data:
-        record = run(
-            problem, y_data, replace(cfg, delta=delta), u0, u_exact, start_solution=start_solution
-        )
-        start_solution = record.start_solution
-        records.append(record)
+    try:
+        solution = solve_forward(problem, u0)
+    except ConvergenceError:
+        starts = [u0] * len(data)
+    else:
+        starts = [solution, *[replace(solution, ssn_iterations=0)] * (len(data) - 1)]
+    records = [
+        run(problem, y_data, replace(cfg, delta=delta), start, u_exact)
+        for (y_data, delta), start in zip(data, starts)
+    ]
     return problem, u_exact, records
 
 
@@ -278,10 +284,11 @@ def run_table(
 
     Returns one row dict per cell, keyed by the TABLE_COLUMNS names.  Failures
     of a single cell are recorded in its 'reason' and the campaign continues.
-    Every cell starts from the same u0, so the campaign solves F(u0) once:
-    the first cell whose solve of it succeeds hands that solution to every
-    later cell, whose row counts 0 Newton steps for it in `ssn_total`.
-    Each cell's record is otherwise bit for bit the one of `run_noisy`.
+    Every cell starts from the same u0, so the campaign solves F(u0) once,
+    before the first cell: the first row counts its Newton steps in
+    `ssn_total` and every later row none.  Where that solve fails, each
+    cell solves u0 itself.  Each cell's record is otherwise bit for bit the
+    one of `run_noisy`.
     Every target and seed passes `NoiseSpec` before anything is built, and
     every cell's data is drawn before the first run: a bad target, seed or
     cfg, or a target whose data `add_noise` refuses, raises ValueError

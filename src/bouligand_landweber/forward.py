@@ -172,8 +172,6 @@ class ForwardSolution:
     from (None for a cold solve), and `window` the at most
     PREDICTION_DIRECTIONS (g, A g) pairs of increments its solve used,
     oldest first; a solve from this solution appends `increment` to them.
-    `tol` is the absolute floor the caller gave the solve, 0.0 for the
-    plain solve (unscaled where a tiny source was solved scaled).
     """
 
     y: GridFunction
@@ -184,7 +182,6 @@ class ForwardSolution:
     u: np.ndarray
     increment: np.ndarray | None
     window: tuple
-    tol: float
 
 
 def _residual(problem: ForwardProblem, y: np.ndarray, A_y: np.ndarray, b: np.ndarray):
@@ -326,7 +323,6 @@ def solve_forward(
             u=u.copy(),  # once CG's buffers are freed, so the peak does not grow
             increment=None if previous is None else y - previous.y.values,
             window=window,
-            tol=tol,
             **diagnostics,
         )
 

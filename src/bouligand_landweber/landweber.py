@@ -20,11 +20,12 @@ by :func:`check_parameters`, never enforced: with the default experiment
 parameters both are violated, yet the iteration behaves well.
 
 Each forward solution keeps the source it solves, so an iterate u_n is
-its solution's `u`.  Runs from the same start, as the cells of a table
-are, share F(u0): a record keeps the forward solution of its u0, and
-`run(..., start_solution=...)` starts from it instead of solving again,
-with the same bits and 0 Newton steps recorded at n = 0.  Only a cold
-solve is accepted: a warm one reaches another state in the last bits.
+its solution's `u`, and a run starts from either: a source u0, which it
+solves, or a forward solution, whose `u` is its start.  Runs from the same
+start, as the cells of a table are, share F(u0): the campaign solves it
+once and starts each run from it, so every record has the bits of the run
+from u0 itself; a cell after the first starts from a copy that counts 0
+Newton steps.
 
 A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
@@ -39,7 +40,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def parse_reason(cell) -> str:
 
 # a stored residual norm; NaN passes, as `run` records one where dot(r, M r) is NaN
 _residual_norm = _cell_parser(float, Real, lambda v: not v < 0.0, "not be negative")
-# a stored Newton count, 0 where the caller solved the start
+# a stored Newton count, 0 at n = 0 where the start's solution counts none
 _newton_count = _cell_parser(int, *NONNEGATIVE_INTEGER)
 
 
@@ -271,13 +272,9 @@ class RunRecord:
     Everything else the summary states follows from these: delta and tau
     from the config, the stopping index from the length of the history, and
     the parameter check from the config at its assumed bound lbar.
-    `ssn_counts[n]` counts the Newton steps the run made for F(u_n); it is
-    0 at n = 0 where the caller passed the start's solution.  Next to the
-    final iterate, `start_solution` keeps the forward solution of u0, for
-    another run from the same start (None where that solve failed): the
-    run's own cold solve or the cold solve it was given, never a warm one,
-    so `run` accepts it.  Its `u` is u0, bit for bit, and is the final
-    iterate where the run stopped at n = 0.  Neither is saved, and both are
+    `ssn_counts[n]` counts the Newton steps of F(u_n); at n = 0 they are
+    those of the start's solve, the run's own or the `ssn_iterations` of
+    the solution it started from.  The final iterate is not saved, and is
     None after `load`.
     """
 
@@ -287,7 +284,6 @@ class RunRecord:
     reason: str
     config: LandweberConfig
     final: GridFunction | None = None
-    start_solution: ForwardSolution | None = None
 
     @property
     def delta(self) -> float:
@@ -351,7 +347,7 @@ class RunRecord:
 
     @classmethod
     def load(cls, base) -> "RunRecord":
-        """Rebuild a record from its CSV/JSON pair; `final` and `start_solution` are None.
+        """Rebuild a record from its CSV/JSON pair; `final` is None.
 
         The record is built from the summary's config and reason and from the
         CSV, whose `n` column must count its rows; the stored summary must
@@ -492,15 +488,7 @@ def step(problem: ForwardProblem, it: Iterate, data, w: float, tol: float) -> It
     return Iterate.at(problem, data, solve_forward(problem, u, previous=it.solution, tol=tol))
 
 
-def run(
-    problem: ForwardProblem,
-    y_data,
-    cfg: LandweberConfig,
-    u0,
-    u_exact=None,
-    *,
-    start_solution: ForwardSolution | None = None,
-) -> RunRecord:
+def run(problem: ForwardProblem, y_data, cfg: LandweberConfig, u0, u_exact=None) -> RunRecord:
     """Run the Landweber iteration from u0 against data y_data: record, decide, :func:`step`.
 
     Residual and (when u_exact is given) relative error are recorded for every
@@ -511,32 +499,18 @@ def run(
     'forward-failure'.  The final iterate is the last one whose residual
     was recorded, u0 where none was.
 
-    `start_solution`, the forward solution of u0 that an earlier run from
-    the same start kept as its record's `start_solution`, takes the place
-    of the first solve: the record counts 0 Newton steps at n = 0 and
-    keeps the bits it has without it.  It is checked first, before any
-    solve: a solution on another mesh, one solved warm (its `increment` is
-    not None) or to a floor (its `tol` is not 0.0), whose state differs
-    from the plain solve's in the last bits and so would every residual of
-    the record, or one whose `u` is not u0 bit for bit raises ValueError
-    naming it.
-    The run keeps no copy of u0: each iterate is the `u` of its solution.
+    u0 is a source field, which the run solves first, or a forward
+    solution, whose `u` is the start and which takes the place of that
+    solve: the record keeps its `ssn_iterations` at n = 0, so a run from
+    `solve_forward(problem, u0)` has the record of the run from u0, bit
+    for bit, counts included.  Either way the start passes `field_values`
+    as u0, so a solution on another mesh raises ValueError naming u0
+    before any solve.  The run keeps no copy of u0: each iterate is the
+    `u` of its solution.
     """
+    start = u0 if isinstance(u0, ForwardSolution) else None
     data = field_values(problem.mesh, "y_data", y_data)
-    u0 = field_values(problem.mesh, "u0", u0)
-    if start_solution is not None:
-        if start_solution.y.mesh != problem.mesh:
-            raise ValueError(
-                f"start_solution lies on the mesh n_h={start_solution.y.mesh.n_h}, "
-                f"not on the problem's n_h={problem.mesh.n_h}"
-            )
-        if start_solution.increment is not None:
-            raise ValueError("start_solution was solved warm; a run starts from a cold solve of u0")
-        if start_solution.tol != 0.0:
-            raise ValueError(f"start_solution was solved to a floor, tol={start_solution.tol!r}")
-        # bit for bit: the solution of a source within rounding of u0 gives other records
-        if not np.array_equal(start_solution.u.view(np.int64), u0.view(np.int64)):
-            raise ValueError("start_solution solves another source than u0")
+    u0 = field_values(problem.mesh, "u0", u0 if start is None else start.u)
     exact = None if u_exact is None else field_values(problem.mesh, "u_exact", u_exact)
     if exact is not None:
         norm_exact = m_norm(problem.M, exact)
@@ -548,11 +522,7 @@ def run(
     smallest = math.inf  # the smallest residual recorded so far
     it = None
     try:
-        if start_solution is None:
-            start_solution = sol = solve_forward(problem, u0)
-        else:  # solved by the caller
-            sol = replace(start_solution, ssn_iterations=0)
-        it = Iterate.at(problem, data, sol)
+        it = Iterate.at(problem, data, solve_forward(problem, u0) if start is None else start)
         while True:
             residuals.append(it.residual)
             ssn_counts.append(it.solution.ssn_iterations)
@@ -582,5 +552,4 @@ def run(
         reason=reason,
         config=cfg,
         final=GridFunction(problem.mesh, u0.copy() if it is None else it.solution.u, "source"),
-        start_solution=start_solution,
     )

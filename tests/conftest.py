@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -52,14 +53,19 @@ def peak_vectors(fn, n: int) -> float:
     """Peak memory that fn() allocates, traced by tracemalloc, in vectors of n doubles.
 
     Counted from the start of the call, so what fn returns is included and
-    what the caller already holds is not.
+    what the caller already holds is not.  A line tracer, as a coverage run
+    installs, keeps frames and their arrays alive, so it is suspended for
+    the call and restored after.
     """
+    tracer = sys.gettrace()
+    sys.settrace(None)
     tracemalloc.start()
     try:
         fn()
         return tracemalloc.get_traced_memory()[1] / (8 * n)
     finally:
         tracemalloc.stop()
+        sys.settrace(tracer)
 
 
 def matched_pattern_pair(problem, rng):

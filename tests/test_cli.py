@@ -159,9 +159,10 @@ def test_table_command(tmp_path):
 
 
 def test_table_exits_1_when_no_cell_ran(tmp_path, monkeypatch):
-    # every cell's first forward solve fails: N = -1 in every row, exit 1;
-    # one cell that ran is enough for 0, and a usage error stays at 2
-    from bouligand_landweber import ConvergenceError, landweber
+    # the campaign's solve of u0 fails, and so does every cell's own:
+    # N = -1 in every row, exit 1; one cell that ran is enough for 0, and a
+    # usage error stays at 2
+    from bouligand_landweber import ConvergenceError, experiments, landweber
 
     solve_forward, calls = landweber.solve_forward, []
 
@@ -176,6 +177,7 @@ def test_table_exits_1_when_no_cell_ran(tmp_path, monkeypatch):
 
     out = tmp_path / "table.csv"
     argv = ["table", "--n", "9", "--deltas", "1e-2,1e-3", "--out", str(out)]
+    monkeypatch.setattr(experiments, "solve_forward", fail)
     monkeypatch.setattr(landweber, "solve_forward", fail)
     assert main(argv) == 1
     assert [row["N"] for row in read_table_csv(out)] == [-1, -1]

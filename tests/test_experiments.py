@@ -338,11 +338,11 @@ def test_run_noisy_is_one_table_cell():
 
 def _recording_cells(monkeypatch):
     """The records of the cells run_table runs, in order, and counts of its Newton
-    solves and of its forward solves from zero."""
+    solves and of its forward solves from zero, the campaign's and the runs'."""
     from bouligand_landweber import experiments, forward, landweber
 
     records, counts = [], {"newton": 0, "cold": 0}
-    run, solve_spd, solve_forward = experiments.run, forward.solve_spd, landweber.solve_forward
+    run, solve_spd, solve_forward = experiments.run, forward.solve_spd, forward.solve_forward
 
     def recording_run(*args, **kwargs):
         records.append(run(*args, **kwargs))
@@ -358,19 +358,21 @@ def _recording_cells(monkeypatch):
 
     monkeypatch.setattr(experiments, "run", recording_run)
     monkeypatch.setattr(forward, "solve_spd", counting_spd)
-    monkeypatch.setattr(landweber, "solve_forward", counting_solve)
+    for module in (experiments, landweber):
+        monkeypatch.setattr(module, "solve_forward", counting_solve)
     return records, counts
 
 
 def test_run_table_solves_its_start_once(monkeypatch):
-    # the four cells share F(u_bar): one cold solve, and every Newton step
-    # the campaign makes is counted in one row's ssn_total
+    # the four cells share F(u_bar): one cold solve, whose Newton steps the
+    # first row counts, and every Newton step the campaign makes is counted
+    # in one row's ssn_total
     records, counts = _recording_cells(monkeypatch)
     rows = run_table(33, [1e-2, 1e-3], seeds=(0, 1))
     assert counts["cold"] == 1
     assert sum(row["ssn_total"] for row in rows) == counts["newton"]
-    first = records[0].start_solution
-    assert first is not None and all(r.start_solution is first for r in records)
+    assert [r.ssn_counts[0] for r in records[1:]] == [0, 0, 0]
+    assert records[0].ssn_counts[0] >= 1
 
 
 def test_table_cells_are_run_noisy_bit_for_bit(monkeypatch):
@@ -390,24 +392,27 @@ def test_table_cells_are_run_noisy_bit_for_bit(monkeypatch):
 
 
 def test_run_table_solves_afresh_after_a_failed_start(monkeypatch):
-    # the first cell's solve of u_bar fails: the second cell solves it
-    # afresh, as every cell did before, and hands its solution on
-    from bouligand_landweber import landweber
+    # the campaign's solve of u_bar fails: every cell solves it afresh and
+    # keeps the record of its own run_noisy, counts included
+    from bouligand_landweber import experiments, landweber
 
-    solve_forward, calls = landweber.solve_forward, []
+    solve_forward, cold = landweber.solve_forward, []
 
-    def fail_first(*args, **kwargs):
-        calls.append(kwargs.get("previous"))
-        if len(calls) == 1:
-            raise ConvergenceError("forced failure", residual=1.0)
-        return solve_forward(*args, **kwargs)
+    def fail(*args, **kwargs):
+        raise ConvergenceError("forced failure", residual=1.0)
 
-    monkeypatch.setattr(landweber, "solve_forward", fail_first)
+    def counting_solve(problem, u, previous=None, tol=0.0):
+        cold.append(previous is None)
+        return solve_forward(problem, u, previous, tol)
+
+    monkeypatch.setattr(experiments, "solve_forward", fail)
+    monkeypatch.setattr(landweber, "solve_forward", counting_solve)
     rows = run_table(17, [1e-2, 1e-3, 1e-4], seeds=(0,))
-    assert [row["reason"] for row in rows] == ["forward-failure"] + ["discrepancy"] * 2
-    assert sum(previous is None for previous in calls) == 2  # the failed solve and the second cell's
-    alone = run_noisy(17, NoiseSpec(seed=0, value=1e-4))
-    assert rows[2]["ssn_total"] == alone.total_ssn - alone.ssn_counts[0]
+    assert [row["reason"] for row in rows] == ["discrepancy"] * 3
+    assert sum(cold) == 3  # each cell's own solve of u_bar
+    monkeypatch.undo()
+    for row, target in zip(rows, [1e-2, 1e-3, 1e-4]):
+        assert row["ssn_total"] == run_noisy(17, NoiseSpec(seed=0, value=target)).total_ssn
 
 
 def test_run_table_rejects_nonpositive_delta():
@@ -507,12 +512,14 @@ def test_table_csv_roundtrip(tmp_path):
 
 
 def test_table_csv_keeps_forward_failure_row(tmp_path, monkeypatch):
-    from bouligand_landweber import landweber
+    # the campaign's solve of u0 fails, and so does the cell's own
+    from bouligand_landweber import experiments, landweber
 
     def fail(*args, **kwargs):
         raise ConvergenceError("forced failure", residual=1.0)
 
-    monkeypatch.setattr(landweber, "solve_forward", fail)
+    for module in (experiments, landweber):
+        monkeypatch.setattr(module, "solve_forward", fail)
     rows = run_table(9, deltas=[1e-2], seeds=[4])
     row = rows[0]
     assert (row["N"], row["ssn_total"], row["reason"]) == (-1, 0, "forward-failure")

@@ -366,21 +366,6 @@ def test_every_warm_path_keeps_the_window(problem17, kind):
     assert sol.increment.tobytes() == (sol.y.values - previous.y.values).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["source", "zero", "tiny", "warm"])
-def test_solution_records_the_floor_it_was_given(problem17, kind):
-    # 0.0 for the plain solve, else the caller's floor; below TINY_RHS the
-    # floor as given, not the one the scaled solve used
-    u_bar = exact_fields(problem17.mesh)[2].values
-    u = {
-        "source": u_bar, "zero": np.zeros_like(u_bar), "warm": 1.01 * u_bar,
-        "tiny": _sign_changing_source(problem17, 1e-165),
-    }[kind]
-    previous = solve_forward(problem17, u_bar) if kind == "warm" else None
-    assert solve_forward(problem17, u, previous=previous).tol == 0.0
-    for tol in (1e-170, 1e-3):
-        assert solve_forward(problem17, u, previous=previous, tol=tol).tol == tol
-
-
 def test_forward_problem_rejects_matrices_of_another_size(problem9):
     for field in ("A", "M"):
         smaller = getattr(problem9, field).tocsr()[:-1, :-1]
@@ -580,15 +565,16 @@ def test_solve_forward_working_set(problem257):
 
 def test_run_working_set(problem65):
     # one noisy run from u_bar at n_h = 65 (delta 1e-4, seed 3, 21 steps):
-    # tracemalloc measured 28.3 vectors of 8 n bytes, record and final
-    # iterate included (numpy 2.4, scipy 1.17); the bound fails the 32.6 of
-    # an iterate that keeps F(u_{n-1}) and a step that holds its linearized
-    # operator and update through the forward solve
+    # tracemalloc measured 25.0 to 25.4 vectors of 8 n bytes, record and
+    # final iterate included (numpy 2.4, scipy 1.17); the bound fails the
+    # 28.3 of a record that also keeps F(u0), its y, A y and u, and the
+    # 32.6 of an iterate that keeps F(u_{n-1}) and a step that holds its
+    # linearized operator and update through the forward solve
     n = problem65.mesh.n_interior
     _, y_exact, u_bar = exact_fields(problem65.mesh)
     y_data, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-4), problem65.M)
     cfg = LandweberConfig(delta=delta)
-    assert peak_vectors(lambda: run(problem65, y_data, cfg, u_bar), n) <= 30.0
+    assert peak_vectors(lambda: run(problem65, y_data, cfg, u_bar), n) <= 27.0
 
 
 def _cold_sources(problem):

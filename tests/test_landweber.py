@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import re
 from collections import deque
 from fractions import Fraction
 
@@ -355,16 +354,14 @@ def test_kept_products_keep_the_run_bit_for_bit(problem33, case):
     assert record.final.values.tobytes() == u.tobytes()
 
 
-def _steps_by_hand(problem, y_data, cfg, u0, u_exact, start_solution=None):
+def _steps_by_hand(problem, y_data, cfg, u0, u_exact):
     """run()'s record and stopping rule around lw.step, driven from the first Iterate.
 
-    Returns the residuals, the errors, the Newton counts and every Iterate.
+    u0 is a source or its forward solution, as run() takes it.  Returns the
+    residuals, the errors, the Newton counts and every Iterate.
     """
     data, M = y_data.values, problem.M
-    if start_solution is None:
-        sol = solve_forward(problem, u0)
-    else:  # solved by the caller: no Newton step of this run
-        sol = dataclasses.replace(start_solution, ssn_iterations=0)
+    sol = u0 if isinstance(u0, forward.ForwardSolution) else solve_forward(problem, u0)
     iterates = [lw.Iterate.at(problem, data, sol)]
     residuals, errors, counts = [], [], []
     certificate = error_certificate(problem.mesh)
@@ -380,15 +377,15 @@ def _steps_by_hand(problem, y_data, cfg, u0, u_exact, start_solution=None):
 
 
 def _case(problem, case):
-    """(y_data, cfg, u0, start_solution) of a noisy run from u_bar, a noise-free
-    run from zero, or the noisy run given the solution of its start."""
+    """(y_data, cfg, u0) of a noisy run from u_bar, a noise-free run from
+    zero, or the noisy run from the forward solution of u_bar."""
     _, y_exact, u_bar = exact_fields(problem.mesh)
     if case == "noise-free":
         zero = GridFunction(problem.mesh, np.zeros_like(u_bar.values))
-        return y_exact, LandweberConfig(max_iter=40), zero, None
+        return y_exact, LandweberConfig(max_iter=40), zero
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem.M)
-    start = solve_forward(problem, u_bar) if case == "start-solution" else None
-    return y_noisy, LandweberConfig(delta=delta), u_bar, start
+    u0 = solve_forward(problem, u_bar) if case == "start-solution" else u_bar
+    return y_noisy, LandweberConfig(delta=delta), u0
 
 
 @pytest.mark.parametrize("directions", [0, 1, forward.PREDICTION_DIRECTIONS])
@@ -401,14 +398,15 @@ def test_steps_by_hand_reproduce_the_run(problem33, monkeypatch, case, direction
     # and its increment is y_n - y_{n-1}, the newest of the next window
     monkeypatch.setattr(forward, "PREDICTION_DIRECTIONS", directions)
     u_exact = exact_fields(problem33.mesh)[0]
-    y_data, cfg, u0, start = _case(problem33, case)
-    record = run(problem33, y_data, cfg, u0, u_exact, start_solution=start)
-    residuals, errors, counts, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact, start)
+    y_data, cfg, u0 = _case(problem33, case)
+    record = run(problem33, y_data, cfg, u0, u_exact)
+    residuals, errors, counts, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact)
     assert record.reason == ("max-iterations" if case == "noise-free" else "discrepancy")
     assert record.residual_norms.tobytes() == np.array(residuals).tobytes()
     assert record.rel_errors.tobytes() == np.array(errors).tobytes()
     assert record.ssn_counts.tolist() == counts
-    assert (counts[0] == 0) == (case == "start-solution")
+    # a run from a solution counts the Newton steps that solution took
+    assert counts[0] == iterates[0].solution.ssn_iterations >= 1
     assert record.final.values.tobytes() == iterates[-1].solution.u.tobytes()
     solutions = [it.solution for it in iterates]
     windows = [len(sol.window) for sol in solutions]
@@ -433,7 +431,7 @@ def test_step_is_a_function_of_its_iterate(problem33):
     # the same Iterate stepped twice gives the same bits, those of the run,
     # and keeps its own arrays, so iterations can step in lockstep or in threads
     u_exact = exact_fields(problem33.mesh)[0]
-    y_data, cfg, u0, _ = _case(problem33, "noisy")
+    y_data, cfg, u0 = _case(problem33, "noisy")
     residuals, _, _, iterates = _steps_by_hand(problem33, y_data, cfg, u0, u_exact)
     it = iterates[5]
     assert len(it.solution.window) == forward.PREDICTION_DIRECTIONS
@@ -652,8 +650,7 @@ def test_record_roundtrip(tmp_path, problem33):
     assert back.tau == record.tau
     assert back.config == record.config
     assert back.parameter_check == record.parameter_check == check_parameters(cfg, cfg.lbar)
-    assert record.start_solution is not None
-    assert back.final is None and back.start_solution is None
+    assert record.final is not None and back.final is None
     # the stopping rule is re-checkable from the serialized record alone
     assert back.check_discrepancy()
 
@@ -766,108 +763,58 @@ def _start(problem, kind):
 
 
 @pytest.mark.parametrize("kind", ["source", "zero", "tiny"])
-def test_run_from_its_start_solution_keeps_the_record(problem33, kind):
-    # a run given solve_forward(problem, u0) skips that solve: the same bits
-    # in every residual, error and the final iterate, and 0 Newton steps at
-    # n = 0; a run without one keeps its own solve of u0 in the record
+def test_run_from_its_start_solution_keeps_the_record(problem33, monkeypatch, kind):
+    # a run from solve_forward(problem, u0) makes no solve of u0 and has the
+    # record of the run from u0: the same bits in every residual, error and
+    # the final iterate, and the same Newton counts, the solution's at n = 0
     u_exact, y_exact, _ = exact_fields(problem33.mesh)
     y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
     cfg, u0 = LandweberConfig(delta=delta, max_iter=12), _start(problem33, kind)
     start = solve_forward(problem33, u0)
     solved = run(problem33, y_noisy, cfg, u0, u_exact)
-    given = run(problem33, y_noisy, cfg, u0, u_exact, start_solution=start)
-    assert given.start_solution is start
-    assert _solution_bits(solved.start_solution) == _solution_bits(start)
+    calls = []
+
+    def recording_solve(problem, u, previous=None, tol=0.0):
+        calls.append(previous)
+        return solve_forward(problem, u, previous, tol)
+
+    monkeypatch.setattr(lw, "solve_forward", recording_solve)
+    given = run(problem33, y_noisy, cfg, start, u_exact)
     assert solved.stopping_index >= 2
+    assert len(calls) == given.stopping_index and None not in calls
     assert given.residual_norms.tobytes() == solved.residual_norms.tobytes()
     assert given.rel_errors.tobytes() == solved.rel_errors.tobytes()
     assert given.final.values.tobytes() == solved.final.values.tobytes()
-    assert solved.ssn_counts[0] == start.ssn_iterations >= 1
-    assert given.ssn_counts.tolist() == [0, *solved.ssn_counts[1:]]
+    assert given.ssn_counts.tolist() == solved.ssn_counts.tolist()
+    assert given.ssn_counts[0] == start.ssn_iterations >= 1
     assert given.reason == solved.reason
 
 
 @pytest.mark.parametrize("scale", [1e-165, 1e-310, 1e-320, 5e-324])
-def test_run_accepts_the_solve_of_a_tiny_start(problem33, scale):
+def test_run_accepts_the_solve_of_a_tiny_start(problem33, scale, monkeypatch):
     # below TINY_RHS the state is solved scaled and scaled back, which rounds
-    # its entries below the normal range; the solution keeps the unscaled u0
+    # its entries below the normal range; the solution keeps the unscaled u0,
+    # and the run from it is the run from u0, counts included
     _, y_exact, u_bar = exact_fields(problem33.mesh)
     u0 = scale * u_bar.values
-    start = solve_forward(problem33, u0)
-    record = run(problem33, y_exact, LandweberConfig(max_iter=0), u0, start_solution=start)
-    assert record.ssn_counts.tolist() == [0]
-
-
-def _solution_bits(sol):
-    return [sol.y.values.tobytes(), sol.A_y.tobytes(), sol.ssn_iterations, sol.final_residual]
-
-
-def test_run_rejects_a_start_solution_of_another_source_or_mesh(problem17, problem33, monkeypatch):
-    # checked before any forward solve, with the argument named
-    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
-    u_exact, y_exact, _ = exact_fields(problem33.mesh)
-    cfg = LandweberConfig(max_iter=1)
-    u_bar, zero, tiny = (_start(problem33, kind) for kind in ("source", "zero", "tiny"))
-    not_u0 = "^start_solution solves another source than u0$"
-    for u0, other in [
-        (u_bar, 1.001 * u_bar), (zero, u_bar), (u_bar, zero), (tiny, 2.0 * tiny),
-        # within rounding of u0, yet its record would differ from a plain run's
-        (u_bar, u_bar * (1.0 + 1e-12)),
-    ]:
-        start = forward.solve_forward(problem33, other)
-        with pytest.raises(ValueError, match=not_u0):
-            run(problem33, y_exact, cfg, u0, u_exact, start_solution=start)
-    start = forward.solve_forward(problem17, _start(problem17, "source"))
-    with pytest.raises(ValueError, match="^start_solution lies on the mesh n_h=17, not on the"):
-        run(problem33, y_exact, cfg, u_bar, u_exact, start_solution=start)
-
-
-def test_run_accepts_the_solution_of_a_bit_equal_copy_of_u0(problem33, monkeypatch):
-    # the check compares bits, not arrays: another array, or a list, of u0's
-    # values is u0, and the run reuses the solution as given
-    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
-    _, y_exact, u_bar = exact_fields(problem33.mesh)
-    start = forward.solve_forward(problem33, u_bar.values.copy())
     cfg = LandweberConfig(max_iter=0)
-    for u0 in (u_bar, u_bar.values.copy(), list(u_bar.values)):
-        record = run(problem33, y_exact, cfg, u0, start_solution=start)
-        assert record.ssn_counts.tolist() == [0]
-        assert record.final.values.tobytes() == u_bar.values.tobytes()
-
-
-def test_run_rejects_a_warm_start_solution(problem33, monkeypatch):
-    # a solution of u0 solved warm reaches a state within rounding of the
-    # cold solve's; with it the record's residuals differed from the plain
-    # run's in the last bits, so it is rejected before any forward solve
-    u_exact, y_exact, u_bar = exact_fields(problem33.mesh)
-    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
-    chain = [forward.solve_forward(problem33, 0.8 * u_bar.values)]
-    for u in (0.9 * u_bar.values, u_bar.values):
-        chain.append(forward.solve_forward(problem33, u, previous=chain[-1]))
-    warm = chain[-1]
-    assert warm.increment is not None and len(warm.window) == 1
+    solved = run(problem33, y_exact, cfg, u0)
+    start = solve_forward(problem33, u0)
     monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
-    cfg = LandweberConfig(delta=delta)
-    with pytest.raises(ValueError, match="^start_solution was solved warm; a run starts from a "):
-        run(problem33, y_noisy, cfg, u_bar, u_exact, start_solution=warm)
+    record = run(problem33, y_exact, cfg, start)
+    assert record.ssn_counts.tolist() == solved.ssn_counts.tolist() == [start.ssn_iterations]
+    assert record.residual_norms.tobytes() == solved.residual_norms.tobytes()
+    assert record.final.values.tobytes() == u0.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["source", "tiny"])
-@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-170])
-def test_run_rejects_a_start_solution_solved_to_a_floor(problem33, monkeypatch, kind, tol):
-    # a cold solve of u0 given a floor above its relative stop has another
-    # state than the plain solve's: with it the record's residuals differed
-    # from the plain run's by up to 3.9e-9 relative at tol = 1e-3 and
-    # 1.6e-14 at 1e-9.  Any nonzero floor is rejected, before any solve
+def test_run_rejects_a_solution_on_another_mesh(problem17, problem33, monkeypatch):
+    # the solution's u is the start, so it must have u0's shape; checked
+    # before any forward solve, with the argument named
+    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
     u_exact, y_exact, _ = exact_fields(problem33.mesh)
-    y_noisy, delta = add_noise(y_exact, NoiseSpec(seed=3, value=1e-3), problem33.M)
-    u0 = _start(problem33, kind)
-    start = forward.solve_forward(problem33, u0, tol=tol)
-    assert start.increment is None and start.tol == tol
-    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
-    floor = f"^start_solution was solved to a floor, tol={re.escape(repr(tol))}$"
-    with pytest.raises(ValueError, match=floor):
-        run(problem33, y_noisy, LandweberConfig(delta=delta), u0, u_exact, start_solution=start)
+    start = forward.solve_forward(problem17, _start(problem17, "source"))
+    with pytest.raises(ValueError, match=r"^u0 needs 961 interior values, got shape \(225,\)$"):
+        run(problem33, y_exact, LandweberConfig(max_iter=1), start, u_exact)
 
 
 def test_run_rejects_an_exact_source_of_zero_norm(problem9, monkeypatch):
@@ -890,18 +837,6 @@ def test_check_discrepancy_is_false_without_a_residual_or_after_an_earlier_cross
         assert not late.check_discrepancy()
     stopped = RunRecord(np.array([1.0, 0.5, 0.1]), None, np.array([2, 1, 1]), "discrepancy", cfg)
     assert stopped.check_discrepancy()
-
-
-def test_run_rejects_the_solution_of_a_source_changed_since(problem33, monkeypatch):
-    # the caller's array, changed in place after its solve, is another u0
-    # than the one the solution solves
-    monkeypatch.setattr(lw, "solve_forward", lambda *a, **k: pytest.fail("solved"))
-    _, y_exact, u_bar = exact_fields(problem33.mesh)
-    u0 = u_bar.values.copy()
-    start = forward.solve_forward(problem33, u0)
-    u0 *= 1.001
-    with pytest.raises(ValueError, match="^start_solution"):
-        run(problem33, y_exact, LandweberConfig(max_iter=0), u0, start_solution=start)
 
 
 @pytest.mark.parametrize("argument", ["y_data", "u0", "u_exact"])
