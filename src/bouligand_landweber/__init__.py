@@ -15,6 +15,7 @@ Layout:
   sparse_linalg preconditioned CG for the SPD systems
   forward       semi-smooth Newton forward solver for max(y, 0)
   bouligand     assembly/application of the subderivative systems
+  formats       the CSV column tables and JSON files: cells, readers, writers
   landweber     outer iteration, discrepancy stopping, run records
   verification  tangential-cone surveys, oracle and adjoint checks
   experiments   exact benchmark data, noise, experiment campaigns
@@ -78,13 +79,12 @@ from .experiments import (
     exact_fields,
     exact_source,
     exact_state,
-    read_table_csv,
     run_noise_free,
     run_noisy,
     run_table,
     source_guess,
-    write_table_csv,
 )
+from .formats import read_table_csv, write_table_csv
 
 __version__ = "0.1.0"
 

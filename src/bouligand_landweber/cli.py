@@ -18,7 +18,8 @@ any problem is built, with one exception: a noise level (`--delta-target`,
 finite is the one usage error raised after the mesh is built, since only
 the data tell.  `experiments` draws every cell's data before the first
 run, so it too comes before any Landweber step.  The commands only parse;
-the runs themselves are built by `experiments`.
+the runs themselves are built by `experiments`, and every file is written
+in a format of `formats`.
 
 The exit status is 2 for a usage error, 1 where `verify` writes a suite
 verdict `"passed": false` or where no cell of a `table` ran (every N = -1),
@@ -34,17 +35,10 @@ from dataclasses import fields
 from numbers import Integral
 from pathlib import Path
 
-from .experiments import (
-    STARTS,
-    NoiseSpec,
-    Setup,
-    run_noise_free,
-    run_noisy,
-    run_table,
-    write_table_csv,
-)
+from . import formats
+from .experiments import STARTS, NoiseSpec, Setup, run_noise_free, run_noisy, run_table
 from .forward import ForwardProblem, solve_forward
-from .landweber import FLOAT_CELL, INT_CELL, LandweberConfig, write_json, write_rows
+from .landweber import LandweberConfig
 from .mesh_fem import build_mesh, read_grid_function, write_grid_function
 from .sparse_linalg import (
     FINITE_POSITIVE,
@@ -57,13 +51,6 @@ from .verification import adjoint_check, oracle_sweep, tcc_survey
 # The LandweberConfig fields a user may set; delta is measured from the data.
 LANDWEBER_DEFAULTS = {f.name: f.default for f in fields(LandweberConfig) if f.name != "delta"}
 RUN_COMMANDS = ("noise-free", "invert", "table")
-
-# the verify suites' CSV columns, as (name, format, parse); see landweber.write_rows
-ORACLE_COLUMNS = (("n_h", INT_CELL, int), ("trial", INT_CELL, int), ("max_diff", FLOAT_CELL, float))
-TCC_COLUMNS = tuple((name, FLOAT_CELL, float) for name in ("radius", "mu_hat", "mismatch"))
-ADJOINT_COLUMNS = (
-    ("trial", INT_CELL, int), ("asymmetry", FLOAT_CELL, float), ("rayleigh", FLOAT_CELL, float)
-)
 
 
 def _checked(cast, kind, bound, requirement: str):
@@ -252,7 +239,7 @@ def _cmd_table(args) -> int:
         rows = run_table(args.n, args.deltas, start=args.start, seeds=args.seeds, cfg=args.cfg)
     except ValueError as exc:  # a level the data cannot carry
         args.error(f"argument --deltas: {exc}")
-    path = write_table_csv(args.out, rows)
+    path = formats.write_table_csv(args.out, rows)
     print(f"table: {len(rows)} cells -> {path}")
     for row in rows:
         print(
@@ -269,7 +256,7 @@ def _verify_oracle(args, out: Path) -> dict:
         report = oracle_sweep(n_h, trials=args.oracle_trials, seed=args.seed)
         reports.append(report)
         rows.extend({"n_h": n_h, "trial": t, "max_diff": d} for t, d in enumerate(report.diffs))
-    write_rows(out, ORACLE_COLUMNS, rows)
+    formats.write_rows(out, formats.ORACLE_COLUMNS, rows)
     return {
         "suite": "oracle",
         "max_diff": max(r.max_diff for r in reports),
@@ -290,7 +277,7 @@ def _verify_tcc(args, out: Path) -> dict:
         )
         for mode in ("nodal", "bump")
     ]
-    write_rows(out, TCC_COLUMNS, (
+    formats.write_rows(out, formats.TCC_COLUMNS, (
         {"radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch}
         for survey in surveys
         for e in survey.estimates
@@ -309,7 +296,7 @@ def _verify_tcc(args, out: Path) -> dict:
 def _verify_adjoint(args, out: Path) -> dict:
     problem = ForwardProblem.build(build_mesh(args.adjoint_n))
     report = adjoint_check(problem, trials=args.adjoint_trials, seed=args.seed)
-    write_rows(out, ADJOINT_COLUMNS, (
+    formats.write_rows(out, formats.ADJOINT_COLUMNS, (
         {"trial": t, "asymmetry": a, "rayleigh": r}
         for t, (a, r) in enumerate(zip(report.asymmetries, report.rayleigh))
     ))
@@ -332,7 +319,7 @@ def _cmd_verify(args) -> int:
         summaries.append(SUITES[suite](args, target))
         print(f"verify[{suite}] -> {target}")
     summary = summaries if len(summaries) > 1 else summaries[0]
-    json_path = write_json(out.with_suffix(".json"), summary)
+    json_path = formats.write_json(out.with_suffix(".json"), summary)
     print(f"verify summary -> {json_path}")
     return 1 if any(s.get("passed") is False for s in summaries) else 0
 

@@ -35,33 +35,20 @@ refuses data whose measured delta is 0, the noise lost in the rounding of
 y*, or not finite, its M-norm overflowed: each level is checked once, where
 its value becomes known.  A campaign draws every cell's data before its
 first run, so it refuses such a level before any step.
+
+A campaign returns records and table rows; the files they are stored in,
+the table CSV included, are those of `formats`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
-from pathlib import Path
+from numbers import Real
 
 import numpy as np
 
 from .forward import ForwardProblem, solve_forward
-from .landweber import (
-    FLOAT_CELL,
-    INT_CELL,
-    REASON_FORWARD_FAILURE,
-    LandweberConfig,
-    RunRecord,
-    _cell_parser,
-    _newton_count,
-    _residual_norm,
-    empirical_rate,
-    parse_reason,
-    read_rows,
-    run,
-    write_rows,
-)
+from .landweber import LandweberConfig, RunRecord, empirical_rate, run
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
 from .sparse_linalg import FINITE_POSITIVE, ConvergenceError, require_scalar, require_seed
 
@@ -260,19 +247,6 @@ def run_noisy(
     return record
 
 
-TABLE_COLUMNS = (
-    ("delta", FLOAT_CELL, _cell_parser(float, *FINITE_POSITIVE)),
-    ("seed", INT_CELL, lambda cell: require_seed(int(cell))),
-    # -1 for a cell whose first forward solve failed
-    ("N", INT_CELL, _cell_parser(int, Integral, lambda v: v >= -1, "be an integer >= -1")),
-    ("rel_error", FLOAT_CELL, _residual_norm),  # nan, like rate, for a failed cell
-    ("rate", FLOAT_CELL, _residual_norm),
-    # the cell's Newton steps; a cell after the first made none for F(u0)
-    ("ssn_total", INT_CELL, _newton_count),
-    ("reason", str, parse_reason),
-)
-
-
 def run_table(
     n_h: int,
     deltas,
@@ -282,7 +256,8 @@ def run_table(
 ) -> list[dict]:
     """Noisy campaign over (delta_target, seed) cells; rescale-mode noise.
 
-    Returns one row dict per cell, keyed by the TABLE_COLUMNS names.  Failures
+    Returns one row dict per cell, keyed by the names of
+    `formats.TABLE_COLUMNS`, whose `write_table_csv` stores them.  Failures
     of a single cell are recorded in its 'reason' and the campaign continues.
     Every cell starts from the same u0, so the campaign solves F(u0) once,
     before the first cell: the first row counts its Newton steps in
@@ -313,31 +288,6 @@ def run_table(
                 "reason": record.reason,
             }
         )
-    return rows
-
-
-def write_table_csv(path, rows) -> Path:
-    """Write campaign rows with columns delta,seed,N,rel_error,rate,ssn_total,reason."""
-    return write_rows(path, TABLE_COLUMNS, rows)
-
-
-def read_table_csv(path) -> list[dict]:
-    """Read campaign rows written by :func:`write_table_csv`.
-
-    A damaged file raises ValueError naming the file, as `RunRecord.load` does,
-    and the line of a row that no campaign writes: a delta that is not
-    finite and positive, N below -1, a negative count, error or rate, N = -1
-    with a reason other than 'forward-failure', or an error or rate that is
-    NaN where N >= 0, or a number where N = -1.
-    """
-    rows = read_rows(path, TABLE_COLUMNS)
-    for line, row in enumerate(rows, start=2):  # read_rows puts row i on line i + 2
-        failed = row["N"] == -1
-        if failed and row["reason"] != REASON_FORWARD_FAILURE:
-            raise ValueError(f"{path}, line {line}: N = -1 needs reason {REASON_FORWARD_FAILURE!r}")
-        for name in ("rel_error", "rate"):
-            if math.isnan(row[name]) != failed:
-                raise ValueError(f"{path}, line {line}: {name} must be nan exactly where N = -1")
     return rows
 
 

@@ -31,13 +31,13 @@ A run's record holds what the run produced, its config and its history;
 delta, tau, the stopping index and the parameter check at lbar follow from
 them.  Its saved summary states these too, and loading it requires the
 stored summary to be the one the config and the history give, key for key,
-so a saved run re-checks its stopping rule from its own files.
+so a saved run re-checks its stopping rule from its own files.  The files'
+columns, cells and reasons are those of `formats`; this module keeps the
+method, and reads and writes its record through them.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -46,7 +46,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .bouligand import apply_subderivative, build_linearized
+from .formats import (
+    REASON_DISCREPANCY,
+    REASON_DIVERGENCE,
+    REASON_FORWARD_FAILURE,
+    REASON_MAX_ITERATIONS,
+)
 from .forward import ForwardProblem, ForwardSolution, error_certificate, solve_forward
 from .mesh_fem import GridFunction, field_values, m_norm
 from .sparse_linalg import (
@@ -59,12 +66,6 @@ from .sparse_linalg import (
 )
 
 logger = logging.getLogger(__name__)
-
-REASON_DISCREPANCY = "discrepancy"
-REASON_MAX_ITERATIONS = "max-iterations"
-REASON_FORWARD_FAILURE = "forward-failure"
-REASON_DIVERGENCE = "divergence"
-REASONS = (REASON_DISCREPANCY, REASON_MAX_ITERATIONS, REASON_FORWARD_FAILURE, REASON_DIVERGENCE)
 
 SUBDERIVATIVE_RTOL = 1e-8  # the step's CG floor relative to ||M r_n||_2
 # bound on each forward solve's M-norm state error relative to the smallest
@@ -125,6 +126,20 @@ class LandweberConfig:
         return (2.0 - 2.0 * self.mu) / self.lbar**2
 
 
+# config keys of records written before the per-step schedule options were removed
+_LEGACY_CONFIG_KEYS = ("steps", "lam", "Lam", "warm_start")
+
+
+def _config(value) -> LandweberConfig:
+    """A stored config: a JSON object whose keys, legacy keys aside, build a LandweberConfig."""
+    if not isinstance(value, dict):
+        raise ValueError(f"must be a JSON object, got {value!r}")
+    try:  # an unknown key is a TypeError, a bad value a ValueError
+        return LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"is not a valid LandweberConfig: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ParameterCheck:
     """The two scalar left-hand sides that must be negative in the theory."""
@@ -159,110 +174,6 @@ def check_parameters(cfg: LandweberConfig, L: float) -> ParameterCheck:
 def empirical_rate(err_abs: float, delta: float) -> float:
     """Empirical convergence rate ||u_exact - u||_M / sqrt(delta); undefined at delta = 0."""
     return err_abs / np.sqrt(require_scalar("delta", delta, *FINITE_POSITIVE))
-
-
-# A CSV record file declares each column once, as (name, format, parse):
-# `format` turns a row value into its cell and `parse` turns the cell back.
-FLOAT_CELL = "{:.17g}".format  # 17 significant digits round-trip a double bit for bit
-INT_CELL = "{:d}".format
-
-
-def write_rows(path, columns, rows) -> Path:
-    """Write row dicts as CSV: the column names, then one line per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([name for name, _, _ in columns])
-        writer.writerows([fmt(row[name]) for name, fmt, _ in columns] for row in rows)
-    return Path(path)
-
-
-def write_json(path, obj) -> Path:
-    """Write obj as strict JSON, indented, with a final newline; NaN or infinity is a ValueError."""
-    path = Path(path)
-    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
-    return path
-
-
-def read_rows(path, columns) -> list[dict]:
-    """Read the row dicts of a CSV written by :func:`write_rows` with the same columns.
-
-    A damaged file raises ValueError naming the file and the defect: the
-    missing columns, a blank line, or the line of a cell that is empty, cut
-    off or does not parse.  Row i is therefore on line i + 2.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name, _, _ in columns if name not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for cells in reader:
-            if not cells:
-                raise ValueError(f"{path}, line {reader.line_num}: blank line")
-            row = dict(zip(header, cells))
-            values = {}
-            for name, _, parse in columns:
-                cell = row.get(name)  # None where the row is cut off
-                try:
-                    values[name] = parse(cell)
-                except (TypeError, ValueError) as exc:
-                    defect = f"{name}: {exc}" if cell else "empty cell"
-                    raise ValueError(f"{path}, line {reader.line_num}: {defect}") from exc
-            rows.append(values)
-    return rows
-
-
-def _cell_parser(cast, kind, bound, requirement: str):
-    """A cell parser: `cast` of the cell, checked by `require_scalar`."""
-    return lambda cell: require_scalar("value", cast(cell), kind, bound, requirement)
-
-
-def parse_reason(cell) -> str:
-    """A stored reason: one of REASONS, else ValueError."""
-    if cell not in REASONS:
-        raise ValueError(f"must be one of {', '.join(REASONS)}, got {cell!r}")
-    return cell
-
-
-# a stored residual norm; NaN passes, as `run` records one where dot(r, M r) is NaN
-_residual_norm = _cell_parser(float, Real, lambda v: not v < 0.0, "not be negative")
-# a stored Newton count, 0 at n = 0 where the start's solution counts none
-_newton_count = _cell_parser(int, *NONNEGATIVE_INTEGER)
-
-
-RECORD_COLUMNS = (
-    ("n", INT_CELL, int),
-    ("residual_M", FLOAT_CELL, _residual_norm),
-    # empty when the run had no exact source
-    ("rel_error", lambda e: "" if e is None else FLOAT_CELL(e),
-     lambda cell: math.nan if cell == "" else float(cell)),
-    ("ssn_iters", INT_CELL, _newton_count),
-)
-
-# config keys of records written before the per-step schedule options were removed
-_LEGACY_CONFIG_KEYS = ("steps", "lam", "Lam", "warm_start")
-
-
-def _config(value) -> LandweberConfig:
-    """A stored config: a JSON object whose keys, legacy keys aside, build a LandweberConfig."""
-    if not isinstance(value, dict):
-        raise ValueError(f"must be a JSON object, got {value!r}")
-    try:  # an unknown key is a TypeError, a bad value a ValueError
-        return LandweberConfig(**{k: v for k, v in value.items() if k not in _LEGACY_CONFIG_KEYS})
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"is not a valid LandweberConfig: {exc}") from exc
-
-
-def _same(stored, derived) -> bool:
-    """Whether a stored summary value is the derived one, bit for bit and type for type.
-
-    An integer stands for the float of its value, as configs built from
-    integers were once stored.
-    """
-    if type(stored) is int and type(derived) is float:
-        return stored == derived
-    return json.dumps(stored, sort_keys=True) == json.dumps(derived, sort_keys=True)
 
 
 @dataclass
@@ -342,8 +253,9 @@ class RunRecord:
             {"n": n, "residual_M": res, "rel_error": err, "ssn_iters": ssn}
             for n, (res, err, ssn) in enumerate(history)
         )
-        csv_path = write_rows(base.with_name(base.name + ".csv"), RECORD_COLUMNS, rows)
-        return csv_path, write_json(base.with_name(base.name + ".json"), self.summary())
+        csv_path = base.with_name(base.name + ".csv")
+        formats.write_rows(csv_path, formats.RECORD_COLUMNS, rows)
+        return csv_path, formats.write_json(base.with_name(base.name + ".json"), self.summary())
 
     @classmethod
     def load(cls, base) -> "RunRecord":
@@ -359,22 +271,16 @@ class RunRecord:
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
         csv_path = base.with_name(base.name + ".csv")
-        with open(json_path) as fh:
-            try:
-                summary = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{json_path}: not valid JSON ({exc})") from exc
-        if not isinstance(summary, dict):
-            raise ValueError(f"{json_path}: expected a JSON object, got {type(summary).__name__}")
+        summary = formats.read_json_object(json_path)
         values = {}
-        for key, check in (("config", _config), ("reason", parse_reason)):
+        for key, check in (("config", _config), ("reason", formats.parse_reason)):
             if key not in summary:
                 raise ValueError(f"{json_path}: missing key {key!r}")
             try:
                 values[key] = check(summary[key])
             except ValueError as exc:
                 raise ValueError(f"{json_path}: {key!r} {exc}") from exc
-        rows = read_rows(csv_path, RECORD_COLUMNS)
+        rows = formats.read_rows(csv_path, formats.RECORD_COLUMNS)
         for n, row in enumerate(rows):
             if row["n"] != n:  # read_rows puts row n on line n + 2
                 raise ValueError(f"{csv_path}, line {n + 2}: n must be {n}, got {row['n']}")
@@ -385,20 +291,12 @@ class RunRecord:
             ssn_counts=np.array([row["ssn_iters"] for row in rows], dtype=int),
             **values,
         )
-        # the config and the reason built the record; every other key must be derived
-        derived = record.summary()
-        for key in {**derived, **summary}:
-            if key not in derived:
-                raise ValueError(f"{json_path}: unknown key {key!r}")
-            if key not in summary:
-                # records written before the parameter check was stored lack it
-                if key != "parameter_check":
-                    raise ValueError(f"{json_path}: missing key {key!r}")
-            elif key not in values and not _same(summary[key], derived[key]):
-                raise ValueError(
-                    f"{json_path}: {key!r} must be {derived[key]!r}, as the config and "
-                    f"{csv_path.name} give, got {summary[key]!r}"
-                )
+        # the config and the reason built the record; every other key must be
+        # derived, and records written before the parameter check was stored lack it
+        formats.check_summary(
+            json_path, summary, record.summary(), values, f"the config and {csv_path.name}",
+            optional=("parameter_check",),
+        )
         return record
 
 

@@ -18,8 +18,8 @@ from bouligand_landweber import (
     tcc_survey,
     write_grid_function,
 )
-from bouligand_landweber.cli import ADJOINT_COLUMNS, ORACLE_COLUMNS, TCC_COLUMNS, main
-from bouligand_landweber.landweber import read_rows
+from bouligand_landweber.cli import main
+from bouligand_landweber.formats import ADJOINT_COLUMNS, ORACLE_COLUMNS, TCC_COLUMNS, read_rows
 
 
 def test_forward_builtin_exact(tmp_path, capsys):

@@ -544,6 +544,16 @@ def _drop_rate_column(text):
     return "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
 
 
+def _append_column(name, cell):
+    """A damage that appends the column `name`, with `cell` in every row."""
+
+    def damage(text):
+        header, *rows = text.splitlines()
+        return f"{header},{name}\n" + "".join(f"{row},{cell}\n" for row in rows)
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -580,13 +590,19 @@ def _drop_rate_column(text):
          r"table\.csv, line 3: rel_error must be nan exactly where N = -1"),
         (lambda text: text.replace("0.001,0,", "0.001,-1,"),
          r"table\.csv, line 3: seed: seed must be an integer >= 0, got -1"),
+        (lambda text: text.replace("discrepancy", "discrepancy,999"),
+         r"table\.csv, line 2: 8 cells for 7 columns"),
+        (_append_column("bogus", "0"),
+         r"table\.csv: unknown or repeated columns in the header \[.*'bogus'\]"),
+        (_append_column("N", "7"),
+         r"table\.csv: unknown or repeated columns in the header \[.*'N', .*'N'\]"),
     ],
     ids=[
         "missing-column", "cut-row", "delta-text", "N-float", "reason-unknown", "blank-line",
         "N-below-minus-one", "failed-cell-other-reason", "ssn-total-negative", "delta-zero",
         "delta-negative", "delta-inf", "delta-nan", "rel-error-negative", "rate-negative",
         "rel-error-nan-where-ran", "rate-nan-where-ran", "rel-error-where-failed",
-        "seed-negative",
+        "seed-negative", "extra-cell", "unknown-column", "repeated-column",
     ],
 )
 def test_read_table_csv_rejects_damaged_files(tmp_path, damage, message):

@@ -897,6 +897,24 @@ def _blank_line_before_renumbered_row(base):
     path.write_text("".join(lines))
 
 
+def _extra_cell(base):
+    path = base.with_name(base.name + ".csv")
+    lines = path.read_text().splitlines()
+    lines[2] += ",999"  # the row of n = 1
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _append_csv_column(name, cell):
+    """A damage that appends the column `name`, with `cell` in every row."""
+
+    def damage(base):
+        path = base.with_name(base.name + ".csv")
+        header, *rows = path.read_text().splitlines()
+        path.write_text(f"{header},{name}\n" + "".join(f"{row},{cell}\n" for row in rows))
+
+    return damage
+
+
 def _negative_newton_count(base):
     # ssn_iters = -5 in the row of n = 1, with a matching ssn_total
     csv_path, json_path = (base.with_name(base.name + ext) for ext in (".csv", ".json"))
@@ -958,6 +976,7 @@ _CHECK = {"choice": 1.0, "choice_aux": 2.0, "satisfied": [False, False]}
 _OTHER = check_parameters(LandweberConfig(), L=0.04)
 _CHECK_AT_OTHER_BOUND = {**dataclasses.asdict(_OTHER), "satisfied": list(_OTHER.satisfied)}
 _BAD_CONFIG = r"run\.json: 'config' is not a valid LandweberConfig: "
+_EXTRA_COLUMNS = r"run\.csv: unknown or repeated columns in the header "
 
 
 def _derived(key, value):
@@ -1014,6 +1033,9 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
          r"run\.csv, line 3: ssn_iters: value must be an integer >= 0, got -5"),
         (_negative_residual,
          r"run\.csv, line 3: residual_M: value must not be negative, got -0\.0"),
+        (_extra_cell, r"run\.csv, line 3: 5 cells for 4 columns"),
+        (_append_csv_column("bogus", "0"), _EXTRA_COLUMNS + r"\[.*'bogus'\]"),
+        (_append_csv_column("n", "7"), _EXTRA_COLUMNS + r"\['n', .*'n'\]"),
     ],
     ids=[
         "cut-row",
@@ -1056,6 +1078,9 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         "config-tau-beyond-float-range",
         "newton-count-negative",
         "residual-negative",
+        "extra-cell",
+        "unknown-column",
+        "repeated-column",
     ],
 )
 def test_record_load_rejects_damaged_files(tmp_path, problem17, damage, message):
