@@ -28,16 +28,16 @@ center = (mesh.m // 2) * mesh.m + mesh.m // 2
 row = A.getrow(center)
 print(f"stiffness row at a central node: diag {row[0, center]}, "
       f"off-diagonals {sorted(float(v) for v in set(row.data) - {4.0})}")
-print(f"lumped mass at interior nodes: D_ii = {D[center]:.6g} (= h^2 = {mesh.h**2:.6g})")
+print(f"lumped mass, one number at every interior node: D = {D:.6g} (= h^2 = {mesh.h**2:.6g})")
 
 # the hat functions partition unity, so the full mass matrix sums to |Omega| = 1
 _, M_full, D_full = assemble_full(mesh)
 print(f"sum of all boundary-inclusive mass entries: {M_full.sum():.15f} (exact: 1)")
 
-# D is the row-sum lumping of M
+# D is the row-sum lumping of M at every interior node
 idx = mesh.interior_to_full()
 row_sums = np.asarray(M_full.sum(axis=1)).ravel()[idx]
-print(f"max |D_ii - sum_j M_ij| over interior nodes: {np.max(np.abs(D - row_sums)):.2e}")
+print(f"max |D - sum_j M_ij| over interior nodes: {np.max(np.abs(D - row_sums)):.2e}")
 
 # discrete L2 norm of a nodal interpolant vs the analytic value 1/2
 for size in (32, 64, 128, 256):

@@ -149,9 +149,9 @@ newton_count = cell_parser(int, *NONNEGATIVE_INTEGER)
 RECORD_COLUMNS = (
     ("n", INT_CELL, int),
     ("residual_M", FLOAT_CELL, residual_norm),
-    # empty when the run had no exact source
+    # empty, read as None, when the run had no exact source
     ("rel_error", lambda e: "" if e is None else FLOAT_CELL(e),
-     lambda cell: math.nan if cell == "" else float(cell)),
+     lambda cell: None if cell == "" else residual_norm(cell)),
     ("ssn_iters", INT_CELL, newton_count),
 )
 

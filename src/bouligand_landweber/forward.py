@@ -59,6 +59,7 @@ import scipy.sparse as sp
 
 from .mesh_fem import GridFunction, Mesh, assemble, field_values
 from .sparse_linalg import (
+    FINITE_POSITIVE,
     TINY_RHS,
     ConvergenceError,
     SpdSystem,
@@ -66,6 +67,7 @@ from .sparse_linalg import (
     dot,
     norm,
     poisson_preconditioner,
+    require_scalar,
     require_tolerance,
     solve_spd,
 )
@@ -118,7 +120,10 @@ class ForwardProblem:
     """Assembled discrete problem A y + D f(y) = M u on one mesh.
 
     A and M are the DIA matrices of `mesh_fem.assemble`; the solvers apply
-    them with `@` only, so a CSR matrix of the same shape also works.
+    them with `@` only, so a CSR matrix of the same shape also works.  D
+    is the lumped mass, one number for every interior node (the lumped
+    matrix is D times the identity), stored as a float: one that is not
+    finite and positive, an array included, raises ValueError.
     `precond(r, coarse=None)` is the fast-Poisson preconditioner, and
     `coarse_block` maps a Newton system's shift to the coarse block that
     makes it the two-level map of that system.
@@ -127,15 +132,16 @@ class ForwardProblem:
     mesh: Mesh
     A: sp.dia_matrix
     M: sp.dia_matrix
-    D: np.ndarray
+    D: float
     nonlinearity: PositivePart
     precond: Callable[..., np.ndarray]
     coarse_block: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         n = self.mesh.n_interior
-        if self.A.shape != (n, n) or self.M.shape != (n, n) or self.D.shape != (n,):
+        if self.A.shape != (n, n) or self.M.shape != (n, n):
             raise ValueError("matrix dimensions do not match the mesh")
+        self.D = require_scalar("D", self.D, *FINITE_POSITIVE)
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ForwardProblem":

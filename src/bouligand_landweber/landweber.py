@@ -266,7 +266,9 @@ class RunRecord:
         then be the record's own, with no key unknown or missing and every
         other value equal.  A damaged pair raises ValueError naming the file
         and the defect: for a summary value, the key; for a cell, the line,
-        a negative residual or Newton count included.
+        a negative residual, relative error or Newton count included, and
+        the first line whose relative error is filled where the first line's
+        is empty, or the other way round.
         """
         base = Path(base)
         json_path = base.with_name(base.name + ".json")
@@ -281,13 +283,15 @@ class RunRecord:
             except ValueError as exc:
                 raise ValueError(f"{json_path}: {key!r} {exc}") from exc
         rows = formats.read_rows(csv_path, formats.RECORD_COLUMNS)
-        for n, row in enumerate(rows):
-            if row["n"] != n:  # read_rows puts row n on line n + 2
+        errors = [row["rel_error"] for row in rows]  # None where the cell is empty
+        for n, row in enumerate(rows):  # read_rows puts row n on line n + 2
+            if row["n"] != n:
                 raise ValueError(f"{csv_path}, line {n + 2}: n must be {n}, got {row['n']}")
-        errors = np.array([row["rel_error"] for row in rows])
+            if (errors[n] is None) != (errors[0] is None):
+                raise ValueError(f"{csv_path}, line {n + 2}: rel_error filled on some lines only")
         record = cls(
             residual_norms=np.array([row["residual_M"] for row in rows]),
-            rel_errors=None if np.all(np.isnan(errors)) else errors,
+            rel_errors=np.array(errors) if errors and errors[0] is not None else None,
             ssn_counts=np.array([row["ssn_iters"] for row in rows], dtype=int),
             **values,
         )

@@ -11,9 +11,11 @@ For interior nodes the resulting stencils are
 * stiffness A: 4 on the diagonal, -1 at the four edge neighbors (dimensionless),
 * consistent mass M: h^2/2 on the diagonal, h^2/12 at the six edge-connected
   neighbors (E, W, N, S, NE, SW),
-* lumped mass D: one third of the nodal support area, i.e. h^2.
+* lumped mass D: one third of the nodal support area, i.e. h^2, the same
+  number at every interior node.
 
-:func:`assemble` builds the interior matrices straight from these stencils.
+:func:`assemble` builds the interior matrices straight from these stencils
+and returns D as that one number.
 :func:`assemble_full` assembles the boundary-inclusive matrices element by
 element; it is the oracle the stencil matrices are tested against, bit for
 bit.
@@ -198,15 +200,17 @@ def _stencil_matrix(m: int, stencil) -> sp.dia_matrix:
     return sp.dia_matrix((data.reshape(len(kept), m * m), offsets), shape=(m * m, m * m))
 
 
-def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, np.ndarray]:
+def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, float]:
     """Interior (A, M, D) with homogeneous Dirichlet conditions by elimination.
 
     A is the P1 stiffness matrix and M the consistent mass matrix, both
     stored by diagonals (DIA: one diagonal per stencil entry, explicit
-    zeros at Dirichlet neighbors), and D is the lumped mass diagonal.
-    They are built straight from the interior stencils; the values are
-    summed in the order element assembly sums them, so the result equals
-    :func:`assemble_full` restricted to the interior bit for bit.
+    zeros at Dirichlet neighbors).  D is the lumped mass, a float: every
+    interior node has the same support, so the lumped diagonal is D times
+    the identity.  They are built straight from the interior stencils; the
+    values are summed in the order element assembly sums them, so A and M
+    equal :func:`assemble_full` restricted to the interior, and D each
+    interior entry of its lumped mass, bit for bit.
     """
     area = 0.5 * mesh.h * mesh.h
     # a and b are the entries of the element mass matrix area * _MASS_UNIT;
@@ -223,10 +227,8 @@ def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, np.ndarray]:
         [(-1, -1, off), (0, -1, off), (-1, 0, off), (0, 0, diag), (1, 0, off), (0, 1, off),
          (1, 1, off)],
     )
-    support = 0.0
-    for _ in range(6):  # summed one triangle at a time, as assemble_full does
-        support += area
-    return A, M, np.full(mesh.n_interior, support / 3.0)
+    # the support of six triangles, summed one at a time as assemble_full sums it
+    return A, M, (area + area + area + area + area + area) / 3.0
 
 
 def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:

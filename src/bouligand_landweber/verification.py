@@ -54,22 +54,22 @@ class TCCEstimate:
     radius: float
 
 
-def mismatch_measure(D: np.ndarray, y, y_hat) -> float:
+def mismatch_measure(D: float, y, y_hat) -> float:
     """Lumped area of the set where y and y_hat disagree in sign.
 
     Counts nodes where the subderivative masks {y > 0} and {y_hat > 0}
-    differ, each weighted by its lumped-mass entry D_ii; a quadrature
-    surrogate for the Lebesgue measure of the continuum mismatch set.  A
-    NaN or infinite entry in y or y_hat raises ValueError naming it.
+    differ, each weighted by the lumped mass D, one number for every node
+    (see `mesh_fem.assemble`); a quadrature surrogate for the Lebesgue
+    measure of the continuum mismatch set.  The weights are summed as one
+    array holding a copy of D per counted node, so the area has the bits of
+    summing the lumped diagonal's entries there.  A NaN or infinite entry
+    in y or y_hat raises ValueError naming it.
     """
-    a, b = values_of(y), values_of(y_hat)
-    D = np.asarray(D, dtype=float)
-    if a.shape != b.shape or D.shape != a.shape:
-        raise ValueError(f"dimension mismatch: D {D.shape}, y {a.shape}, y_hat {b.shape}")
-    require_finite("y", a)
-    require_finite("y_hat", b)
+    a, b = require_finite("y", values_of(y)), require_finite("y_hat", values_of(y_hat))
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: y {a.shape}, y_hat {b.shape}")
     flipped = PositivePart.bouligand_coeff(a) != PositivePart.bouligand_coeff(b)
-    return float(np.sum(D[flipped]))
+    return float(np.sum(np.broadcast_to(D, a.shape)[flipped]))
 
 
 def tcc_ratio(problem: ForwardProblem, u, u_hat) -> TCCEstimate:

@@ -49,11 +49,12 @@ class CountingMatrix:
         return self.matrix @ v
 
 
-def peak_vectors(fn, n: int) -> float:
-    """Peak memory that fn() allocates, traced by tracemalloc, in vectors of n doubles.
+def traced_call(fn):
+    """fn()'s result with the (held, peak) bytes tracemalloc traced over the call.
 
     Counted from the start of the call, so what fn returns is included and
-    what the caller already holds is not.  A line tracer, as a coverage run
+    what the caller already holds is not; `held` is what is still allocated
+    at the end, with the result alive.  A line tracer, as a coverage run
     installs, keeps frames and their arrays alive, so it is suspended for
     the call and restored after.
     """
@@ -61,11 +62,16 @@ def peak_vectors(fn, n: int) -> float:
     sys.settrace(None)
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / (8 * n)
+        result = fn()
+        return result, tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         sys.settrace(tracer)
+
+
+def peak_vectors(fn, n: int) -> float:
+    """Peak memory that fn() allocates, traced by tracemalloc, in vectors of n doubles."""
+    return traced_call(fn)[1][1] / (8 * n)
 
 
 def matched_pattern_pair(problem, rng):

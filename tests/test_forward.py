@@ -20,7 +20,7 @@ from bouligand_landweber import (
 from bouligand_landweber import forward, sparse_linalg
 from bouligand_landweber.experiments import NoiseSpec, add_noise, exact_fields
 from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
-from conftest import CountingMatrix, peak_vectors
+from conftest import CountingMatrix, peak_vectors, traced_call
 
 
 @pytest.fixture(scope="module")
@@ -371,8 +371,16 @@ def test_forward_problem_rejects_matrices_of_another_size(problem9):
         smaller = getattr(problem9, field).tocsr()[:-1, :-1]
         with pytest.raises(ValueError, match="^matrix dimensions do not match the mesh$"):
             dataclasses.replace(problem9, **{field: smaller})
-    with pytest.raises(ValueError, match="^matrix dimensions do not match the mesh$"):
-        dataclasses.replace(problem9, D=problem9.D[:-1])
+
+
+@pytest.mark.parametrize("D", [np.full(49, 1 / 64), np.nan, 0.0, -1 / 64],
+                         ids=["array", "nan", "zero", "negative"])
+def test_forward_problem_takes_its_lumped_mass_as_one_positive_number(problem9, D):
+    # the lumped mass is the same at every interior node, so the problem
+    # keeps one float; a per-node array is refused rather than broadcast
+    with pytest.raises(ValueError, match="^D must be finite and positive, got"):
+        dataclasses.replace(problem9, D=D)
+    assert type(dataclasses.replace(problem9, D=np.float64(problem9.D)).D) is float
 
 
 def test_zero_floor_is_the_default_stop(problem17):
@@ -561,6 +569,17 @@ def test_solve_forward_working_set(problem257):
     n = problem257.mesh.n_interior
     u_bar = exact_fields(problem257.mesh)[2]
     assert peak_vectors(lambda: solve_forward(problem257, u_bar), n) <= 10.2
+
+
+def test_built_problem_holds_no_per_node_constant():
+    # at n_h = 257 a built problem holds the diagonals of A and M and the
+    # float32 eigenvalue table of its preconditioner; the slack of 128 KiB
+    # covers the coarse-block builder's tables (47 KB measured) and the
+    # small arrays beside them, and is a quarter of the 8 n bytes a lumped
+    # mass stored per node would add (numpy 2.4, scipy 1.17: 64 KB over)
+    problem, (held, _) = traced_call(lambda: ForwardProblem.build(build_mesh(257)))
+    m = problem.mesh.m
+    assert held <= problem.A.data.nbytes + problem.M.data.nbytes + 4 * m * m + 128 * 1024
 
 
 def test_run_working_set(problem65):

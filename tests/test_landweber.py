@@ -935,6 +935,18 @@ def _negative_residual(base):
     path.write_text("".join(lines))
 
 
+def _set_rel_error(cell):
+    def damage(base):
+        # the rel_error cell of the row of n = 1
+        path = base.with_name(base.name + ".csv")
+        lines = path.read_text().splitlines(keepends=True)
+        n, res, _, rest = lines[2].split(",", 3)
+        lines[2] = ",".join([n, res, cell, rest])
+        path.write_text("".join(lines))
+
+    return damage
+
+
 def _drop_json_key(key):
     """A damage that deletes one summary key."""
 
@@ -1033,6 +1045,9 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
          r"run\.csv, line 3: ssn_iters: value must be an integer >= 0, got -5"),
         (_negative_residual,
          r"run\.csv, line 3: residual_M: value must not be negative, got -0\.0"),
+        (_set_rel_error("-0.5"),
+         r"run\.csv, line 3: rel_error: value must not be negative, got -0\.5"),
+        (_set_rel_error(""), r"run\.csv, line 3: rel_error filled on some lines only$"),
         (_extra_cell, r"run\.csv, line 3: 5 cells for 4 columns"),
         (_append_csv_column("bogus", "0"), _EXTRA_COLUMNS + r"\[.*'bogus'\]"),
         (_append_csv_column("n", "7"), _EXTRA_COLUMNS + r"\['n', .*'n'\]"),
@@ -1078,6 +1093,8 @@ _BAD_CHECK = _derived("parameter_check", r"\{'choice': 1\.57.*'satisfied': \[Fal
         "config-tau-beyond-float-range",
         "newton-count-negative",
         "residual-negative",
+        "rel-error-negative",
+        "rel-error-missing-mid-history",
         "extra-cell",
         "unknown-column",
         "repeated-column",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bouligand_landweber import (
+    ForwardProblem,
     GridFunction,
     Mesh,
     SpdSystem,
@@ -63,7 +64,7 @@ def test_assemble_single_interior_node():
     A, M, D = assemble(build_mesh(3))
     assert A.toarray() == pytest.approx(np.array([[4.0]]))
     assert M.toarray() == pytest.approx(np.array([[0.125]]))
-    assert D == pytest.approx(np.array([0.25]))
+    assert D == 0.25
 
 
 def test_stiffness_stencil_n4():
@@ -115,7 +116,7 @@ def test_lumped_mass_is_row_sum_of_mass():
 def test_lumped_mass_interior_value():
     mesh = build_mesh(17)
     _, _, D = assemble(mesh)
-    assert D == pytest.approx(np.full(mesh.n_interior, mesh.h**2), abs=1e-16)
+    assert D == pytest.approx(mesh.h**2, abs=1e-16)
 
 
 def test_mass_stencil_interior_node():
@@ -150,9 +151,10 @@ def _assert_same_csr(got, want):
     assert got.has_canonical_format and want.has_canonical_format
 
 
-@pytest.mark.parametrize("n_h", [3, 4, 5, 17, 64, 129])
+@pytest.mark.parametrize("n_h", [3, 4, 5, 9, 10, 17, 33, 64, 129])
 def test_stencil_assembly_matches_element_assembly(n_h):
-    # the element-level assembly, restricted to the interior, is the oracle
+    # the element-level assembly, restricted to the interior, is the oracle;
+    # its lumped mass is one number there, which the problem keeps as a float
     mesh = build_mesh(n_h)
     A, M, D = assemble(mesh)
     A_full, M_full, D_full = assemble_full(mesh)
@@ -160,7 +162,10 @@ def test_stencil_assembly_matches_element_assembly(n_h):
     # tocsr drops the explicit zeros DIA stores at Dirichlet neighbors
     _assert_same_csr(A.tocsr(), A_full[idx][:, idx])
     _assert_same_csr(M.tocsr(), M_full[idx][:, idx])
-    assert D.tobytes() == D_full[idx].tobytes()
+    problem_D = ForwardProblem.build(mesh).D
+    assert type(D) is float and type(problem_D) is float
+    assert np.full(mesh.n_interior, problem_D).tobytes() == D_full[idx].tobytes()
+    assert problem_D.hex() == D.hex()
 
 
 @pytest.mark.parametrize("n_h", [3, 4, 5, 17, 64, 129])

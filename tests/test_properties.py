@@ -265,15 +265,14 @@ def configs(draw):
 @st.composite
 def _run_records(draw):
     rows = draw(st.integers(1, 12))
-    column = arrays(np.float64, rows, elements=finite)
-    # a residual norm is never negative (load rejects one); -0.0 is not below
-    # 0, and run records a NaN where dot(r, M r) is NaN
+    # a residual norm or relative error is never negative (load rejects one);
+    # -0.0 is not below 0, and run records a NaN where dot(r, M r) is NaN
     norms = st.floats(0.0, allow_infinity=False, allow_subnormal=True) | st.sampled_from(
         [-0.0, math.nan]
     )
     return RunRecord(
         residual_norms=draw(arrays(np.float64, rows, elements=norms)),
-        rel_errors=draw(st.one_of(st.none(), column)),
+        rel_errors=draw(st.one_of(st.none(), arrays(np.float64, rows, elements=norms))),
         ssn_counts=draw(arrays(np.int64, rows, elements=st.integers(0, 100))),
         reason=draw(st.sampled_from(["discrepancy", "max-iterations", "divergence"])),
         config=draw(configs()),

@@ -172,7 +172,7 @@ def test_non_finite_arithmetic_fails_at_once(shift, scale):
         applications.append(1)
         return pre(r)
 
-    system = SpdSystem(A, D + shift)
+    system = SpdSystem(A, np.full(mesh.n_interior, D + shift))
     with pytest.raises(ConvergenceError):
         solve_spd(system, scale * np.sin(np.arange(mesh.n_interior, dtype=float)), counted)
     assert len(applications) <= 1
@@ -427,7 +427,7 @@ def test_solve_leaves_the_rhs_unchanged(scale):
     b = scale * np.random.default_rng(5).standard_normal(mesh.n_interior)
     assert (sparse_linalg.norm(b) < TINY_RHS) == (scale < 1.0)
     before = b.tobytes()
-    x = solve_spd(SpdSystem(A, D), b, poisson_preconditioner(mesh.m))
+    x = solve_spd(SpdSystem(A, np.full(mesh.n_interior, D)), b, poisson_preconditioner(mesh.m))
     assert np.any(x != 0.0)
     assert b.tobytes() == before
 
@@ -438,7 +438,7 @@ def test_solve_working_set(problem257):
     # buffers: tracemalloc measured 5.63 vectors of 8 n bytes, returned x
     # included (numpy 2.4, scipy 1.17)
     n = problem257.mesh.n_interior
-    system = SpdSystem(problem257.A, problem257.D)
+    system = SpdSystem(problem257.A, np.full(n, problem257.D))
     b = problem257.M @ np.sin(np.arange(n, dtype=float))
     assert peak_vectors(lambda: solve_spd(system, b, problem257.precond), n) <= 6.5
 
@@ -500,7 +500,7 @@ def test_early_exit_test_runs_once_across_restarts(monkeypatch, verdict, change)
     # and the restart goes on to the floor (refused) or to tol (taken)
     mesh = build_mesh(17)
     A, M, D = assemble(mesh)
-    system = SpdSystem(A, D.copy())
+    system = SpdSystem(A, np.full(mesh.n_interior, D))
     b = M @ np.random.default_rng(4).standard_normal(mesh.n_interior)
     tol = 1e-3 * np.linalg.norm(b)
     runs, calls = [], []
