@@ -82,7 +82,6 @@ from .experiments import (
     run_noise_free,
     run_noisy,
     run_table,
-    source_guess,
 )
 from .formats import read_table_csv, write_table_csv
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import sys
 from dataclasses import fields
 from numbers import Integral
 from pathlib import Path
@@ -275,10 +274,10 @@ def _verify_tcc(args, out: Path) -> dict:
             seed=args.seed,
             mode=mode,
         )
-        for mode in ("nodal", "bump")
+        for mode in formats.TCC_MODES
     ]
     formats.write_rows(out, formats.TCC_COLUMNS, (
-        {"radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch}
+        {"mode": survey.mode, "radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch}
         for survey in surveys
         for e in survey.estimates
     ))
@@ -337,7 +336,3 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _parse_args(argv)
     return COMMANDS[args.command](args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,13 +10,15 @@ whose state is
 
     y*(x1, x2) = (x1 - beta)^2 (x1 - 1 + beta)^2 sin(2 pi x2) * ind_(beta, 1-beta](x1)
 
-with beta = 0.005; y* vanishes on a strip of width 2 beta, so the forward
-map is not differentiable at u*.  A second starting point
+with beta = BETA = 0.005, the one value the paper studies and so a
+constant; y* vanishes on a strip of width 2 beta, so the forward map is
+not differentiable at u*.  A second starting point
 
     u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2)
 
 places the initial error in the range of the subderivative at u*, which
-speeds up the iteration considerably.
+speeds up the iteration considerably.  `exact_fields` interpolates the
+three on a mesh.
 
 `Setup(n_h, start)` names this test problem once: its `build` returns the
 forward problem at mesh size n_h, the exact fields (u*, y*, u_bar) and the
@@ -43,7 +45,6 @@ the table CSV included, are those of `formats`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 
@@ -52,60 +53,49 @@ from .landweber import LandweberConfig, RunRecord, empirical_rate, run
 from .mesh_fem import GridFunction, Mesh, build_mesh, m_norm
 from .sparse_linalg import FINITE_POSITIVE, ConvergenceError, require_scalar, require_seed
 
-DEFAULT_BETA = 0.005
+BETA = 0.005
 
 
-def exact_state(x1, x2, beta: float = DEFAULT_BETA):
+def exact_state(x1, x2):
     """Closed-form exact state y*."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    strip = (x1 > beta) & (x1 <= 1.0 - beta)
-    return (x1 - beta) ** 2 * (x1 - 1.0 + beta) ** 2 * np.sin(2.0 * np.pi * x2) * strip
+    strip = (x1 > BETA) & (x1 <= 1.0 - BETA)
+    return (x1 - BETA) ** 2 * (x1 - 1.0 + BETA) ** 2 * np.sin(2.0 * np.pi * x2) * strip
 
 
-def exact_source(x1, x2, beta: float = DEFAULT_BETA):
+def exact_source(x1, x2):
     """Closed-form exact source u*; satisfies the PDE with state y*."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    strip = (x1 > beta) & (x1 <= 1.0 - beta)
-    y = exact_state(x1, x2, beta)
+    strip = (x1 > BETA) & (x1 <= 1.0 - BETA)
+    y = exact_state(x1, x2)
     curvature = 4.0 * np.pi**2 * y - 2.0 * (
-        (2.0 * x1 - 1.0) ** 2 + 2.0 * (x1 - 1.0 + beta) * (x1 - beta)
+        (2.0 * x1 - 1.0) ** 2 + 2.0 * (x1 - 1.0 + BETA) * (x1 - BETA)
     ) * np.sin(2.0 * np.pi * x2)
     return np.maximum(y, 0.0) + curvature * strip
 
 
-def _guess_from(u_star, x1, x2, rho: float):
-    """u_bar from the values u* at (x1, x2)."""
-    return u_star - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
-
-
-def source_guess(x1, x2, beta: float = DEFAULT_BETA, rho: float = LandweberConfig.rho):
-    """Starting point u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return _guess_from(exact_source(x1, x2, beta), x1, x2, rho)
-
-
 def exact_fields(
-    mesh: Mesh, beta: float = DEFAULT_BETA, rho: float = LandweberConfig.rho
+    mesh: Mesh, rho: float = LandweberConfig.rho
 ) -> tuple[GridFunction, GridFunction, GridFunction]:
-    """Nodal interpolants (u*, y*, u_bar) on the given mesh.
+    """Nodal interpolants (u*, y*, u_bar) on the given mesh, at beta = BETA.
 
     The closed forms are called on the m interior coordinates of x1 and, as
     a column, of x2: broadcasting gives the (m, m) node values in row-major
     order with O(m) sine calls and, per node, the operations of the pointwise
-    call. u* is evaluated once; u_bar is built from it.
+    call.  u* is evaluated once, and u_bar = u* - 2 rho sin(pi x1)
+    sin(2 pi x2) is formed from it.
     """
-    beta = require_scalar("beta", beta, Real, lambda v: 0.0 < v < 0.5, "lie in (0, 0.5)")
     rho = require_scalar("rho", rho, *FINITE_POSITIVE)  # the rule of LandweberConfig.rho
     x = (np.arange(mesh.m) + 1) * mesh.h  # either axis, as in Mesh.interior_coords
     x1, x2 = x, x[:, None]
-    u_star = exact_source(x1, x2, beta)
+    u_star = exact_source(x1, x2)
+    u_bar = u_star - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
     return (
         GridFunction(mesh, u_star.ravel(), "source"),
-        GridFunction(mesh, exact_state(x1, x2, beta).ravel(), "state"),
-        GridFunction(mesh, _guess_from(u_star, x1, x2, rho).ravel(), "source"),
+        GridFunction(mesh, exact_state(x1, x2).ravel(), "state"),
+        GridFunction(mesh, u_bar.ravel(), "source"),
     )
 
 
@@ -159,9 +149,9 @@ class Setup:
     """The test problem at mesh size n_h, started from zero or from u_bar ('source').
 
     An unknown start raises ValueError when the setup is made, before
-    anything is built.  beta is DEFAULT_BETA and rho, which places u_bar,
-    is the run's `LandweberConfig.rho`: both stay out of the setup, as the
-    noise does, so the cells of a campaign share one.
+    anything is built.  beta is the constant BETA, and rho, which places
+    u_bar, is the run's `LandweberConfig.rho`: it stays out of the setup, as
+    the noise does, so the cells of a campaign share one.
     """
 
     n_h: int

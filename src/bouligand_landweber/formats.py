@@ -30,6 +30,8 @@ REASON_MAX_ITERATIONS = "max-iterations"
 REASON_FORWARD_FAILURE = "forward-failure"
 REASON_DIVERGENCE = "divergence"
 REASONS = (REASON_DISCREPANCY, REASON_MAX_ITERATIONS, REASON_FORWARD_FAILURE, REASON_DIVERGENCE)
+# how a tangential-cone survey draws its pairs, as each of its rows stores it
+TCC_MODES = ("nodal", "bump")
 
 FLOAT_CELL = "{:.17g}".format  # 17 significant digits round-trip a double bit for bit
 INT_CELL = "{:d}".format
@@ -133,11 +135,18 @@ def cell_parser(cast, kind, bound, requirement: str):
     return lambda cell: require_scalar("value", cast(cell), kind, bound, requirement)
 
 
-def parse_reason(cell) -> str:
-    """A stored reason: one of REASONS, else ValueError."""
-    if cell not in REASONS:
-        raise ValueError(f"must be one of {', '.join(REASONS)}, got {cell!r}")
-    return cell
+def one_of(choices):
+    """A cell parser for a word: one of `choices`, else ValueError."""
+
+    def parse(cell) -> str:
+        if cell not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {cell!r}")
+        return cell
+
+    return parse
+
+
+parse_reason = one_of(REASONS)
 
 
 # a stored residual norm; NaN passes, as `run` records one where dot(r, M r) is NaN
@@ -169,7 +178,9 @@ TABLE_COLUMNS = (
 
 # the verify suites' CSV columns
 ORACLE_COLUMNS = (("n_h", INT_CELL, int), ("trial", INT_CELL, int), ("max_diff", FLOAT_CELL, float))
-TCC_COLUMNS = tuple((name, FLOAT_CELL, float) for name in ("radius", "mu_hat", "mismatch"))
+TCC_COLUMNS = (("mode", str, one_of(TCC_MODES)),) + tuple(
+    (name, FLOAT_CELL, float) for name in ("radius", "mu_hat", "mismatch")
+)
 ADJOINT_COLUMNS = (
     ("trial", INT_CELL, int), ("asymmetry", FLOAT_CELL, float), ("rayleigh", FLOAT_CELL, float)
 )

@@ -16,8 +16,11 @@ exceeds the starting one or whose update overflows (divergence), or after
 max_iter steps.  All residual and error norms use the M-weighted norm.
 
 Two scalar parameter conditions from the convergence theory are evaluated
-by :func:`check_parameters`, never enforced: with the default experiment
-parameters both are violated, yet the iteration behaves well.
+by :func:`check_parameters`, never enforced.  A record evaluates them at the
+assumed bound L = lbar, where Lam L^2 = 2 - 2 mu exactly, so choice =
+2 (mu + 1) / tau and choice_aux = 9 (1 - mu): both are positive, and both
+conditions fail, for every valid config, yet the iteration behaves well.
+Both hold only for L < lbar / sqrt(10).
 
 Each forward solution keeps the source it solves, so an iterate u_n is
 its solution's `u`, and a run starts from either: a source u0, which it

@@ -231,9 +231,9 @@ def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, float]:
     return A, M, (area + area + area + area + area + area) / 3.0
 
 
-def interpolate(mesh: Mesh, f: Callable, role: str = "source") -> GridFunction:
-    """Nodal interpolant of f(x1, x2), evaluated once on the arrays of interior coordinates."""
-    return GridFunction(mesh, f(*mesh.interior_coords()), role)
+def interpolate(mesh: Mesh, f: Callable) -> GridFunction:
+    """Nodal interpolant of the source f(x1, x2), called once on the interior coordinate arrays."""
+    return GridFunction(mesh, f(*mesh.interior_coords()), "source")
 
 
 def m_inner(M: sp.spmatrix, v, w) -> float:

@@ -256,22 +256,23 @@ def norm(a: np.ndarray) -> float:
 
 
 def _pcg(
-    system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, max_iter: int, early_exit
+    system: SpdSystem, x: np.ndarray, r: np.ndarray, pre, tol_abs: float, early_exit
 ) -> bool | None:
     """Continue CG from the iterate x whose residual b - K x is r, updating both in place.
 
-    Besides x and r it holds p, z, Ap and one scratch vector.  Each update
-    rounds exactly as x + alpha p, r - alpha Ap and z + beta p do, since
-    IEEE products and sums commute.  With `early_exit` = (tol, test), the
-    first iterate whose residual is at most tol but above tol_abs goes to
-    test: the run stops there if test holds, and goes on to tol_abs if not.
-    Returns test's verdict, or None where test was not called.
+    It makes at most 10 * dim iterations and holds, besides x and r, p, z,
+    Ap and one scratch vector.  Each update rounds exactly as x + alpha p,
+    r - alpha Ap and z + beta p do, since IEEE products and sums commute.
+    With `early_exit` = (tol, test), the first iterate whose residual is at
+    most tol but above tol_abs goes to test: the run stops there if test
+    holds, and goes on to tol_abs if not.  Returns test's verdict, or None
+    where test was not called.
     """
     p = pre(r)
     rz = dot(r, p)
     scratch = np.empty_like(x)
     verdict = None
-    for _ in range(max_iter):
+    for _ in range(10 * system.dim):
         Ap = system.matvec(p, scratch)
         pAp = dot(p, Ap)
         if not pAp > 0.0:  # also NaN curvature
@@ -298,7 +299,7 @@ def _pcg(
         del z  # likewise
         rz = rz_new
     raise ConvergenceError(
-        f"CG did not converge within {max_iter} iterations "
+        f"CG did not converge within {10 * system.dim} iterations "
         f"(residual {norm(r):.3e}, target {tol_abs:.3e})",
         residual=norm(r),
     )
@@ -375,7 +376,7 @@ def solve_spd(
     x, r = np.zeros_like(b), b.copy()
     achieved = np.inf
     for _ in range(3):  # restart on stale recurrence residual
-        verdict = _pcg(system, x, r, preconditioner, tol_abs, 10 * system.dim, early_exit)
+        verdict = _pcg(system, x, r, preconditioner, tol_abs, early_exit)
         if verdict is not None:
             if verdict:
                 tol_abs = early_exit[0]

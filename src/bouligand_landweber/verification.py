@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bouligand import apply_subderivative, build_linearized
+from .formats import TCC_MODES
 from .forward import ForwardProblem, PositivePart, solve_forward
 from .mesh_fem import (
     GridFunction,
@@ -100,12 +101,12 @@ def tcc_ratio(problem: ForwardProblem, u, u_hat) -> TCCEstimate:
     )
 
 
-def _smooth_bump(problem: ForwardProblem, rng: np.random.Generator, modes: int = 4) -> np.ndarray:
-    """Random low-frequency field: sine modes with 1/(i^2+j^2) weighted coefficients."""
+def _smooth_bump(problem: ForwardProblem, rng: np.random.Generator) -> np.ndarray:
+    """Random low-frequency field: the lowest 4 x 4 sine modes, weighted 1/(i^2+j^2)."""
     x1, x2 = problem.mesh.interior_coords()
     out = np.zeros_like(x1)
-    for i in range(1, modes + 1):
-        for j in range(1, modes + 1):
+    for i in range(1, 5):
+        for j in range(1, 5):
             c = rng.standard_normal() / (i * i + j * j)
             out += c * np.sin(i * np.pi * x1) * np.sin(j * np.pi * x2)
     return out
@@ -127,10 +128,10 @@ class TCCSurvey:
     def max_ratio(self) -> float:
         return max(e.ratio for e in self.estimates)
 
-    def fitted_constants(self, exponents=(4.0, 6.0, 10.0)) -> dict[float, float]:
-        """Smallest C with ratio <= C * mismatch^(1/p') over the survey, per p'."""
+    def fitted_constants(self) -> dict[float, float]:
+        """Smallest C with ratio <= C * mismatch^(1/p') over the survey, for p' = 4, 6 and 10."""
         out = {}
-        for p in exponents:
+        for p in (4.0, 6.0, 10.0):
             quotients = [
                 e.ratio / e.mismatch ** (1.0 / p) for e in self.estimates if e.mismatch > 0.0
             ]
@@ -156,7 +157,7 @@ def tcc_survey(
     n_pairs = require_scalar("n_pairs", n_pairs, *POSITIVE_INTEGER)
     seed = require_seed(seed)
     ball_radius = require_scalar("ball_radius", ball_radius, *FINITE_POSITIVE)
-    if mode not in ("nodal", "bump"):
+    if mode not in TCC_MODES:
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = np.random.default_rng(seed)
     M = problem.M

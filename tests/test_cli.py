@@ -248,8 +248,8 @@ def test_verify_tcc_suite_with_config(tmp_path):
     rc = main(["verify", opts, "--suite", "tcc", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "radius,mu_hat,mismatch"
-    assert len(lines) == 1 + 2 * 3  # nodal and bump modes
+    assert lines[0] == "mode,radius,mu_hat,mismatch"
+    assert [line.split(",")[0] for line in lines[1:]] == ["nodal"] * 3 + ["bump"] * 3
     summary = json.loads((tmp_path / "tcc.json").read_text())
     assert summary["max_ratio"]["nodal"] < 1.0
 
@@ -302,12 +302,13 @@ def test_verify_csvs_read_back_as_the_reports(tmp_path):
     problem = ForwardProblem.build(build_mesh(9))
     u_exact, _, _ = exact_fields(problem.mesh)
     estimates = [
-        e
+        (mode, e)
         for mode in ("nodal", "bump")
         for e in tcc_survey(problem, u_exact, 2, seed=5, mode=mode).estimates
     ]
     assert read_rows(tmp_path / "verify.tcc.csv", TCC_COLUMNS) == [
-        {"radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch} for e in estimates
+        {"mode": mode, "radius": e.radius, "mu_hat": e.ratio, "mismatch": e.mismatch}
+        for mode, e in estimates
     ]
 
     report = adjoint_check(problem, trials=2, seed=5)
@@ -316,6 +317,14 @@ def test_verify_csvs_read_back_as_the_reports(tmp_path):
     assert [r["asymmetry"] for r in adjoint] == report.asymmetries.tolist()
     assert [r["rayleigh"] for r in adjoint] == report.rayleigh.tolist()
     assert (tmp_path / "verify.adjoint.csv").read_bytes().endswith(b"\r\n")
+
+
+def test_tcc_rows_name_their_survey(tmp_path):
+    # a mode other than the two surveys' is a damaged file, not a third survey
+    path = tmp_path / "tcc.csv"
+    path.write_text("mode,radius,mu_hat,mismatch\r\nnodal,0.5,0.1,0\r\ngrid,0.5,0.1,0\r\n")
+    with pytest.raises(ValueError, match=r"line 3: mode: must be one of nodal, bump, got 'grid'$"):
+        read_rows(path, TCC_COLUMNS)
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -23,7 +23,6 @@ from bouligand_landweber import (
     run_noise_free,
     run_noisy,
     run_table,
-    source_guess,
     write_table_csv,
 )
 
@@ -44,10 +43,14 @@ def test_exact_state_vanishes_off_strip():
 
 
 def test_source_guess_offset():
-    # at (0.5, 0.25) both sine factors equal one, so u_bar = u* - 2 rho
-    assert source_guess(0.5, 0.25, rho=5.0) == pytest.approx(
-        exact_source(0.5, 0.25) - 10.0, rel=1e-14
-    )
+    # node (0.5, 0.25) of n_h = 5 has both sine factors equal to one, so u_bar = u* - 2 rho
+    mesh = build_mesh(5)
+    node = 1  # row-major: x2 = 0.25 is row 0, x1 = 0.5 is column 1
+    x1, x2 = mesh.interior_coords()
+    assert (x1[node], x2[node]) == (0.5, 0.25)
+    u_exact, _, u_bar = exact_fields(mesh, rho=5.0)
+    assert u_exact.values[node] == exact_source(0.5, 0.25)
+    assert u_bar.values[node] == pytest.approx(exact_source(0.5, 0.25) - 10.0, rel=1e-14)
 
 
 def test_exact_fields_roles(problem17):
@@ -55,18 +58,15 @@ def test_exact_fields_roles(problem17):
     assert u_exact.role == "source"
     assert y_exact.role == "state"
     assert u_bar.role == "source"
-    with pytest.raises(ValueError, match="beta"):
-        exact_fields(problem17.mesh, beta=0.7)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"beta": True}, r"^beta must lie in \(0, 0\.5\), got True"),
         ({"rho": True}, "^rho must be finite and positive, got True"),
         ({"rho": math.nan}, "^rho must be finite and positive, got nan"),
     ],
-    ids=["beta-bool", "rho-bool", "rho-nan"],
+    ids=["rho-bool", "rho-nan"],
 )
 def test_exact_fields_rejects_bad_scalars(problem9, kwargs, message):
     # True would run as 1; a NaN rho would fail only later, in a field check that does not name it
@@ -74,20 +74,25 @@ def test_exact_fields_rejects_bad_scalars(problem9, kwargs, message):
         exact_fields(problem9.mesh, **kwargs)
 
 
+def _source_guess(x1, x2, rho):
+    """u_bar = u* - 2 rho sin(pi x1) sin(2 pi x2), written out pointwise."""
+    return exact_source(x1, x2) - 2.0 * rho * np.sin(np.pi * x1) * np.sin(2.0 * np.pi * x2)
+
+
 @pytest.mark.parametrize(
-    "n_h, beta, rho",
-    [(n_h, 0.005, 5.0) for n_h in (3, 4, 17, 129, 257, 1025)] + [(64, 0.1, 0.3)],
+    "n_h, rho",
+    [(n_h, 5.0) for n_h in (3, 4, 17, 129, 257, 1025)] + [(64, 0.3)],
 )
-def test_exact_fields_match_interpolation(n_h, beta, rho):
+def test_exact_fields_match_interpolation(n_h, rho):
     # broadcasting the axis coordinates gives the same bits as
     # interpolating each pointwise closed form on its own
     mesh = build_mesh(n_h)
     expected = (
-        interpolate(mesh, lambda a, b: exact_source(a, b, beta)),
-        interpolate(mesh, lambda a, b: exact_state(a, b, beta)),
-        interpolate(mesh, lambda a, b: source_guess(a, b, beta, rho)),
+        interpolate(mesh, exact_source),
+        interpolate(mesh, exact_state),
+        interpolate(mesh, lambda a, b: _source_guess(a, b, rho)),
     )
-    for got, want in zip(exact_fields(mesh, beta, rho), expected):
+    for got, want in zip(exact_fields(mesh, rho), expected):
         assert got.values.tobytes() == want.values.tobytes()
 
 

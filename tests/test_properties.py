@@ -25,6 +25,7 @@ from bouligand_landweber import (
     brute_force_forward,
     build_linearized,
     build_mesh,
+    check_parameters,
     exact_fields,
     m_norm,
     read_grid_function,
@@ -296,6 +297,17 @@ def test_run_record_roundtrip_is_bit_exact(record):
     assert np.float64(back.delta).tobytes() == np.float64(record.delta).tobytes()
     assert np.float64(back.tau).tobytes() == np.float64(record.tau).tobytes()
     assert back.parameter_check == record.parameter_check
+
+
+@PROPERTY
+@given(configs())
+def test_parameter_check_at_lbar_has_closed_forms_and_never_holds(cfg):
+    # at L = lbar, Lam L^2 = (2 - 2 mu) (L / lbar)^2 is 2 - 2 mu exactly, so
+    # choice = 2 (mu + 1) / tau and choice_aux = 9 (1 - mu), both positive
+    check = check_parameters(cfg, cfg.lbar)
+    assert check.choice == 2.0 * (cfg.mu + 1.0) / cfg.tau
+    assert math.isclose(check.choice_aux, 9.0 * (1.0 - cfg.mu), rel_tol=4 * EPS)
+    assert check.satisfied == (False, False)
 
 
 @settings(PROPERTY, max_examples=150)
