@@ -20,12 +20,12 @@ mesh = build_mesh(n_h)
 print(f"mesh: {n_h} x {n_h} vertices, h = {mesh.h:.5f}, {mesh.n_interior} interior nodes")
 
 A, M, D = assemble(mesh)
-print(f"stiffness A: {A.shape}, {A.count_nonzero()} nonzeros")
-print(f"mass M:      {M.shape}, {M.count_nonzero()} nonzeros")
+print(f"stiffness A: {A.shape}, {A.tocsr().count_nonzero()} nonzeros")
+print(f"mass M:      {M.shape}, {M.tocsr().count_nonzero()} nonzeros")
 
 # the interior stencil: 4 on the diagonal, -1 to the four edge neighbors
 center = (mesh.m // 2) * mesh.m + mesh.m // 2
-row = A.getrow(center)
+row = A.tocsr().getrow(center)
 print(f"stiffness row at a central node: diag {row[0, center]}, "
       f"off-diagonals {sorted(float(v) for v in set(row.data) - {4.0})}")
 print(f"lumped mass, one number at every interior node: D = {D:.6g} (= h^2 = {mesh.h**2:.6g})")

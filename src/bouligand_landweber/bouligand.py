@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .forward import ForwardProblem
-from .mesh_fem import GridFunction, field_values
+from .mesh_fem import GridFunction, StencilMatrix, field_values
 from .sparse_linalg import SpdSystem, norm, require_tolerance, solve_spd
 
 
@@ -48,7 +47,7 @@ def build_linearized(problem: ForwardProblem, y) -> LinearizedOperator:
 
 
 def apply_subderivative(
-    op: LinearizedOperator, M: sp.spmatrix, w, rtol: float = 0.0, *, M_w=None
+    op: LinearizedOperator, M: StencilMatrix, w, rtol: float = 0.0, *, M_w=None
 ) -> GridFunction:
     """Solve (A + K_y) eta = M w to max(CG_TOL, rtol) * ||M w||_2 and return eta.
 

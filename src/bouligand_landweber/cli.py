@@ -258,6 +258,9 @@ def _verify_oracle(args, out: Path) -> dict:
     formats.write_rows(out, formats.ORACLE_COLUMNS, rows)
     return {
         "suite": "oracle",
+        "sizes": args.oracle_sizes,
+        "trials": args.oracle_trials,
+        "seed": args.seed,
         "max_diff": max(r.max_diff for r in reports),
         "passed": all(r.passed for r in reports),
     }
@@ -283,6 +286,8 @@ def _verify_tcc(args, out: Path) -> dict:
     ))
     return {
         "suite": "tcc",
+        "n_h": args.tcc_n,
+        "pairs": args.tcc_pairs,
         "max_ratio": {s.mode: s.max_ratio for s in surveys},
         "fitted_constants": {s.mode: s.fitted_constants() for s in surveys},
         "sampling": "uniform nodal perturbations and smooth low-frequency bumps, "
@@ -301,6 +306,9 @@ def _verify_adjoint(args, out: Path) -> dict:
     ))
     return {
         "suite": "adjoint",
+        "n_h": args.adjoint_n,
+        "trials": args.adjoint_trials,
+        "seed": args.seed,
         "max_asymmetry": report.max_asymmetry,
         "max_rayleigh": report.max_rayleigh,
     }

@@ -55,9 +55,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .mesh_fem import GridFunction, Mesh, assemble, field_values
+from .mesh_fem import GridFunction, Mesh, StencilMatrix, assemble, field_values
 from .sparse_linalg import (
     FINITE_POSITIVE,
     TINY_RHS,
@@ -119,8 +118,9 @@ class PositivePart:
 class ForwardProblem:
     """Assembled discrete problem A y + D f(y) = M u on one mesh.
 
-    A and M are the DIA matrices of `mesh_fem.assemble`; the solvers apply
-    them with `@` only, so a CSR matrix of the same shape also works.  D
+    A and M are the `StencilMatrix` operators of `mesh_fem.assemble`,
+    stored as one strip of grid rows each; the solvers apply them with `@`
+    only, so a CSR matrix of the same shape also works.  D
     is the lumped mass, one number for every interior node (the lumped
     matrix is D times the identity), stored as a float: one that is not
     finite and positive, an array included, raises ValueError.
@@ -130,8 +130,8 @@ class ForwardProblem:
     """
 
     mesh: Mesh
-    A: sp.dia_matrix
-    M: sp.dia_matrix
+    A: StencilMatrix
+    M: StencilMatrix
     D: float
     nonlinearity: PositivePart
     precond: Callable[..., np.ndarray]

@@ -15,7 +15,11 @@ For interior nodes the resulting stencils are
   number at every interior node.
 
 :func:`assemble` builds the interior matrices straight from these stencils
-and returns D as that one number.
+and returns D as that one number.  A stencil's diagonals depend only on x1,
+so a :class:`StencilMatrix` stores them for one strip of STRIP_ENTRIES
+nodes' worth of grid rows and applies the matrix strip by strip (cache
+blocking of the stencil sweep); its products equal the whole DIA matrix's
+bit for bit.
 :func:`assemble_full` assembles the boundary-inclusive matrices element by
 element; it is the oracle the stencil matrices are tested against, bit for
 bit.
@@ -179,38 +183,85 @@ def assemble_full(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]
     return A, M, D
 
 
-def _stencil_matrix(m: int, stencil) -> sp.dia_matrix:
-    """DIA matrix over the m x m interior grid from a constant stencil.
+STRIP_ENTRIES = 1 << 16  # grid nodes per strip of a StencilMatrix, chosen by measurement
+
+
+class StencilMatrix:
+    """A constant stencil over the m x m interior grid, applied strip by strip.
 
     `stencil` lists (dx, dy, value) in increasing order of the offset
-    dy*m + dx; each entry becomes one stored diagonal, in that order, which
-    is the column order of CSR, so products sum their terms as CSR sums
-    them.  Where the neighbor is a Dirichlet node the diagonal stores an
-    explicit zero.  An entry with no neighbor inside the grid at all
-    (|dx| or |dy| >= m) is dropped, as its offset could collide with
-    another's.
+    dy*m + dx; each entry becomes one diagonal, in that order, which is the
+    column order of CSR, so every output row sums its terms as CSR sums
+    them.  An entry with no neighbor inside the grid at all (|dx| or
+    |dy| >= m) is dropped, as its offset could collide with another's.
+
+    The grid rows are cut into strips of STRIP_ENTRIES // m rows (the last
+    may be shorter), each one scipy DIA matrix from its rows to their
+    columns plus one halo row on each side, so that a strip's product reads
+    cache-sized pieces of the diagonals and of x.  A diagonal's values
+    depend only on x1, with explicit zeros where the neighbor is a
+    Dirichlet node, so one C-contiguous array `data` of that many grid rows
+    per diagonal serves every strip: the first strip has no halo below and
+    the last none above, so they take a narrower shape, and scipy reads
+    only the columns inside a shape.  With one strip (n_h <= 257) `@`
+    returns the product of the whole DIA matrix; with more it fills one
+    output strip by strip, and each row sums the same terms in the same
+    order, so the bits are the same.  `offsets` are the diagonals' offsets
+    in the whole matrix, and `tocsr()` builds the whole matrix.
     """
-    kept = [(dx, dy, v) for dx, dy, v in stencil if abs(dx) < m and abs(dy) < m]
-    data = np.zeros((len(kept), m, m))
-    for diag, (dx, dy, v) in zip(data, kept):
-        # scipy stores entry (row, col) of diagonal k = col - row at data[k, col]:
-        # column (jx, jy) has the row neighbor (jx - dx, jy - dy) inside the grid
-        diag[max(dy, 0) : m + min(dy, 0), max(dx, 0) : m + min(dx, 0)] = v
-    offsets = np.array([dy * m + dx for dx, dy, _ in kept], dtype=np.int32)
-    return sp.dia_matrix((data.reshape(len(kept), m * m), offsets), shape=(m * m, m * m))
+
+    def __init__(self, m: int, stencil):
+        kept = [(dx, dy, v) for dx, dy, v in stencil if abs(dx) < m and abs(dy) < m]
+        grid_row = np.zeros((len(kept), m))
+        for diag, (dx, _, v) in zip(grid_row, kept):
+            # scipy stores entry (row, col) of diagonal k = col - row at data[k, col]:
+            # column jx has the row neighbor jx - dx inside the grid
+            diag[max(dx, 0) : m + min(dx, 0)] = v
+        rows = min(max(STRIP_ENTRIES // m, 1), m)
+        self.data = np.tile(grid_row, min(rows + 2, m))
+        self.offsets = np.array([dy * m + dx for dx, dy, _ in kept], dtype=np.int32)
+        self.shape = (m * m, m * m)
+        self.strips = []
+        for first in range(0, m, rows):
+            last = min(first + rows, m)
+            below, above = max(first - 1, 0), min(last + 1, m)  # grid rows of x read
+            strip = sp.dia_matrix(
+                (self.data, self.offsets + (first - below) * m),
+                shape=((last - first) * m, (above - below) * m),
+            )
+            self.strips.append((strip, slice(first * m, last * m), slice(below * m, above * m)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if len(self.strips) == 1:
+            return self.strips[0][0] @ x
+        if np.shape(x) != self.shape[1:]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {np.shape(x)}")
+        out = np.empty(self.shape[0])
+        for strip, rows, cols in self.strips:
+            out[rows] = strip @ x[cols]
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The whole matrix in canonical CSR form, without the explicit zeros."""
+        repeats = -(-self.shape[1] // self.data.shape[1])  # the diagonals repeat every grid row
+        whole = sp.dia_matrix((np.tile(self.data, repeats), self.offsets), shape=self.shape)
+        return whole.tocsr()
 
 
-def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, float]:
+def assemble(mesh: Mesh) -> tuple[StencilMatrix, StencilMatrix, float]:
     """Interior (A, M, D) with homogeneous Dirichlet conditions by elimination.
 
-    A is the P1 stiffness matrix and M the consistent mass matrix, both
-    stored by diagonals (DIA: one diagonal per stencil entry, explicit
-    zeros at Dirichlet neighbors).  D is the lumped mass, a float: every
-    interior node has the same support, so the lumped diagonal is D times
-    the identity.  They are built straight from the interior stencils; the
-    values are summed in the order element assembly sums them, so A and M
-    equal :func:`assemble_full` restricted to the interior, and D each
-    interior entry of its lumped mass, bit for bit.
+    A is the P1 stiffness matrix and M the consistent mass matrix, each a
+    :class:`StencilMatrix`: one diagonal per stencil entry, explicit zeros
+    at Dirichlet neighbors, stored for one strip of grid rows that every
+    strip shares (6.5 MB for both at n_h = 1025, where whole diagonals took
+    100 MB), with the products of the whole DIA matrix, bit for bit.  D is
+    the lumped mass, a float: every interior node has the same support, so
+    the lumped diagonal is D times the identity.  They are built straight
+    from the interior stencils; the values are summed in the order element
+    assembly sums them, so A and M equal :func:`assemble_full` restricted
+    to the interior, and D each interior entry of its lumped mass, bit for
+    bit.
     """
     area = 0.5 * mesh.h * mesh.h
     # a and b are the entries of the element mass matrix area * _MASS_UNIT;
@@ -219,10 +270,10 @@ def assemble(mesh: Mesh) -> tuple[sp.dia_matrix, sp.dia_matrix, float]:
     a = area * (2.0 / 12.0)
     b = area * (1.0 / 12.0)
     diag, off = (a + a + a) + (a + a + a), b + b
-    A = _stencil_matrix(
+    A = StencilMatrix(
         mesh.m, [(0, -1, -1.0), (-1, 0, -1.0), (0, 0, 4.0), (1, 0, -1.0), (0, 1, -1.0)]
     )
-    M = _stencil_matrix(
+    M = StencilMatrix(
         mesh.m,
         [(-1, -1, off), (0, -1, off), (-1, 0, off), (0, 0, diag), (1, 0, off), (0, 1, off),
          (1, 1, off)],

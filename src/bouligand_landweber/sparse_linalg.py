@@ -50,11 +50,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn
+
+if TYPE_CHECKING:  # mesh_fem imports this module
+    from .mesh_fem import StencilMatrix
 
 CG_TOL = 1e-12  # relative Euclidean residual every CG solve reaches
 # below this ||b||_2, CG's inner products near its stop would lose digits to
@@ -76,11 +79,11 @@ class ConvergenceError(RuntimeError):
 class SpdSystem:
     """Sparse SPD matrix plus a nonnegative diagonal shift.
 
-    `sparse` is applied with `@` only: production passes the DIA stiffness
-    matrix of `mesh_fem.assemble`, tests also pass CSR oracles.
+    `sparse` is applied with `@` only: production passes the stiffness
+    `StencilMatrix` of `mesh_fem.assemble`, tests also pass CSR oracles.
     """
 
-    sparse: sp.spmatrix
+    sparse: StencilMatrix | sp.spmatrix
     shift: np.ndarray
 
     @property

@@ -192,7 +192,7 @@ def brute_force_forward(problem: ForwardProblem, u) -> GridFunction:
     m = problem.mesh.n_interior
     if m > 16:
         raise ValueError(f"brute-force enumeration refused for {m} > 16 unknowns")
-    A = problem.A.toarray()
+    A = problem.A.tocsr().toarray()
     b = problem.M @ field_values(problem.mesh, "u", u)
     bits = np.arange(m)
     for code in range(1 << m):

@@ -219,6 +219,23 @@ def test_verify_oracle_suite(tmp_path):
     assert summary["max_diff"] <= 1e-10
 
 
+def test_verify_summary_records_what_each_suite_ran_with(tmp_path):
+    # two runs apart only in --oracle-trials write summaries apart in it,
+    # and every summary holds the values of its suite's flags
+    summaries = {}
+    for trials in (2, 3):
+        out = tmp_path / f"run{trials}.csv"
+        argv = ["verify", "--oracle-sizes=3,4", f"--oracle-trials={trials}", "--tcc-n=9",
+                "--tcc-pairs=2", "--adjoint-n=9", "--adjoint-trials=2", "--seed=6",
+                "--out", str(out)]
+        assert main(argv) == 0
+        oracle, tcc, adjoint = summaries[trials] = _strict_json(out.with_suffix(".json"))
+        assert (oracle["sizes"], oracle["trials"], oracle["seed"]) == ([3, 4], trials, 6)
+        assert (tcc["n_h"], tcc["pairs"], tcc["seed"]) == (9, 2, 6)
+        assert (adjoint["n_h"], adjoint["trials"], adjoint["seed"]) == (9, 2, 6)
+    assert summaries[2] != summaries[3]
+
+
 def test_verify_exits_1_when_a_verdict_fails(tmp_path, monkeypatch):
     # a negative tolerance fails every oracle trial: "passed": false, exit 1;
     # the suites without a verdict still exit 0, and a usage error stays at 2

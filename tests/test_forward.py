@@ -17,7 +17,7 @@ from bouligand_landweber import (
     run,
     solve_forward,
 )
-from bouligand_landweber import forward, sparse_linalg
+from bouligand_landweber import forward, mesh_fem, sparse_linalg
 from bouligand_landweber.experiments import NoiseSpec, add_noise, exact_fields
 from bouligand_landweber.forward import FORWARD_RTOL, error_certificate
 from conftest import CountingMatrix, peak_vectors, traced_call
@@ -421,8 +421,8 @@ def test_error_certificate_is_h_over_the_smallest_stiffness_eigenvalue(n_h):
     # M-norm, which falls short of h times its 2-norm by about pi^2 h^2 / 6
     problem = ForwardProblem.build(build_mesh(n_h))
     h = problem.mesh.h
-    lam_a = np.linalg.eigvalsh(problem.A.toarray())
-    assert np.max(np.linalg.eigvalsh(problem.M.toarray())) <= h * h
+    lam_a = np.linalg.eigvalsh(problem.A.tocsr().toarray())
+    assert np.max(np.linalg.eigvalsh(problem.M.tocsr().toarray())) <= h * h
     assert error_certificate(problem.mesh) == pytest.approx(h / lam_a[0], rel=1e-12)
     if n_h == 33:
         assert lam_a[0] == pytest.approx(0.019261, abs=5e-7)
@@ -580,6 +580,20 @@ def test_built_problem_holds_no_per_node_constant():
     problem, (held, _) = traced_call(lambda: ForwardProblem.build(build_mesh(257)))
     m = problem.mesh.m
     assert held <= problem.A.data.nbytes + problem.M.data.nbytes + 4 * m * m + 128 * 1024
+
+
+def test_built_problem_holds_one_strip_of_diagonals():
+    # at n_h = 1025 A and M store their 5 + 7 diagonals for one strip of
+    # STRIP_ENTRIES // m grid rows and its two halo rows, 6.5 MB, where
+    # whole diagonals took 100 MB; beside them a built problem holds the
+    # float32 eigenvalue table, the coarse-block builder's two tables of
+    # 10 rows of m + 1 floats (164 KB here, 47 KB at n_h = 257) and the
+    # 128 KiB slack of the test above (numpy 2.4, scipy 1.17: 104 KB under)
+    problem, (held, _) = traced_call(lambda: ForwardProblem.build(build_mesh(1025)))
+    m = problem.mesh.m
+    strip = (mesh_fem.STRIP_ENTRIES // m + 2) * m * 8
+    assert held <= 12 * strip + 4 * m * m + 2 * 10 * (m + 1) * 8 + 128 * 1024
+    assert (problem.A.data.nbytes, problem.M.data.nbytes) == (5 * strip, 7 * strip)
 
 
 def test_run_working_set(problem65):

@@ -62,15 +62,15 @@ def test_mesh_spacing_identity():
 def test_assemble_single_interior_node():
     # hand assembly over the 8 triangles touching the one interior node of n_h=3
     A, M, D = assemble(build_mesh(3))
-    assert A.toarray() == pytest.approx(np.array([[4.0]]))
-    assert M.toarray() == pytest.approx(np.array([[0.125]]))
+    assert A.tocsr().toarray() == pytest.approx(np.array([[4.0]]))
+    assert M.tocsr().toarray() == pytest.approx(np.array([[0.125]]))
     assert D == 0.25
 
 
 def test_stiffness_stencil_n4():
     # every interior row: diagonal 4, off-diagonal entries exactly -1
     A, _, _ = assemble(build_mesh(4))
-    dense = A.toarray()
+    dense = A.tocsr().toarray()
     assert np.all(np.diag(dense) == 4.0)
     off = dense[~np.eye(4, dtype=bool)]
     assert set(np.unique(off)) <= {-1.0, 0.0}
@@ -84,7 +84,7 @@ def test_stiffness_stencil_interior_node():
     A, _, _ = assemble(mesh)
     m = mesh.m
     center = (m // 2) * m + m // 2
-    row = A.getrow(center).toarray().ravel()
+    row = A.tocsr().getrow(center).toarray().ravel()
     assert row[center] == 4.0
     for neighbor in (center - 1, center + 1, center - m, center + m):
         assert row[neighbor] == -1.0
@@ -125,7 +125,7 @@ def test_mass_stencil_interior_node():
     _, M, _ = assemble(mesh)
     m, h2 = mesh.m, mesh.h**2
     center = (m // 2) * m + m // 2
-    row = M.getrow(center).toarray().ravel()
+    row = M.tocsr().getrow(center).toarray().ravel()
     assert row[center] == pytest.approx(h2 / 2)
     for neighbor in (center - 1, center + 1, center - m, center + m, center + m + 1, center - m - 1):
         assert row[neighbor] == pytest.approx(h2 / 12)
@@ -135,10 +135,9 @@ def test_mass_stencil_interior_node():
 def test_assembly_deterministic():
     a1, m1, d1 = assemble(build_mesh(33))
     a2, m2, d2 = assemble(build_mesh(33))
-    assert np.array_equal(a1.offsets, a2.offsets)
-    assert np.array_equal(a1.data, a2.data)
-    assert np.array_equal(m1.offsets, m2.offsets)
-    assert np.array_equal(m1.data, m2.data)
+    for first, second in ((a1, a2), (m1, m2)):
+        _assert_same_csr(first.tocsr(), second.tocsr())
+        assert np.array_equal(first.data, second.data)
     assert np.array_equal(d1, d2)
 
 
@@ -184,6 +183,32 @@ def test_stencil_products_match_element_assembly(n_h):
     assert (M @ v).tobytes() == (M_csr @ v).tobytes()
     got = SpdSystem(A, shift).matvec(v)
     assert got.tobytes() == SpdSystem(A_csr, shift).matvec(v).tobytes()
+
+
+@pytest.mark.parametrize("n_h, strips", [(257, 1), (259, 2), (385, 3)])
+def test_strip_products_match_the_whole_matrix(n_h, strips):
+    # one strip at n_h = 257, two at 259 (255 + 2 grid rows), three at 385
+    # with a short last one (171 + 171 + 41); each strip reads the shared
+    # diagonals through a shape narrower than them where it lacks a halo
+    # row, and every output row sums the oracle's terms in its column
+    # order, so products match byte for byte, signed zeros in x included
+    mesh = build_mesh(n_h)
+    A, M, _ = assemble(mesh)
+    A_full, M_full, _ = assemble_full(mesh)
+    idx = mesh.interior_to_full()
+    n = mesh.n_interior
+    rng = np.random.default_rng(n_h)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    mixed = np.where(rng.random(n) < 0.5, v, zeros)
+    for matrix, full in ((A, A_full), (M, M_full)):
+        assert len(matrix.strips) == strips
+        csr = full[idx][:, idx]
+        _assert_same_csr(matrix.tocsr(), csr)
+        for x in (v, zeros, mixed):
+            assert (matrix @ x).tobytes() == (csr @ x).tobytes()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix @ np.ones(n + 1)
 
 
 def test_interpolate_zero_field():

@@ -101,7 +101,7 @@ def _residual_and_rounding(problem, y, b):
     to first order, which 16 eps ||s||_2 covers.
     """
     H = problem.A @ y + problem.D * np.maximum(y, 0.0) - b
-    scale = abs(problem.A) @ np.abs(y) + problem.D * np.abs(y) + np.abs(b)
+    scale = abs(problem.A.tocsr()) @ np.abs(y) + problem.D * np.abs(y) + np.abs(b)
     return norm(H), 16.0 * EPS * norm(scale)
 
 
@@ -175,7 +175,8 @@ def _true_residual_bound(problem, sol, u) -> float:
     error is at most n*eps times the residual of the absolute values.
     """
     y, n = sol.y.values, problem.mesh.n_interior
-    magnitude = abs(problem.A) @ np.abs(y) + problem.D * np.abs(y) + problem.M @ np.abs(u)
+    abs_A = abs(problem.A.tocsr())
+    magnitude = abs_A @ np.abs(y) + problem.D * np.abs(y) + problem.M @ np.abs(u)
     return sol.final_residual + 4 * n * EPS * np.linalg.norm(magnitude)
 
 
@@ -192,7 +193,8 @@ def test_forward_map_energy_bound(case):
     # each computed state solves its equation up to its true residual, and
     # each product rounds by at most n eps times its absolute-value product
     residuals = _true_residual_bound(problem, s1, u1) + _true_residual_bound(problem, s2, u2)
-    rounding = n * EPS * (np.abs(dy) @ (abs(A) @ np.abs(dy)) + np.abs(dy) @ (M @ np.abs(du)))
+    abs_A = abs(A.tocsr())
+    rounding = n * EPS * (np.abs(dy) @ (abs_A @ np.abs(dy)) + np.abs(dy) @ (M @ np.abs(du)))
     assert energy <= work + np.linalg.norm(dy) * residuals + 4 * rounding
 
 
@@ -220,7 +222,7 @@ def test_subderivative_is_directional_limit(case):
     # ||(A + K_y)^{-1}||_2 <= 1 / lambda_min(A); each Newton solve leaves a
     # residual of at most FORWARD_RTOL ||M u||_2, the CG solve for g one of
     # at most CG_TOL ||M h||_2, and the subtraction rounds each entry once
-    lam_min = np.linalg.eigvalsh(problem.A.toarray())[0]
+    lam_min = np.linalg.eigvalsh(problem.A.tocsr().toarray())[0]
     M = problem.M
     solve_error = FORWARD_RTOL * (norm(M @ u) + norm(M @ (u + t * h))) / t + CG_TOL * norm(M @ h)
     tol = solve_error / lam_min + EPS * np.linalg.norm(quotient)
